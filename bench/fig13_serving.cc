@@ -13,7 +13,7 @@
  * with --serving-json PATH) so CI can diff the serving baseline the
  * same way it diffs the stats-v2 records.  Points are rendered in
  * submission order and contain no wall-clock fields, so the document
- * is byte-identical for any --jobs and at --shards=1 vs sequential.
+ * is byte-identical for any --jobs.
  */
 
 #include <chrono>
@@ -70,8 +70,6 @@ runServe(ExecMode mode, const ServeConfig &scfg, const std::string &label,
         cfg.mem_backend = opts.mem_backend;
     if (!opts.coherence.empty())
         cfg.pim.coherence.policy = opts.coherence;
-    if (opts.shards)
-        cfg.shards = opts.shards;
     System sys(cfg);
     Runtime rt(sys);
     Server server(sys, scfg);

@@ -237,7 +237,6 @@ runOneMode(const FuzzProgram &prog, const GoldenResult &golden,
         cfg.pim.pcu.issue_queue_depth =
             static_cast<unsigned>(id.queue_depth);
     }
-    cfg.shards = opt.shards;
     System sys(cfg);
     std::optional<WatchGuard> guard;
     if (jctx)
@@ -289,61 +288,27 @@ runOneMode(const FuzzProgram &prog, const GoldenResult &golden,
     // must report deadlock and livelock as FuzzViolations, not abort
     // the whole sweep via panic().
     EventQueue &eq = sys.eventQueue();
-    ShardedQueue &sq = sys.shardedQueue();
     const std::uint64_t budget = 200000 + 4000 * prog.totalOps();
-    if (sq.parallel()) {
-        // Epoch-driven variant: runEpoch() == 0 means every shard
-        // and mailbox is drained — or the host broke on a stop
-        // request mid-epoch, so re-check the flag before calling it
-        // a deadlock.  Worker-shard exceptions (panics, violations)
-        // rethrow from runEpoch on this thread.
-        while (!rt.allDone()) {
-            if (sq.stopRequested())
-                throw SimulationStopped();
-            if (sq.executedCount() > budget) {
-                throw FuzzViolation(
-                    "event budget exceeded (" + std::to_string(budget) +
-                    " events for " + std::to_string(prog.totalOps()) +
-                    " ops): hang or livelock");
-            }
-            if (sq.runEpoch() == 0) {
-                if (sq.stopRequested())
-                    throw SimulationStopped();
-                throw FuzzViolation(
-                    "deadlock: unfinished thread(s) with every shard "
-                    "drained");
-            }
+    while (!rt.allDone()) {
+        if (eq.stopRequested())
+            throw SimulationStopped();
+        if (eq.executedCount() > budget) {
+            throw FuzzViolation(
+                "event budget exceeded (" + std::to_string(budget) +
+                " events for " + std::to_string(prog.totalOps()) +
+                " ops): hang or livelock");
         }
-        while (sq.runEpoch() != 0) {
-            if (sq.stopRequested())
-                throw SimulationStopped();
-            if (sq.executedCount() > budget)
-                throw FuzzViolation(
-                    "event budget exceeded while settling");
+        if (!eq.runOne()) {
+            throw FuzzViolation(
+                "deadlock: unfinished thread(s) with an empty event "
+                "queue");
         }
-    } else {
-        while (!rt.allDone()) {
-            if (eq.stopRequested())
-                throw SimulationStopped();
-            if (eq.executedCount() > budget) {
-                throw FuzzViolation(
-                    "event budget exceeded (" + std::to_string(budget) +
-                    " events for " + std::to_string(prog.totalOps()) +
-                    " ops): hang or livelock");
-            }
-            if (!eq.runOne()) {
-                throw FuzzViolation(
-                    "deadlock: unfinished thread(s) with an empty event "
-                    "queue");
-            }
-        }
-        while (eq.runOne()) {
-            if (eq.stopRequested())
-                throw SimulationStopped();
-            if (eq.executedCount() > budget)
-                throw FuzzViolation(
-                    "event budget exceeded while settling");
-        }
+    }
+    while (eq.runOne()) {
+        if (eq.stopRequested())
+            throw SimulationStopped();
+        if (eq.executedCount() > budget)
+            throw FuzzViolation("event budget exceeded while settling");
     }
 
     // Quiesce-time invariants: probes once more, then the registered
@@ -603,8 +568,6 @@ replayFileContents(const FuzzCaseId &id, const FuzzOptions &opt)
     os << "configs=" << opt.num_configs << "\n";
     os << "probe_every=" << opt.probe_every << "\n";
     os << "inject=" << injectBugName(opt.inject) << "\n";
-    if (opt.shards > 1)
-        os << "shards=" << opt.shards << "\n";
     os << "seed=" << hex(id.seed) << "\n";
     os << "config=" << id.config << "\n";
     if (id.prefix == full_prefix)
@@ -652,9 +615,6 @@ parseReplayFile(const std::string &text, FuzzCaseId &id, FuzzOptions &opt)
                     static_cast<unsigned>(std::stoul(value, nullptr, 0));
             } else if (key == "probe_every") {
                 opt.probe_every = std::stoull(value, nullptr, 0);
-            } else if (key == "shards") {
-                opt.shards =
-                    static_cast<unsigned>(std::stoul(value, nullptr, 0));
             } else if (key == "inject") {
                 if (value == "none")
                     opt.inject = InjectBug::None;
@@ -735,8 +695,6 @@ replayCommand(const FuzzCaseId &id, const FuzzOptions &opt)
        << opt.num_configs;
     if (opt.inject != InjectBug::None)
         os << " --inject-bug " << injectBugName(opt.inject);
-    if (opt.shards > 1)
-        os << " --shards " << opt.shards;
     return os.str();
 }
 

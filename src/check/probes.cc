@@ -150,17 +150,6 @@ installProbes(System &sys, std::uint64_t every)
 {
     auto wm = std::make_shared<LinkWatermark>();
     System *s = &sys;
-    if (sys.shardedQueue().parallel()) {
-        // A per-event boundary probe on the host queue would read
-        // cross-shard state (mem-side PCUs, vault link counters)
-        // while worker shards are mid-epoch.  Probe at the epoch
-        // barrier instead: every shard is quiescent there, so the
-        // same checks are safe (cadence becomes per-epoch; @p every
-        // does not apply).
-        sys.shardedQueue().setEpochProbe(
-            [s, wm]() { checkOnce(*s, wm.get()); });
-        return;
-    }
     sys.eventQueue().setBoundaryProbe(
         [s, wm]() { checkOnce(*s, wm.get()); }, every);
 }

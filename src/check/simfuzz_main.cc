@@ -58,8 +58,6 @@ usage(const char *argv0)
         "                       (default: fuzzed per config)\n"
         "  --coherence P        pin every case to one coherence policy\n"
         "                       (eager | lazy; default: fuzzed)\n"
-        "  --shards N           event-queue shards per System\n"
-        "                       (default 1 = sequential engine)\n"
         "  --topology T         pin every case to one interconnect\n"
         "                       (chain | ring | mesh; default: fuzzed)\n"
         "  --cubes N            pin the cube count (default: fuzzed)\n"
@@ -192,8 +190,6 @@ main(int argc, char **argv)
         fopt.backend = *v;
     if (const auto v = flagValue(argc, argv, "--coherence"))
         fopt.coherence = *v;
-    if (const auto v = flagValue(argc, argv, "--shards"))
-        fopt.shards = static_cast<unsigned>(parseU64(*v, "--shards"));
     if (const auto v = flagValue(argc, argv, "--topology"))
         fopt.topology = *v;
     if (const auto v = flagValue(argc, argv, "--cubes"))
@@ -277,10 +273,6 @@ main(int argc, char **argv)
         return replayOne(id, fopt);
     }
 
-    const std::string shards_note =
-        fopt.shards > 1
-            ? ", " + std::to_string(fopt.shards) + " shards"
-            : "";
     // Pinning the default policy explicitly must not change stdout
     // (the CI byte-identity leg diffs `--coherence eager` against a
     // plain run), so the header notes only a non-default pin.
@@ -306,7 +298,7 @@ main(int argc, char **argv)
         net_note += ", queue-depth " + std::to_string(fopt.queue_depth);
     std::printf("simfuzz: %llu case(s), %u fuzzed config(s), "
                 "master seed %llu, probe every %llu "
-                "event(s)%s%s%s%s%s%s%s\n",
+                "event(s)%s%s%s%s%s%s\n",
                 static_cast<unsigned long long>(cases),
                 fopt.num_configs,
                 static_cast<unsigned long long>(fopt.master_seed),
@@ -317,7 +309,7 @@ main(int argc, char **argv)
                     : "",
                 fopt.backend.empty() ? "" : ", backend ",
                 fopt.backend.c_str(), coherence_note.c_str(),
-                net_note.c_str(), shards_note.c_str());
+                net_note.c_str());
 
     Sweep sweep;
     std::vector<FuzzCaseResult> results(cases);

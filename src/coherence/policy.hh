@@ -63,8 +63,8 @@ struct CoherenceConfig
 
 /**
  * One coherence policy instance, owned by the PMU.  All hooks run on
- * the host shard's event queue (the PMU's), so implementations need
- * no synchronization of their own.
+ * the System's one event queue, so implementations need no
+ * synchronization of their own.
  */
 class CoherencePolicy
 {

@@ -85,13 +85,6 @@ sweepOptionsFromArgs(int argc, char **argv)
                       value.c_str(), known.c_str());
             }
             opts.coherence = value;
-        } else if (flagValue(argc, argv, i, "--shards", value)) {
-            char *end = nullptr;
-            const long n = std::strtol(value.c_str(), &end, 10);
-            fatal_if(!end || *end != '\0' || n < 1,
-                     "--shards wants a positive integer, got '%s'",
-                     value.c_str());
-            opts.shards = static_cast<unsigned>(n);
         } else if (flagValue(argc, argv, i, "--topology", value)) {
             Topology t;
             if (!parseTopology(value, t)) {

@@ -9,8 +9,6 @@
  *   --no-progress   suppress the live progress line on stderr
  *   --mem-backend K main-memory backend (hmc | ddr | ideal)
  *   --coherence P   offload coherence policy (eager | lazy)
- *   --shards N      event-queue shards per simulated System
- *                   (1 = the sequential engine; sim/sharded_queue.hh)
  *   --topology T    off-chip interconnect (chain | ring | mesh)
  *   --cubes N       memory cubes on the interconnect (power of two)
  *   --pmu-shards N  address-partitioned PMU banks (power of two)
@@ -40,8 +38,6 @@ struct SweepOptions
     std::string mem_backend;
     /** Coherence-policy registry key; empty = each job's default. */
     std::string coherence;
-    /** Event-queue shards per System; 0 = each job's default (1). */
-    unsigned shards = 0;
     /** Interconnect topology key; empty = each job's default. */
     std::string topology;
     /** Memory cubes on the interconnect; 0 = each job's default. */

@@ -6,7 +6,6 @@
 
 #include "common/logging.hh"
 #include "mem/backend_config.hh"
-#include "sim/sharded_queue.hh"
 
 namespace pei
 {
@@ -34,23 +33,23 @@ registry()
 }
 
 std::unique_ptr<MemoryBackend>
-makeHmc(ShardedQueue &sq, const MemBackendConfig &cfg, StatRegistry &stats)
+makeHmc(EventQueue &eq, const MemBackendConfig &cfg, StatRegistry &stats)
 {
-    return std::make_unique<HmcBackend>(sq, cfg.hmc, stats,
+    return std::make_unique<HmcBackend>(eq, cfg.hmc, stats,
                                         cfg.phys_bytes);
 }
 
 std::unique_ptr<MemoryBackend>
-makeDdr(ShardedQueue &sq, const MemBackendConfig &cfg, StatRegistry &stats)
+makeDdr(EventQueue &eq, const MemBackendConfig &cfg, StatRegistry &stats)
 {
-    return std::make_unique<DdrBackend>(sq, cfg.ddr, stats,
+    return std::make_unique<DdrBackend>(eq, cfg.ddr, stats,
                                         cfg.phys_bytes);
 }
 
 std::unique_ptr<MemoryBackend>
-makeIdeal(ShardedQueue &sq, const MemBackendConfig &cfg, StatRegistry &stats)
+makeIdeal(EventQueue &eq, const MemBackendConfig &cfg, StatRegistry &stats)
 {
-    return std::make_unique<IdealBackend>(sq, cfg.ideal, stats,
+    return std::make_unique<IdealBackend>(eq, cfg.ideal, stats,
                                           cfg.phys_bytes);
 }
 
@@ -95,7 +94,7 @@ memoryBackendNames()
 }
 
 std::unique_ptr<MemoryBackend>
-createMemoryBackend(const std::string &name, ShardedQueue &sq,
+createMemoryBackend(const std::string &name, EventQueue &eq,
                     const MemBackendConfig &cfg, StatRegistry &stats)
 {
     MemBackendFactory factory = nullptr;
@@ -113,7 +112,7 @@ createMemoryBackend(const std::string &name, ShardedQueue &sq,
         fatal("unknown memory backend '%s' (registered: %s)",
               name.c_str(), known.c_str());
     }
-    return factory(sq, cfg, stats);
+    return factory(eq, cfg, stats);
 }
 
 } // namespace pei

@@ -28,7 +28,6 @@
 #include "mem/backend.hh"
 #include "sim/continuation.hh"
 #include "sim/event_queue.hh"
-#include "sim/sharded_queue.hh"
 #include "sim/slot_pool.hh"
 
 namespace pei
@@ -174,16 +173,7 @@ class DdrBackend : public MemoryBackend
   public:
     using Callback = Continuation;
 
-    /**
-     * Sharding: the backend's pools/stats live on the host shard;
-     * each channel lives on shard sq.shardFor(chan).  Host-to-channel
-     * and channel-to-host edges are both zero-latency (accessBlock
-     * used to be a synchronous call), so under --shards=N they ride
-     * the clamped mailbox path: sharded DDR timing is approximate
-     * within one epoch window (still deterministic), while a single
-     * shard reproduces the sequential backend bit for bit.
-     */
-    DdrBackend(ShardedQueue &sq, const DdrConfig &cfg, StatRegistry &stats,
+    DdrBackend(EventQueue &eq, const DdrConfig &cfg, StatRegistry &stats,
                std::uint64_t phys_bytes = 0);
 
     const char *kind() const override { return "ddr"; }
@@ -198,14 +188,6 @@ class DdrBackend : public MemoryBackend
     void sendPim(PimPacket pkt, PimHandler::Respond cb) override;
 
     const AddrMap &addrMap() const override { return map; }
-
-    unsigned memPartitions() const override { return cfg.channels; }
-
-    /** Lookahead: one data burst — the shortest channel occupancy
-     *  separating any two observable completions. */
-    Ticks minCrossShardLatency() const override { return t_burst; }
-
-    EventQueue &pimUnitQueue(unsigned unit) override;
 
     std::uint64_t memReads() const override;
     std::uint64_t memWrites() const override;
@@ -223,37 +205,12 @@ class DdrBackend : public MemoryBackend
         Callback cb;
     };
 
-    struct WriteTxn
-    {
-        Callback cb; ///< parked host-side ack (parallel mode only)
-    };
-
-    /** Handle sentinel: posted write with no host-side ack. */
-    static constexpr std::uint32_t no_write_ack = 0xffffffffu;
-
     void readDone(std::uint32_t txn);
-    void writeDone(std::uint32_t txn);
 
-    /** Run @p fn on the host shard (inline when single-shard). */
-    template <typename Fn>
-    void
-    completeOnHost(Fn &&fn)
-    {
-        if (!sq.parallel()) {
-            fn();
-            return;
-        }
-        sq.post(0, Continuation(std::forward<Fn>(fn)));
-    }
-
-    ShardedQueue &sq;
-    EventQueue &eq; ///< the host shard's queue (sq.host())
-    DdrConfig cfg;
+    EventQueue &eq;
     AddrMap map;
-    Ticks t_burst; ///< one block over a channel bus (lookahead)
     std::vector<std::unique_ptr<DdrChannel>> channels;
     SlotPool<ReadTxn> read_txns;
-    SlotPool<WriteTxn> write_txns;
 
     Counter stat_reads;
     Counter stat_writes;

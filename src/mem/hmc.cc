@@ -26,21 +26,18 @@ netConfigOf(const HmcConfig &cfg)
 
 } // namespace
 
-HmcBackend::HmcBackend(ShardedQueue &sq, const HmcConfig &cfg,
+HmcBackend::HmcBackend(EventQueue &eq, const HmcConfig &cfg,
                        StatRegistry &stats, std::uint64_t phys_bytes)
-    : sq(sq), eq(sq.host()), cfg(cfg),
+    : eq(eq), cfg(cfg),
       map(cfg.num_cubes, cfg.vaults_per_cube, cfg.dram.banks_per_vault,
           cfg.dram.row_bytes, phys_bytes),
       net(eq, netConfigOf(cfg), stats)
 {
     const unsigned total = cfg.num_cubes * cfg.vaults_per_cube;
     vaults.reserve(total);
-    // Each vault schedules against its own shard's queue: all of a
-    // vault's bank timing, retries and stats stay single-threaded on
-    // that shard (single-writer discipline per Counter).
     for (unsigned v = 0; v < total; ++v)
-        vaults.push_back(std::make_unique<Vault>(
-            sq.shard(sq.shardFor(v)), cfg.dram, map, v, stats));
+        vaults.push_back(
+            std::make_unique<Vault>(eq, cfg.dram, map, v, stats));
     pim_handlers.assign(total, nullptr);
 
     stats.add("hmc.reads", &stat_reads);
@@ -78,15 +75,11 @@ HmcBackend::readBlock(Addr paddr, Callback cb)
     const Tick issued = eq.now();
     const Tick arrive = net.sendRequest(16, loc.cube);
     const std::uint32_t txn =
-        read_txns.emplace(ReadTxn{paddr, loc, issued, std::move(cb)});
-    // The arrival event runs on the vault's shard.  It captures plain
-    // values (not slot references): a worker shard must never touch
-    // the host-owned transaction pools, only carry the handle back.
+        read_txns.emplace(ReadTxn{loc, issued, std::move(cb)});
     const unsigned gv = loc.globalVault;
-    sq.scheduleOn(sq.shardFor(gv), arrive, [this, txn, gv, paddr] {
-        vaults[gv]->accessBlock(paddr, false, [this, txn] {
-            completeOnHost([this, txn] { readDone(txn); });
-        });
+    eq.scheduleAt(arrive, [this, txn, gv, paddr] {
+        vaults[gv]->accessBlock(paddr, false,
+                                [this, txn] { readDone(txn); });
     });
 }
 
@@ -110,13 +103,11 @@ HmcBackend::writeBlock(Addr paddr, Callback cb)
     ema_req.add(flitsOf(16 + block_size), eq.now());
 
     const Tick arrive = net.sendRequest(16 + block_size, loc.cube);
-    const std::uint32_t txn =
-        write_txns.emplace(WriteTxn{paddr, loc, std::move(cb)});
+    const std::uint32_t txn = write_txns.emplace(WriteTxn{std::move(cb)});
     const unsigned gv = loc.globalVault;
-    sq.scheduleOn(sq.shardFor(gv), arrive, [this, txn, gv, paddr] {
-        vaults[gv]->accessBlock(paddr, true, [this, txn] {
-            completeOnHost([this, txn] { writeDone(txn); });
-        });
+    eq.scheduleAt(arrive, [this, txn, gv, paddr] {
+        vaults[gv]->accessBlock(paddr, true,
+                                [this, txn] { writeDone(txn); });
     });
 }
 
@@ -154,16 +145,12 @@ HmcBackend::sendPim(PimPacket pkt, PimHandler::Respond cb)
     const Tick arrive = net.sendRequest(pkt.requestBytes(), loc.cube);
     const std::uint32_t txn =
         pim_txns.emplace(PimTxn{loc, issued, std::move(pkt), std::move(cb)});
-    // Capture the slot's stable address here, on the host: slots live
-    // in fixed chunks, but resolving a handle walks the pool's chunk
-    // table, which only the host shard may touch while it grows.
-    PimTxn *p = &pim_txns[txn];
     const unsigned gv = loc.globalVault;
-    sq.scheduleOn(sq.shardFor(gv), arrive, [this, txn, p, gv] {
+    eq.scheduleAt(arrive, [this, txn, gv] {
         pim_handlers[gv]->handle(
-            std::move(p->pkt), [this, txn, p](PimPacket done) {
-                p->pkt = std::move(done); // park the response in the slot
-                completeOnHost([this, txn] { pimDone(txn); });
+            std::move(pim_txns[txn].pkt), [this, txn](PimPacket done) {
+                pim_txns[txn].pkt = std::move(done); // park the response
+                pimDone(txn);
             });
     });
 }
@@ -201,24 +188,22 @@ HmcBackend::sendPimTrain(PimPacket *pkts, unsigned n,
     const Tick arrive = net.sendRequestTrain(bytes, n, loc.cube);
 
     const std::uint32_t txn =
-        train_txns.emplace(TrainTxn{loc, issued, n, n, 0, {}, {}});
-    // Stable slot address captured host-side (see sendPim).
-    TrainTxn *p = &train_txns[txn];
-    p->self = txn;
-    p->pkts.reserve(n);
-    p->cbs.reserve(n);
+        train_txns.emplace(TrainTxn{loc, issued, n, n, {}, {}});
+    TrainTxn &train = train_txns[txn];
+    train.pkts.reserve(n);
+    train.cbs.reserve(n);
     for (unsigned i = 0; i < n; ++i) {
-        p->pkts.push_back(std::move(pkts[i]));
-        p->cbs.push_back(std::move(cbs[i]));
+        train.pkts.push_back(std::move(pkts[i]));
+        train.cbs.push_back(std::move(cbs[i]));
     }
     const unsigned gv = loc.globalVault;
-    sq.scheduleOn(sq.shardFor(gv), arrive, [this, p, gv] {
-        for (unsigned i = 0; i < p->n; ++i) {
+    eq.scheduleAt(arrive, [this, txn, gv] {
+        TrainTxn &t = train_txns[txn];
+        for (unsigned i = 0; i < t.n; ++i) {
             pim_handlers[gv]->handle(
-                std::move(p->pkts[i]), [this, p, i](PimPacket done) {
-                    p->pkts[i] = std::move(done);
-                    const std::uint32_t txn = p->self;
-                    completeOnHost([this, txn] { trainMemberDone(txn); });
+                std::move(t.pkts[i]), [this, txn, i](PimPacket done) {
+                    train_txns[txn].pkts[i] = std::move(done);
+                    trainMemberDone(txn);
                 });
         }
     });

@@ -30,7 +30,6 @@
 #include "net/interconnect.hh"
 #include "sim/continuation.hh"
 #include "sim/event_queue.hh"
-#include "sim/sharded_queue.hh"
 #include "sim/slot_pool.hh"
 
 namespace pei
@@ -114,24 +113,13 @@ class EmaCounter
  * request link to the owning cube/vault and returns responses over
  * the response link.  Owns all vaults of all cubes (they are its PIM
  * units) and the address map decoding into them.
- *
- * Sharding: the controller itself (links, EMAs, transaction pools,
- * stats, histograms) lives on the host shard; each vault — and the
- * memory-side PCU attached to it — lives on the worker shard
- * sq.shardFor(globalVault) and is driven by that shard's EventQueue.
- * Request arrivals ride the link latency (>= the lookahead, so their
- * timing is exact); completions return to the host shard over the
- * zero-latency mailbox edge, clamped by at most one epoch window.
- * With a single shard every scheduleOn degenerates to the host queue
- * and completions are invoked inline, which is bit-identical to the
- * sequential engine.
  */
 class HmcBackend : public MemoryBackend
 {
   public:
     using Callback = Continuation;
 
-    HmcBackend(ShardedQueue &sq, const HmcConfig &cfg, StatRegistry &stats,
+    HmcBackend(EventQueue &eq, const HmcConfig &cfg, StatRegistry &stats,
                std::uint64_t phys_bytes = 0);
 
     const char *kind() const override { return "hmc"; }
@@ -171,25 +159,6 @@ class HmcBackend : public MemoryBackend
 
     const AddrMap &addrMap() const override { return map; }
 
-    /** Memory partitions follow the topology's cube population:
-     *  cubes x vaults_per_cube vaults, one shardable unit each. */
-    unsigned memPartitions() const override { return totalVaults(); }
-
-    /** Lookahead: the interconnect's shortest host-to-cube latency —
-     *  every host-to-vault edge carries at least this much delay
-     *  (each route starts with a host link charging it). */
-    Ticks
-    minCrossShardLatency() const override
-    {
-        return net.minHostLatency();
-    }
-
-    EventQueue &
-    pimUnitQueue(unsigned unit) override
-    {
-        return sq.shard(sq.shardFor(unit));
-    }
-
     Vault &vault(unsigned global_vault) { return *vaults[global_vault]; }
     unsigned totalVaults() const { return static_cast<unsigned>(vaults.size()); }
 
@@ -224,7 +193,6 @@ class HmcBackend : public MemoryBackend
      */
     struct ReadTxn
     {
-        Addr paddr;
         MemLoc loc;
         Tick issued;
         Callback cb;
@@ -232,8 +200,6 @@ class HmcBackend : public MemoryBackend
 
     struct WriteTxn
     {
-        Addr paddr;
-        MemLoc loc;
         Callback cb;
     };
 
@@ -251,21 +217,13 @@ class HmcBackend : public MemoryBackend
         Tick issued;
         unsigned n = 0;
         unsigned remaining = 0;
-        /** Own pool handle: member-completion closures carry only the
-         *  stable slot pointer (the handle would pad them past the
-         *  Respond inline budget) and read it back from here. */
-        std::uint32_t self = 0;
         std::vector<PimPacket> pkts; ///< requests; reused for responses
         std::vector<PimHandler::Respond> cbs;
     };
 
     unsigned flitsOf(unsigned bytes) const;
 
-    // Host-shard stage handlers (one per latency edge of the old
-    // closure chain).  The arrival stages became vault-shard lambdas
-    // capturing plain values — a cross-shard closure must not touch
-    // the host-owned transaction pools' metadata, only carry the
-    // 32-bit handle back (or read through a stable slot pointer).
+    // Stage handlers, one per latency edge of the old closure chain.
     void readDone(std::uint32_t txn);
     void writeDone(std::uint32_t txn);
     void pimDone(std::uint32_t txn);
@@ -273,25 +231,7 @@ class HmcBackend : public MemoryBackend
     void trainMemberDone(std::uint32_t txn);
     void trainRespond(std::uint32_t txn);
 
-    /**
-     * Run @p fn on the host shard at the calling vault shard's
-     * current tick — the completion edge.  Single-shard mode invokes
-     * it inline (exactly the old synchronous call, bit-identical);
-     * sharded mode posts a mailbox message, clamped at delivery.
-     */
-    template <typename Fn>
-    void
-    completeOnHost(Fn &&fn)
-    {
-        if (!sq.parallel()) {
-            fn();
-            return;
-        }
-        sq.post(0, Continuation(std::forward<Fn>(fn)));
-    }
-
-    ShardedQueue &sq;
-    EventQueue &eq; ///< the host shard's queue (sq.host())
+    EventQueue &eq;
     HmcConfig cfg;
     AddrMap map;
     Interconnect net;

@@ -21,9 +21,9 @@ IdealPort::accessBlock(Addr paddr, bool is_write, Callback cb)
         owner.eq.schedule(owner.t_access, std::move(cb));
 }
 
-IdealBackend::IdealBackend(ShardedQueue &sq, const IdealMemConfig &cfg,
+IdealBackend::IdealBackend(EventQueue &eq, const IdealMemConfig &cfg,
                            StatRegistry &stats, std::uint64_t phys_bytes)
-    : eq(sq.host()), cfg(cfg),
+    : eq(eq), cfg(cfg),
       map(1, cfg.pim_units, cfg.banks_per_unit, cfg.row_bytes, phys_bytes)
 {
     t_access = nsToTicks(cfg.latency_ns);

@@ -115,9 +115,6 @@ class Interconnect
     /** Network hops between the host port and @p cube. */
     unsigned hopCount(unsigned cube) const;
 
-    /** Shortest host-to-cube latency: the lookahead lower bound. */
-    Ticks minHostLatency() const { return prop_latency; }
-
     unsigned flitsOf(unsigned bytes) const;
 
     unsigned numLinks() const

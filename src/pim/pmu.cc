@@ -93,12 +93,8 @@ Pmu::Pmu(EventQueue &eq, const PimConfig &cfg, unsigned cores,
     if (mem.supportsPim()) {
         mem_pcus.reserve(mem.pimUnits());
         for (unsigned v = 0; v < mem.pimUnits(); ++v) {
-            // A memory-side PCU schedules on its unit's shard queue:
-            // PIM execution at vault v stays on the same shard as
-            // vault v's DRAM timing (sim/sharded_queue.hh).
             mem_pcus.push_back(std::make_unique<MemSidePcu>(
-                mem.pimUnitQueue(v), cfg.pcu, mem.pimUnitPort(v), vm,
-                stats));
+                eq, cfg.pcu, mem.pimUnitPort(v), vm, stats));
             mem.attachPimHandler(v, mem_pcus.back().get());
         }
     }

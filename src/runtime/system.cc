@@ -69,21 +69,14 @@ SystemConfig::scaled(ExecMode mode)
 }
 
 System::System(const SystemConfig &cfg_in)
-    : cfg(cfg_in), squeue(cfg.shards), vm(cfg.phys_bytes)
+    : cfg(cfg_in), vm(cfg.phys_bytes)
 {
-    EventQueue &eq = squeue.host();
     MemBackendConfig mem_cfg;
     mem_cfg.phys_bytes = cfg.phys_bytes;
     mem_cfg.hmc = cfg.hmc;
     mem_cfg.ddr = cfg.ddr;
     mem_cfg.ideal = cfg.ideal_mem;
-    mem_ = createMemoryBackend(cfg.mem_backend, squeue, mem_cfg, stats_);
-    // The backend knows the shortest mailboxed host-to-partition
-    // latency; that is the conservative lookahead every epoch runs
-    // with.  A backend with no shardable partitions leaves it at 0
-    // (single-tick epochs — correct, and never hit when shards==1).
-    squeue.setLookahead(mem_->minCrossShardLatency());
-    squeue.setWindow(cfg.shard_window);
+    mem_ = createMemoryBackend(cfg.mem_backend, eq, mem_cfg, stats_);
     hierarchy = std::make_unique<CacheHierarchy>(eq, cfg.cache, cfg.cores,
                                                  *mem_, stats_);
     cores.reserve(cfg.cores);

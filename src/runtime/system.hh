@@ -37,7 +37,6 @@
 #include "mem/vmem.hh"
 #include "pim/pmu.hh"
 #include "sim/event_queue.hh"
-#include "sim/sharded_queue.hh"
 
 namespace pei
 {
@@ -55,25 +54,6 @@ struct SystemConfig
      */
     std::string mem_backend = "hmc";
 
-    /**
-     * Event-queue shards (sim/sharded_queue.hh): 1 runs the classic
-     * sequential engine (bit-identical to the pre-sharding
-     * simulator); N > 1 adds N-1 worker shards the backend's memory
-     * partitions are distributed over, synchronized conservatively at
-     * epoch barriers with the backend's minCrossShardLatency() as
-     * lookahead.
-     */
-    unsigned shards = 1;
-
-    /**
-     * Extra slack added to each epoch's horizon beyond the
-     * conservative lookahead.  0 keeps cross-shard timing as tight
-     * as the lookahead allows; larger windows batch more events per
-     * barrier (faster) at the cost of clamping zero-latency
-     * completion edges by up to the window.
-     */
-    Ticks shard_window = 0;
-
     CoreConfig core;
     CacheConfig cache;
     HmcConfig hmc;
@@ -87,7 +67,7 @@ struct SystemConfig
 
     /**
      * A proportionally scaled configuration for fast benchmarking:
-     * same structure, smaller caches (2 MB L3) and one HMC, so every
+     * same structure, smaller caches (1 MB L3) and one HMC, so every
      * experiment preserves its working-set/cache ratio while running
      * in seconds.
      */
@@ -100,11 +80,8 @@ class System
   public:
     explicit System(const SystemConfig &cfg);
 
-    /** The host shard's queue (the only queue when shards == 1). */
-    EventQueue &eventQueue() { return squeue.host(); }
-
-    /** The sharded engine driving all queues (runtime/epoch loop). */
-    ShardedQueue &shardedQueue() { return squeue; }
+    /** The one event queue every component schedules on. */
+    EventQueue &eventQueue() { return eq; }
     VirtualMemory &memory() { return vm; }
     const AddrMap &addrMap() const { return mem_->addrMap(); }
     MemoryBackend &mem() { return *mem_; }
@@ -115,13 +92,13 @@ class System
     StatRegistry &stats() { return stats_; }
     const SystemConfig &config() const { return cfg; }
 
-    /** Current simulated time (host shard). */
-    Tick now() const { return squeue.host().now(); }
+    /** Current simulated time. */
+    Tick now() const { return eq.now(); }
 
   private:
     SystemConfig cfg;
     StatRegistry stats_;
-    ShardedQueue squeue;
+    EventQueue eq;
     VirtualMemory vm;
     std::unique_ptr<MemoryBackend> mem_;
     std::unique_ptr<CacheHierarchy> hierarchy;

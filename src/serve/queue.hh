@@ -19,7 +19,8 @@
  *    accumulated credit.
  *
  * Everything is plain single-threaded simulation state driven from
- * coroutines on the host shard — determinism comes for free.
+ * coroutines on the System's event queue — determinism comes for
+ * free.
  */
 
 #ifndef PEISIM_SERVE_QUEUE_HH

@@ -17,8 +17,7 @@
  * (think, enqueue, await completion).  Workers park when the queues
  * are empty and are woken by a zero-delay event on every enqueue, so
  * scheduling stays deterministic and lost-wakeup-free.  All serving
- * logic runs on the host shard; only the kernels' memory traffic
- * crosses shards under --shards > 1.
+ * logic runs on the System's one event queue.
  *
  * Per-request latency stages (enqueue→admit→dispatch→retire) are
  * recorded in per-tenant stats-v2 histograms

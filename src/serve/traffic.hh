@@ -7,9 +7,7 @@
  * *before* the simulation starts, from the repo's deterministic Rng.
  * The resulting TrafficPlan is a pure function of (TrafficConfig,
  * tenant specs), so a run replays bit-identically for any `--jobs`
- * worker count and the request trace is byte-identical across
- * `--shards` values (only the simulated service timing may differ
- * under conservative shard clamping).
+ * worker count.
  *
  * Generators:
  *  - OpenPoisson: exponential inter-arrivals at `offered_per_mtick`

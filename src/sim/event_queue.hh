@@ -13,9 +13,8 @@
  * callables are allocation-free InlineFunctions — so a steady-state
  * schedule/execute cycle touches the heap allocator exactly zero
  * times.  Ordering is unaffected: the (tick, seq) key is identical
- * to the pre-arena implementation, which can be re-enabled with the
- * PEISIM_REFERENCE_QUEUE CMake option for differential testing (it
- * stores each continuation inside its heap node, the seed layout).
+ * to a naive heap of fat nodes, which tests/test_event_queue.cc
+ * drives op-for-op against this queue as the ordering reference.
  */
 
 #ifndef PEISIM_SIM_EVENT_QUEUE_HH
@@ -94,12 +93,8 @@ class EventQueue
                  "scheduling event in the past (%llu < %llu)",
                  static_cast<unsigned long long>(when),
                  static_cast<unsigned long long>(cur_tick));
-#ifdef PEISIM_REFERENCE_QUEUE
-        events.push_back(Event{when, next_seq++, std::move(fn)});
-#else
         const std::uint32_t slot = arena.emplace(std::move(fn));
         events.push_back(Event{when, next_seq++, slot});
-#endif
         std::push_heap(events.begin(), events.end(), Later{});
     }
 
@@ -108,13 +103,6 @@ class EventQueue
 
     /** Number of pending events. */
     std::size_t size() const { return events.size(); }
-
-    /** Tick of the next pending event (max_tick if empty). */
-    Tick
-    nextEventTick() const
-    {
-        return events.empty() ? max_tick : events.front().when;
-    }
 
     /**
      * Pop and execute the next event, advancing time to it.
@@ -129,19 +117,12 @@ class EventQueue
         // moved from without casting away constness.  The callback
         // may schedule new events, so extract it fully first.
         std::pop_heap(events.begin(), events.end(), Later{});
-#ifdef PEISIM_REFERENCE_QUEUE
-        Event ev = std::move(events.back());
-        events.pop_back();
-        cur_tick = ev.when;
-        ev.fn();
-#else
         const Event ev = events.back();
         events.pop_back();
         cur_tick = ev.when;
         Continuation fn = std::move(arena[ev.slot]);
         arena.erase(ev.slot);
         fn();
-#endif
         ++executed_count;
         if (probe && executed_count % probe_every == 0)
             probe();
@@ -168,7 +149,6 @@ class EventQueue
     enum class RunBreak : std::uint8_t
     {
         Drained, ///< queue empty
-        Limit,   ///< next event lies past the tick limit
         Stopped, ///< requestStop() observed at a check boundary
     };
 
@@ -197,15 +177,15 @@ class EventQueue
     };
 
     /**
-     * Run until the queue drains, time would pass @p limit, or a
-     * stop is requested (checked every stop_check_interval events).
+     * Run until the queue drains or a stop is requested (checked
+     * every stop_check_interval events).
      * @return events executed plus the break reason.
      */
     RunOutcome
-    run(Tick limit = max_tick)
+    run()
     {
         RunOutcome out;
-        while (!events.empty() && events.front().when <= limit) {
+        while (!events.empty()) {
             if ((out.executed & (stop_check_interval - 1)) == 0 &&
                 stopRequested()) {
                 out.why = RunBreak::Stopped;
@@ -214,7 +194,6 @@ class EventQueue
             runOne();
             ++out.executed;
         }
-        out.why = events.empty() ? RunBreak::Drained : RunBreak::Limit;
         return out;
     }
 
@@ -222,19 +201,11 @@ class EventQueue
     std::uint64_t executedCount() const { return executed_count; }
 
     /**
-     * High-water continuation-arena size in slots (live + freelist);
-     * 0 under PEISIM_REFERENCE_QUEUE.  Exposes pool sizing to the
-     * hot-path benchmarks and pool-growth tests.
+     * High-water continuation-arena size in slots (live + freelist).
+     * Exposes pool sizing to the hot-path benchmarks and pool-growth
+     * tests.
      */
-    std::uint32_t
-    arenaCapacity() const
-    {
-#ifdef PEISIM_REFERENCE_QUEUE
-        return 0;
-#else
-        return arena.capacity();
-#endif
-    }
+    std::uint32_t arenaCapacity() const { return arena.capacity(); }
 
     /**
      * Ask the loop driving this queue to stop at the next
@@ -263,15 +234,6 @@ class EventQueue
     }
 
   private:
-#ifdef PEISIM_REFERENCE_QUEUE
-    /** Seed layout: the continuation rides inside its heap node. */
-    struct Event
-    {
-        Tick when;
-        std::uint64_t seq;
-        Continuation fn;
-    };
-#else
     /** POD heap node; the continuation lives in the slab arena. */
     struct Event
     {
@@ -279,7 +241,6 @@ class EventQueue
         std::uint64_t seq;
         std::uint32_t slot;
     };
-#endif
 
     /** Heap comparator: the earliest (tick, seq) event sits at the
      *  front of the std::*_heap-maintained vector. */
@@ -295,9 +256,7 @@ class EventQueue
     };
 
     std::vector<Event> events; ///< binary heap ordered by Later
-#ifndef PEISIM_REFERENCE_QUEUE
     SlotPool<Continuation> arena; ///< pending-event continuations
-#endif
     Tick cur_tick = 0;
     std::uint64_t next_seq = 0;
     std::uint64_t executed_count = 0;

@@ -53,7 +53,7 @@ namespace
 {
 
 /**
- * Table 3 input sets, scaled to the 2 MB L3 of
+ * Table 3 input sets, scaled to the 1 MB L3 of
  * SystemConfig::scaled() with the paper's working-set/cache ratios:
  * small fits comfortably in the LLC, medium is a small multiple of
  * it, large far exceeds it.

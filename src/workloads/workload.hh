@@ -5,7 +5,7 @@
  * and a host-side reference implementation used for validation.
  *
  * Input sizes follow Table 3, scaled to SystemConfig::scaled()'s
- * 2 MB L3 with the same working-set/cache ratios: "small" fits in
+ * 1 MB L3 with the same working-set/cache ratios: "small" fits in
  * the LLC, "medium" is a small multiple of it, "large" far exceeds
  * it — the regimes that drive every figure in §7.
  */

@@ -4,9 +4,11 @@
  * identical architectural results on every registered memory backend
  * (hmc, ddr, ideal) — only the timing may differ.
  *
- * Two layers of coverage:
+ * Three layers of coverage:
  *  - a directed deterministic PEI/load/store mix compared across
- *    backends on final memory contents and PEI conservation, and
+ *    backends on final memory contents and PEI conservation,
+ *  - a store-heavy kernel per backend whose exact ticks, event count,
+ *    off-chip bytes and array reads/writes are pinned, and
  *  - the simfuzz differential checker pinned to each backend in
  *    turn, which runs the full generated op set (every PeiOpcode,
  *    async and blocking issue, pfences, contended shared blocks)
@@ -17,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -134,6 +137,117 @@ TEST(BackendEquivalence, DirectedMixSameResultsDifferentTiming)
     // the seam is not actually routing accesses through the backend.
     EXPECT_NE(hmc.ticks, ideal.ticks);
     EXPECT_NE(hmc.ticks, ddr.ticks);
+}
+
+/**
+ * One thread of the timing-pin kernel: an async store to every
+ * nthreads-th block of @p data, with random async loads over @p data
+ * and random Inc64 PEIs over @p ctr mixed in.  A free function with
+ * value parameters, so no lambda frame can dangle across suspension.
+ */
+Task
+storeHeavyThread(Ctx &ctx, Addr data, std::uint64_t blocks, Addr ctr,
+                 std::uint64_t counters, unsigned tid, unsigned nthreads)
+{
+    Rng rng(tid + 1);
+    for (std::uint64_t b = tid; b < blocks; b += nthreads) {
+        co_await ctx.storeAsync(data + b * block_size);
+        if (rng.chance(0.25))
+            co_await ctx.loadAsync(data + block_size * rng.below(blocks));
+        if (rng.chance(0.25))
+            co_await ctx.inc64(ctr + 8 * rng.below(counters));
+    }
+    co_await ctx.pfence();
+    co_await ctx.drain();
+}
+
+/** Exact end state of one timing-pin run. */
+struct TimingPin
+{
+    Tick ticks = 0;
+    std::uint64_t events = 0;
+    std::uint64_t offchip_bytes = 0;
+    std::uint64_t mem_reads = 0;
+    std::uint64_t mem_writes = 0;
+};
+
+struct TimingRun
+{
+    TimingPin pin;
+    /** Every counter at the end (coverage checks, not pinned). */
+    std::map<std::string, std::uint64_t> counters;
+};
+
+/** Run the store-heavy kernel over twice the L3 on tinyConfig(). */
+TimingRun
+runTimingPin(const char *backend, ExecMode mode, unsigned pei_batch)
+{
+    SystemConfig cfg = fixture::tinyConfig(mode);
+    cfg.mem_backend = backend;
+    cfg.pim.pei_batch = pei_batch;
+    System sys(cfg);
+    Runtime rt(sys);
+    // Twice the L3, so dirty lines leave the hierarchy as writebacks.
+    const std::uint64_t blocks = 2 * cfg.cache.l3_bytes / block_size;
+    const Addr data = rt.alloc(blocks * block_size);
+    const std::uint64_t counters = 1 << 12;
+    const Addr ctr = rt.allocArray<std::uint64_t>(counters);
+    rt.spawnThreads(sys.numCores(),
+                    [=](Ctx &ctx, unsigned tid, unsigned n) {
+                        return storeHeavyThread(ctx, data, blocks, ctr,
+                                                counters, tid, n);
+                    });
+    rt.run();
+    for (const auto &v : sys.stats().audit())
+        ADD_FAILURE() << backend << ": stats audit: " << v;
+
+    TimingRun r;
+    r.pin.ticks = sys.now();
+    r.pin.events = sys.eventQueue().executedCount();
+    r.pin.offchip_bytes = sys.mem().offChipBytes();
+    r.pin.mem_reads = sys.mem().memReads();
+    r.pin.mem_writes = sys.mem().memWrites();
+    r.counters = sys.stats().snapshot();
+    return r;
+}
+
+void
+expectPin(const char *backend, const TimingPin &got, const TimingPin &want)
+{
+    EXPECT_EQ(got.ticks, want.ticks) << backend;
+    EXPECT_EQ(got.events, want.events) << backend;
+    EXPECT_EQ(got.offchip_bytes, want.offchip_bytes) << backend;
+    EXPECT_EQ(got.mem_reads, want.mem_reads) << backend;
+    EXPECT_EQ(got.mem_writes, want.mem_writes) << backend;
+}
+
+/**
+ * Exact timing on each backend, against values recorded from the
+ * simulator.  The tests above compare backends with each other; this
+ * one compares each backend with its own recorded behaviour, so a
+ * moved event, latency edge or posted-write completion fails here
+ * even when every architectural result still matches.  Update the
+ * values only for a deliberate timing-model change.
+ */
+TEST(BackendTiming, StoreHeavyKernelPinsExactTiming)
+{
+    // hmc, PIM-Only, 4-PEI windows: demand reads, dirty writebacks,
+    // single offloaded PEIs and packet trains all take part.
+    const TimingRun hmc = runTimingPin("hmc", ExecMode::PimOnly, 4);
+    EXPECT_GT(hmc.counters.at("pmu.pei_trains"), 0u);
+    EXPECT_GT(hmc.counters.at("pmu.window_singletons"), 0u);
+    EXPECT_GT(hmc.counters.at("cache.writebacks_mem"), 0u);
+    expectPin("hmc", hmc.pin, {609762, 98292, 1216048, 10813, 6422});
+
+    // ddr, Host-Only: channel reads, and writebacks that carry no
+    // completion callback.
+    const TimingRun ddr = runTimingPin("ddr", ExecMode::HostOnly, 1);
+    EXPECT_GT(ddr.counters.at("cache.writebacks_mem"), 0u);
+    expectPin("ddr", ddr.pin, {109440, 84022, 0, 9520, 5045});
+
+    const TimingRun ideal =
+        runTimingPin("ideal", ExecMode::LocalityAware, 1);
+    expectPin("ideal", ideal.pin, {40540, 69473, 0, 10264, 5836});
 }
 
 /**

@@ -23,7 +23,7 @@ struct CacheFixture : public ::testing::Test
     {
         hmc_cfg.num_cubes = 1;
         hmc_cfg.vaults_per_cube = 4;
-        hmc = std::make_unique<HmcBackend>(sq, hmc_cfg, stats);
+        hmc = std::make_unique<HmcBackend>(eq, hmc_cfg, stats);
 
         cache_cfg.l1_bytes = 1 << 10;
         cache_cfg.l1_ways = 2;
@@ -56,8 +56,7 @@ struct CacheFixture : public ::testing::Test
     }
 
     StatRegistry stats;
-    ShardedQueue sq; // single shard: the sequential engine
-    EventQueue &eq = sq.host();
+    EventQueue eq;
     HmcConfig hmc_cfg;
     CacheConfig cache_cfg;
     std::unique_ptr<HmcBackend> hmc;
@@ -231,12 +230,11 @@ TEST_P(CacheGeometry, RandomTrafficKeepsInvariants)
 {
     const auto [ways, cores] = GetParam();
     StatRegistry stats;
-    ShardedQueue sq;
-    EventQueue &eq = sq.host();
+    EventQueue eq;
     HmcConfig hmc_cfg;
     hmc_cfg.num_cubes = 1;
     hmc_cfg.vaults_per_cube = 4;
-    HmcBackend hmc(sq, hmc_cfg, stats);
+    HmcBackend hmc(eq, hmc_cfg, stats);
     CacheConfig cfg;
     cfg.l1_bytes = 2 << 10;
     cfg.l1_ways = ways;

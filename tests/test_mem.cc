@@ -231,12 +231,11 @@ struct HmcFixture : public ::testing::Test
     {
         cfg.num_cubes = 2;
         cfg.vaults_per_cube = 4;
-        hmc = std::make_unique<HmcBackend>(sq, cfg, stats);
+        hmc = std::make_unique<HmcBackend>(eq, cfg, stats);
     }
 
     StatRegistry stats;
-    ShardedQueue sq; // single shard: the sequential engine
-    EventQueue &eq = sq.host();
+    EventQueue eq;
     AddrMap map;
     HmcConfig cfg;
     std::unique_ptr<HmcBackend> hmc;

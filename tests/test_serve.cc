@@ -3,9 +3,8 @@
  * Serving-layer tests: traffic-generator statistics and determinism,
  * bounded multi-tenant queue policies (FIFO order, weighted-fair
  * shares, shed-on-overflow), and end-to-end Server runs — identical
- * request traces and summaries across repeat runs and `--shards`
- * values, plus shed/conservation accounting and closed-loop
- * completion.
+ * request traces and summaries across repeat runs, plus
+ * shed/conservation accounting and closed-loop completion.
  */
 
 #include <gtest/gtest.h>
@@ -247,11 +246,9 @@ struct ServeRun
 };
 
 ServeRun
-runServe(const ServeConfig &scfg, unsigned shards = 1)
+runServe(const ServeConfig &scfg)
 {
-    SystemConfig cfg = fixture::smallConfig();
-    cfg.shards = shards;
-    System sys(cfg);
+    System sys(fixture::smallConfig());
     Runtime rt(sys);
     Server server(sys, scfg);
     server.setup(rt);
@@ -290,26 +287,6 @@ TEST(Server, RepeatRunsAreBitIdentical)
     const ServeRun b = runServe(scfg);
     EXPECT_EQ(a.trace, b.trace);
     EXPECT_EQ(a.summary_json, b.summary_json);
-}
-
-TEST(Server, ShardsOneMatchesSequentialAndShardsFourIsStable)
-{
-    const ServeConfig scfg = serveCfg(TrafficMode::OpenPoisson, 400.0, 96);
-    // shards == 1 runs the classic sequential engine: byte-identical.
-    const ServeRun seq = runServe(scfg, 1);
-    const ServeRun s1 = runServe(scfg, 1);
-    EXPECT_EQ(seq.trace, s1.trace);
-    EXPECT_EQ(seq.summary_json, s1.summary_json);
-
-    // shards == 4 may clamp cross-shard timing, but must be
-    // deterministic run to run and serve the same request population.
-    const ServeRun s4a = runServe(scfg, 4);
-    const ServeRun s4b = runServe(scfg, 4);
-    EXPECT_EQ(s4a.trace, s4b.trace);
-    EXPECT_EQ(s4a.summary_json, s4b.summary_json);
-    EXPECT_EQ(s4a.summary.arrivals, seq.summary.arrivals);
-    EXPECT_EQ(s4a.summary.completed, seq.summary.completed);
-    EXPECT_EQ(s4a.summary.shed, seq.summary.shed);
 }
 
 TEST(Server, OverloadShedsAndStaysBounded)
