@@ -38,6 +38,7 @@ runPair(WorkloadKind ka, InputSize sa, WorkloadKind kb, InputSize sb,
         ExecMode mode, const std::string &label, JobCtx &ctx)
 {
     SystemConfig cfg = SystemConfig::scaled(mode);
+    peibench::sweepOptions().knobs.applyTo(cfg);
     System sys(cfg);
     Runtime rt(sys);
     auto wa = makeWorkload(ka, sa, 11);

@@ -65,11 +65,7 @@ runServe(ExecMode mode, const ServeConfig &scfg, const std::string &label,
          JobCtx &ctx)
 {
     SystemConfig cfg = SystemConfig::scaled(mode);
-    const SweepOptions &opts = peibench::sweepOptions();
-    if (!opts.mem_backend.empty())
-        cfg.mem_backend = opts.mem_backend;
-    if (!opts.coherence.empty())
-        cfg.pim.coherence.policy = opts.coherence;
+    peibench::sweepOptions().knobs.applyTo(cfg);
     System sys(cfg);
     Runtime rt(sys);
     Server server(sys, scfg);

@@ -66,26 +66,8 @@ flushAtExit()
 RunHandle
 submitJob(const std::string &label, SimJob &&sim)
 {
-    // --mem-backend / --coherence / --topology / --cubes /
-    // --pmu-shards / --pei-batch / --batch-window-ticks /
-    // --queue-depth apply to every submitted simulation (custom jobs
-    // construct their own Systems and opt in themselves).
-    if (sim.mem_backend.empty())
-        sim.mem_backend = sweep_opts.mem_backend;
-    if (sim.coherence.empty())
-        sim.coherence = sweep_opts.coherence;
-    if (sim.topology.empty())
-        sim.topology = sweep_opts.topology;
-    if (!sim.cubes)
-        sim.cubes = sweep_opts.cubes;
-    if (!sim.pmu_shards)
-        sim.pmu_shards = sweep_opts.pmu_shards;
-    if (!sim.pei_batch)
-        sim.pei_batch = sweep_opts.pei_batch;
-    if (!sim.batch_window_ticks)
-        sim.batch_window_ticks = sweep_opts.batch_window_ticks;
-    if (!sim.queue_depth)
-        sim.queue_depth = sweep_opts.queue_depth;
+    // The knob flags apply to every submitted simulation.
+    sim.knobs = sweep_opts.knobs;
     return sweep.add(label, [sim = std::move(sim)](JobCtx &ctx) {
         const std::size_t idx = ctx.index();
         results[idx] = runSimJob(sim, ctx);

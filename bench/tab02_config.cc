@@ -9,7 +9,6 @@
 #include <string>
 
 #include "bench/harness.hh"
-#include "common/logging.hh"
 #include "net/topology.hh"
 
 using namespace pei;
@@ -88,9 +87,7 @@ show(const char *title, const SystemConfig &cfg)
         std::printf("PEI batching     : per-vault windows, up to %u "
                     "PEIs/train, %llu-tick flush timeout\n",
                     cfg.pim.pei_batch,
-                    (unsigned long long)(cfg.pim.batch_window_ticks
-                                             ? cfg.pim.batch_window_ticks
-                                             : 256));
+                    (unsigned long long)cfg.pim.batch_window_ticks);
     }
     if (cfg.pim.pcu.issue_queue_depth > 0) {
         std::printf("PCU issue queues : %u-entry bounded decode queue "
@@ -114,32 +111,15 @@ main(int argc, char **argv)
     peibench::printHeader("Table 2", "Baseline Simulation Configuration",
                           "16 OoO cores, 32 KB/256 KB/16 MB caches, "
                           "8 HMCs (32 GB), 80 GB/s full-duplex chain");
-    // --topology / --cubes / --pmu-shards / --pei-batch /
-    // --batch-window-ticks / --queue-depth preview the table of a
-    // swept configuration (the plain table is byte-identical).
-    const SweepOptions &sopt = peibench::sweepOptions();
-    const auto apply = [&sopt](SystemConfig cfg) {
-        if (!sopt.topology.empty()) {
-            const bool ok = parseTopology(sopt.topology, cfg.hmc.topology);
-            fatal_if(!ok, "tab02: unknown topology '%s'",
-                     sopt.topology.c_str());
-        }
-        if (sopt.cubes)
-            cfg.hmc.num_cubes = sopt.cubes;
-        if (sopt.pmu_shards)
-            cfg.pim.pmu_shards = sopt.pmu_shards;
-        if (sopt.pei_batch)
-            cfg.pim.pei_batch = sopt.pei_batch;
-        if (sopt.batch_window_ticks)
-            cfg.pim.batch_window_ticks = sopt.batch_window_ticks;
-        if (sopt.queue_depth)
-            cfg.pim.pcu.issue_queue_depth = sopt.queue_depth;
-        return cfg;
-    };
-    show("paperBaseline() — Table 2 as published",
-         apply(SystemConfig::paperBaseline()));
+    // The knob flags preview the table of a swept configuration.
+    const KnobSet &knobs = peibench::sweepOptions().knobs;
+    SystemConfig paper = SystemConfig::paperBaseline();
+    knobs.applyTo(paper);
+    show("paperBaseline() — Table 2 as published", paper);
+    SystemConfig scaled = SystemConfig::scaled();
+    knobs.applyTo(scaled);
     show("scaled() — bench configuration (1/16 caches, 1 cube, "
          "bandwidth ratio preserved)",
-         apply(SystemConfig::scaled()));
+         scaled);
     return peibench::benchFinish();
 }

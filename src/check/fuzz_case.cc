@@ -116,6 +116,16 @@ fuzzConfig(unsigned config_index, std::uint64_t master_seed, ExecMode mode)
     return cfg;
 }
 
+SystemConfig
+caseConfig(const FuzzCaseId &id, const FuzzOptions &opt, ExecMode mode)
+{
+    SystemConfig cfg = fuzzConfig(id.config, opt.master_seed, mode);
+    opt.pins.applyTo(cfg);
+    if (opt.inject == InjectBug::SkipConflictCheck)
+        cfg.pim.coherence.policy = "lazy"; // the injection's target
+    return cfg;
+}
+
 namespace
 {
 
@@ -126,6 +136,13 @@ hex(std::uint64_t v)
     std::snprintf(buf, sizeof(buf), "0x%llx",
                   static_cast<unsigned long long>(v));
     return buf;
+}
+
+/** Every knob's value in the config case @p id runs on. */
+KnobSet
+caseKnobs(const FuzzCaseId &id, const FuzzOptions &opt)
+{
+    return KnobSet::of(caseConfig(id, opt, ExecMode::HostOnly));
 }
 
 /** Interpret @p stream on the simulated machine (one coroutine). */
@@ -198,46 +215,7 @@ runOneMode(const FuzzProgram &prog, const GoldenResult &golden,
            ExecMode mode, const FuzzCaseId &id, const FuzzOptions &opt,
            JobCtx *jctx)
 {
-    SystemConfig cfg = fuzzConfig(id.config, opt.master_seed, mode);
-    if (!opt.backend.empty())
-        cfg.mem_backend = opt.backend;
-    if (!id.backend.empty())
-        cfg.mem_backend = id.backend; // a pinned reproducer wins
-    if (!opt.coherence.empty())
-        cfg.pim.coherence.policy = opt.coherence;
-    if (!id.coherence.empty())
-        cfg.pim.coherence.policy = id.coherence;
-    if (opt.inject == InjectBug::SkipConflictCheck)
-        cfg.pim.coherence.policy = "lazy"; // the injection's target
-    const auto applyTopology = [&cfg](const std::string &name) {
-        const bool known = parseTopology(name, cfg.hmc.topology);
-        fatal_if(!known, "simfuzz: unknown topology '%s'", name.c_str());
-    };
-    if (!opt.topology.empty())
-        applyTopology(opt.topology);
-    if (!id.topology.empty())
-        applyTopology(id.topology); // a pinned reproducer wins
-    if (opt.cubes)
-        cfg.hmc.num_cubes = opt.cubes;
-    if (id.cubes)
-        cfg.hmc.num_cubes = id.cubes;
-    if (opt.pmu_shards)
-        cfg.pim.pmu_shards = opt.pmu_shards;
-    if (id.pmu_shards)
-        cfg.pim.pmu_shards = id.pmu_shards;
-    if (opt.pei_batch)
-        cfg.pim.pei_batch = opt.pei_batch;
-    if (id.pei_batch)
-        cfg.pim.pei_batch = id.pei_batch;
-    if (opt.queue_depth >= 0) {
-        cfg.pim.pcu.issue_queue_depth =
-            static_cast<unsigned>(opt.queue_depth);
-    }
-    if (id.queue_depth >= 0) {
-        cfg.pim.pcu.issue_queue_depth =
-            static_cast<unsigned>(id.queue_depth);
-    }
-    System sys(cfg);
+    System sys(caseConfig(id, opt, mode));
     std::optional<WatchGuard> guard;
     if (jctx)
         guard.emplace(*jctx, sys.eventQueue());
@@ -376,26 +354,14 @@ runOneMode(const FuzzProgram &prog, const GoldenResult &golden,
 } // namespace
 
 std::string
-FuzzCaseResult::summary() const
+FuzzCaseResult::summary(const FuzzOptions &opt) const
 {
     if (failures.empty())
         return "";
     std::ostringstream os;
     os << "case seed=" << hex(id.seed) << " config=" << id.config;
-    if (!id.backend.empty())
-        os << " backend=" << id.backend;
-    if (!id.coherence.empty())
-        os << " coherence=" << id.coherence;
-    if (!id.topology.empty() && id.topology != "chain")
-        os << " topology=" << id.topology;
-    if (id.cubes > 1)
-        os << " cubes=" << id.cubes;
-    if (id.pmu_shards > 1)
-        os << " pmu_shards=" << id.pmu_shards;
-    if (id.pei_batch > 1)
-        os << " pei_batch=" << id.pei_batch;
-    if (id.queue_depth > 0)
-        os << " queue_depth=" << id.queue_depth;
+    for (const auto &[knob, value] : caseKnobs(id, opt).offDefault())
+        os << " " << knob->key << "=" << value;
     if (id.prefix != full_prefix)
         os << " prefix=" << id.prefix;
     if (id.thread_mask != 0xffffffffu)
@@ -412,55 +378,6 @@ runFuzzCase(const FuzzCaseId &id, const FuzzOptions &opt, JobCtx *ctx)
 {
     FuzzCaseResult res;
     res.id = id;
-
-    // Pin the effective backend into the result's identity so any
-    // reproducer replays on the same backend regardless of future
-    // changes to the drawing scheme.
-    if (res.id.backend.empty()) {
-        res.id.backend =
-            !opt.backend.empty()
-                ? opt.backend
-                : fuzzConfig(id.config, opt.master_seed,
-                             ExecMode::HostOnly)
-                      .mem_backend;
-    }
-    // The coherence policy is pinned the same way (the conflict-check
-    // injection targets lazy, so it forces the pin).
-    if (res.id.coherence.empty()) {
-        res.id.coherence =
-            opt.inject == InjectBug::SkipConflictCheck ? "lazy"
-            : !opt.coherence.empty()
-                ? opt.coherence
-                : fuzzConfig(id.config, opt.master_seed,
-                             ExecMode::HostOnly)
-                      .pim.coherence.policy;
-    }
-    // So are the interconnect topology, cube count, and PMU banks.
-    {
-        const SystemConfig drawn =
-            fuzzConfig(id.config, opt.master_seed, ExecMode::HostOnly);
-        if (res.id.topology.empty()) {
-            res.id.topology = !opt.topology.empty()
-                                  ? opt.topology
-                                  : topologyName(drawn.hmc.topology);
-        }
-        if (!res.id.cubes)
-            res.id.cubes = opt.cubes ? opt.cubes : drawn.hmc.num_cubes;
-        if (!res.id.pmu_shards) {
-            res.id.pmu_shards =
-                opt.pmu_shards ? opt.pmu_shards : drawn.pim.pmu_shards;
-        }
-        if (!res.id.pei_batch) {
-            res.id.pei_batch =
-                opt.pei_batch ? opt.pei_batch : drawn.pim.pei_batch;
-        }
-        if (res.id.queue_depth < 0) {
-            res.id.queue_depth =
-                opt.queue_depth >= 0
-                    ? opt.queue_depth
-                    : static_cast<int>(drawn.pim.pcu.issue_queue_depth);
-        }
-    }
 
     const FuzzProgram prog =
         generateProgram(id.seed, id.prefix, id.thread_mask);
@@ -575,20 +492,8 @@ replayFileContents(const FuzzCaseId &id, const FuzzOptions &opt)
     else
         os << "prefix=" << id.prefix << "\n";
     os << "thread_mask=" << hex(id.thread_mask) << "\n";
-    if (!id.backend.empty())
-        os << "backend=" << id.backend << "\n";
-    if (!id.coherence.empty())
-        os << "coherence=" << id.coherence << "\n";
-    if (!id.topology.empty())
-        os << "topology=" << id.topology << "\n";
-    if (id.cubes)
-        os << "cubes=" << id.cubes << "\n";
-    if (id.pmu_shards)
-        os << "pmu_shards=" << id.pmu_shards << "\n";
-    if (id.pei_batch)
-        os << "pei_batch=" << id.pei_batch << "\n";
-    if (id.queue_depth >= 0)
-        os << "queue_depth=" << id.queue_depth << "\n";
+    for (const auto &[knob, value] : caseKnobs(id, opt))
+        os << knob->key << "=" << value << "\n";
     return os.str();
 }
 
@@ -639,24 +544,9 @@ parseReplayFile(const std::string &text, FuzzCaseId &id, FuzzOptions &opt)
             } else if (key == "thread_mask") {
                 id.thread_mask = static_cast<std::uint32_t>(
                     std::stoul(value, nullptr, 0));
-            } else if (key == "backend") {
-                id.backend = value;
-            } else if (key == "coherence") {
-                id.coherence = value;
-            } else if (key == "topology") {
-                id.topology = value;
-            } else if (key == "cubes") {
-                id.cubes =
-                    static_cast<unsigned>(std::stoul(value, nullptr, 0));
-            } else if (key == "pmu_shards") {
-                id.pmu_shards =
-                    static_cast<unsigned>(std::stoul(value, nullptr, 0));
-            } else if (key == "pei_batch") {
-                id.pei_batch =
-                    static_cast<unsigned>(std::stoul(value, nullptr, 0));
-            } else if (key == "queue_depth") {
-                id.queue_depth =
-                    static_cast<int>(std::stol(value, nullptr, 0));
+            } else if (const Knob *knob = findKnob(key)) {
+                if (!opt.pins.assign(*knob, value).empty())
+                    return false;
             } else {
                 return false;
             }
@@ -677,20 +567,8 @@ replayCommand(const FuzzCaseId &id, const FuzzOptions &opt)
         os << " --replay-prefix " << id.prefix;
     if (id.thread_mask != 0xffffffffu)
         os << " --replay-mask " << hex(id.thread_mask);
-    if (!id.backend.empty())
-        os << " --replay-backend " << id.backend;
-    if (!id.coherence.empty())
-        os << " --replay-coherence " << id.coherence;
-    if (!id.topology.empty())
-        os << " --replay-topology " << id.topology;
-    if (id.cubes)
-        os << " --replay-cubes " << id.cubes;
-    if (id.pmu_shards)
-        os << " --replay-pmu-shards " << id.pmu_shards;
-    if (id.pei_batch)
-        os << " --replay-batch " << id.pei_batch;
-    if (id.queue_depth >= 0)
-        os << " --replay-queue-depth " << id.queue_depth;
+    for (const auto &[knob, value] : caseKnobs(id, opt))
+        os << " " << knob->flag() << " " << value;
     os << " --master-seed " << opt.master_seed << " --configs "
        << opt.num_configs;
     if (opt.inject != InjectBug::None)

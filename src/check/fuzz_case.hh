@@ -20,6 +20,7 @@
 
 #include "check/program.hh"
 #include "driver/job.hh"
+#include "runtime/knobs.hh"
 #include "runtime/system.hh"
 
 namespace pei
@@ -34,31 +35,6 @@ struct FuzzCaseId
     unsigned config = 0;     ///< fuzzed-config index
     std::size_t prefix = full_prefix;
     std::uint32_t thread_mask = 0xffffffffu;
-    /**
-     * Memory backend the case ran on.  Empty = whatever fuzzConfig
-     * draws for @ref config; runFuzzCase pins the effective choice
-     * here so reproducers replay on the same backend even if the
-     * drawing scheme changes later.
-     */
-    std::string backend;
-    /**
-     * Coherence policy the case ran under ("eager"/"lazy"); pinned
-     * the same way as @ref backend for reproducer stability.
-     */
-    std::string coherence;
-    /**
-     * Interconnect topology the case ran on ("chain"/"ring"/"mesh");
-     * pinned like @ref backend.  Empty = unpinned.
-     */
-    std::string topology;
-    /** Memory cubes on the interconnect; 0 = unpinned. */
-    unsigned cubes = 0;
-    /** Address-partitioned PMU banks; 0 = unpinned. */
-    unsigned pmu_shards = 0;
-    /** PMU batching window size; 0 = unpinned (1 = per-op). */
-    unsigned pei_batch = 0;
-    /** Vault-PCU issue-queue depth; -1 = unpinned (0 = unqueued). */
-    int queue_depth = -1;
 };
 
 /** Hidden fault injections validating the checker itself. */
@@ -74,27 +50,15 @@ enum class InjectBug
 
 const char *injectBugName(InjectBug b);
 
-/** Checker-wide knobs shared by every case of a run. */
+/** Checker-wide options shared by every case of a run. */
 struct FuzzOptions
 {
     std::uint64_t master_seed = 12345;
     unsigned num_configs = 4;     ///< fuzzed SystemConfigs in rotation
     std::uint64_t probe_every = 64; ///< probe cadence in events
     InjectBug inject = InjectBug::None;
-    /** Force every case onto one backend; empty = fuzzed per config. */
-    std::string backend;
-    /** Force one coherence policy; empty = fuzzed per config. */
-    std::string coherence;
-    /** Force one topology; empty = fuzzed per config. */
-    std::string topology;
-    /** Force a cube count; 0 = fuzzed per config. */
-    unsigned cubes = 0;
-    /** Force a PMU bank count; 0 = fuzzed per config. */
-    unsigned pmu_shards = 0;
-    /** Force a PMU batching window size; 0 = fuzzed per config. */
-    unsigned pei_batch = 0;
-    /** Force a vault-PCU queue depth; -1 = fuzzed per config. */
-    int queue_depth = -1;
+    /** Knobs pinned for every case; the rest are fuzzed per config. */
+    KnobSet pins;
 };
 
 /** One mode's divergence/violation. */
@@ -112,8 +76,11 @@ struct FuzzCaseResult
 
     bool ok() const { return failures.empty(); }
 
-    /** One-line description of the first failure (empty when ok). */
-    std::string summary() const;
+    /**
+     * One-line description of the first failure (empty when ok),
+     * naming the case's off-default knobs under @p opt.
+     */
+    std::string summary(const FuzzOptions &opt) const;
 };
 
 /** Program seed of case @p case_index under @p master_seed. */
@@ -128,6 +95,14 @@ std::uint64_t caseSeed(std::uint64_t master_seed,
  * deterministically from @p master_seed.
  */
 SystemConfig fuzzConfig(unsigned config_index, std::uint64_t master_seed,
+                        ExecMode mode);
+
+/**
+ * The machine case @p id runs on under @p mode: the fuzzed config
+ * with @p opt's pins applied, and the lazy policy forced on when the
+ * conflict-check injection (whose target it is) is armed.
+ */
+SystemConfig caseConfig(const FuzzCaseId &id, const FuzzOptions &opt,
                         ExecMode mode);
 
 /**
@@ -149,18 +124,25 @@ FuzzCaseResult shrinkCase(const FuzzCaseId &failing,
                           const FuzzOptions &opt,
                           std::size_t max_trials = 64);
 
-/** Serialize a reproducer (parse with parseReplayFile). */
+/**
+ * Serialize a reproducer (parse with parseReplayFile).  It records
+ * every knob's value in the case's config, so parsing it back pins
+ * them all.
+ */
 std::string replayFileContents(const FuzzCaseId &id,
                                const FuzzOptions &opt);
 
 /**
- * Parse @p text (key=value lines, '#' comments) into @p id/@p opt.
- * Returns false on malformed input.
+ * Parse @p text (key=value lines, '#' comments) into @p id/@p opt;
+ * knob lines become pins.  Returns false on malformed input.
  */
 bool parseReplayFile(const std::string &text, FuzzCaseId &id,
                      FuzzOptions &opt);
 
-/** The `simfuzz --replay-...` invocation reproducing @p id. */
+/**
+ * The `simfuzz --replay-seed ...` invocation reproducing @p id; like
+ * the reproducer file, it pins every knob with its ordinary flag.
+ */
 std::string replayCommand(const FuzzCaseId &id, const FuzzOptions &opt);
 
 } // namespace fuzz

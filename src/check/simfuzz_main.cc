@@ -7,7 +7,7 @@
  * modes on a fuzzed SystemConfig with invariant probes armed and is
  * cross-checked against the sequential golden model.  Failing cases
  * are shrunk to a minimal (seed, prefix, thread-mask) reproducer and
- * printed as a ready-to-run `simfuzz --replay-...` command line.
+ * printed as a ready-to-run `simfuzz --replay-seed ...` command line.
  *
  *   simfuzz --cases 1000 --jobs 4            # the acceptance sweep
  *   simfuzz --inject-bug skip-unlock         # checker self-test
@@ -17,7 +17,7 @@
  * All output on stdout is deterministic for a fixed master seed:
  * results are reported in submission order and shrinking is
  * sequential, so two runs with different --jobs produce identical
- * stdout (the live progress line lives on stderr).
+ * stdout (the live progress line and the wall time live on stderr).
  */
 
 #include <cstdio>
@@ -54,28 +54,14 @@ usage(const char *argv0)
         "  --max-failures N     stop shrinking after N failures "
         "(default 4)\n"
         "  --failure-dir DIR    write reproducer files for failures\n"
-        "  --mem-backend B      pin every case to one memory backend\n"
-        "                       (default: fuzzed per config)\n"
-        "  --coherence P        pin every case to one coherence policy\n"
-        "                       (eager | lazy; default: fuzzed)\n"
-        "  --topology T         pin every case to one interconnect\n"
-        "                       (chain | ring | mesh; default: fuzzed)\n"
-        "  --cubes N            pin the cube count (default: fuzzed)\n"
-        "  --pmu-shards N       pin the PMU bank count (default: "
-        "fuzzed)\n"
-        "  --pei-batch N        pin the PMU batching window size\n"
-        "                       (1 = per-op dispatch; default: fuzzed)\n"
-        "  --queue-depth N      pin the vault-PCU issue-queue depth\n"
-        "                       (0 = unqueued; default: fuzzed)\n"
         "  --replay-seed S      replay one case (with --replay-config,\n"
-        "                       --replay-prefix, --replay-mask,\n"
-        "                       --replay-backend, --replay-coherence,\n"
-        "                       --replay-topology, --replay-cubes,\n"
-        "                       --replay-pmu-shards, --replay-batch,\n"
-        "                       --replay-queue-depth)\n"
+        "                       --replay-prefix, --replay-mask)\n"
         "  --replay-file FILE   replay a written reproducer\n"
-        "  --jobs N / --timeout-s S / --no-progress  (sweep driver)\n",
+        "  --jobs N / --timeout-s S / --no-progress  (sweep driver)\n"
+        "knobs, each pinning every case (default: fuzzed per config):\n",
         argv0);
+    for (const Knob &k : knobTable())
+        std::printf("  %-24s %s\n", (k.flag() + " V").c_str(), k.help);
 }
 
 /** --flag value / --flag=value accessor over argv. */
@@ -120,20 +106,8 @@ replayOne(const FuzzCaseId &id, const FuzzOptions &opt)
 {
     std::printf("replaying seed=0x%llx config=%u",
                 static_cast<unsigned long long>(id.seed), id.config);
-    if (!id.backend.empty())
-        std::printf(" backend=%s", id.backend.c_str());
-    if (!id.coherence.empty())
-        std::printf(" coherence=%s", id.coherence.c_str());
-    if (!id.topology.empty())
-        std::printf(" topology=%s", id.topology.c_str());
-    if (id.cubes)
-        std::printf(" cubes=%u", id.cubes);
-    if (id.pmu_shards)
-        std::printf(" pmu_shards=%u", id.pmu_shards);
-    if (id.pei_batch)
-        std::printf(" pei_batch=%u", id.pei_batch);
-    if (id.queue_depth >= 0)
-        std::printf(" queue_depth=%d", id.queue_depth);
+    for (const auto &[knob, value] : opt.pins.offDefault())
+        std::printf(" %s=%s", knob->key, value.c_str());
     if (id.prefix != full_prefix)
         std::printf(" prefix=%zu", id.prefix);
     if (id.thread_mask != 0xffffffffu)
@@ -164,9 +138,10 @@ main(int argc, char **argv)
         return 0;
     }
 
-    SweepOptions sopt = sweepOptionsFromArgs(argc, argv);
+    const SweepOptions sopt = sweepOptionsFromArgs(argc, argv);
 
     FuzzOptions fopt;
+    fopt.pins = sopt.knobs;
     std::uint64_t cases = 200;
     std::size_t max_failures = 4;
     bool shrink = !hasFlag(argc, argv, "--no-shrink");
@@ -186,23 +161,6 @@ main(int argc, char **argv)
             static_cast<std::size_t>(parseU64(*v, "--max-failures"));
     if (const auto v = flagValue(argc, argv, "--failure-dir"))
         failure_dir = *v;
-    if (const auto v = flagValue(argc, argv, "--mem-backend"))
-        fopt.backend = *v;
-    if (const auto v = flagValue(argc, argv, "--coherence"))
-        fopt.coherence = *v;
-    if (const auto v = flagValue(argc, argv, "--topology"))
-        fopt.topology = *v;
-    if (const auto v = flagValue(argc, argv, "--cubes"))
-        fopt.cubes = static_cast<unsigned>(parseU64(*v, "--cubes"));
-    if (const auto v = flagValue(argc, argv, "--pmu-shards"))
-        fopt.pmu_shards =
-            static_cast<unsigned>(parseU64(*v, "--pmu-shards"));
-    if (const auto v = flagValue(argc, argv, "--pei-batch"))
-        fopt.pei_batch =
-            static_cast<unsigned>(parseU64(*v, "--pei-batch"));
-    if (const auto v = flagValue(argc, argv, "--queue-depth"))
-        fopt.queue_depth =
-            static_cast<int>(parseU64(*v, "--queue-depth"));
     if (const auto v = flagValue(argc, argv, "--inject-bug")) {
         if (*v == "skip-unlock") {
             fopt.inject = InjectBug::SkipUnlock;
@@ -251,54 +209,15 @@ main(int argc, char **argv)
         if (const auto v = flagValue(argc, argv, "--replay-mask"))
             id.thread_mask = static_cast<std::uint32_t>(
                 parseU64(*v, "--replay-mask"));
-        if (const auto v = flagValue(argc, argv, "--replay-backend"))
-            id.backend = *v;
-        if (const auto v = flagValue(argc, argv, "--replay-coherence"))
-            id.coherence = *v;
-        if (const auto v = flagValue(argc, argv, "--replay-topology"))
-            id.topology = *v;
-        if (const auto v = flagValue(argc, argv, "--replay-cubes"))
-            id.cubes =
-                static_cast<unsigned>(parseU64(*v, "--replay-cubes"));
-        if (const auto v = flagValue(argc, argv, "--replay-pmu-shards"))
-            id.pmu_shards = static_cast<unsigned>(
-                parseU64(*v, "--replay-pmu-shards"));
-        if (const auto v = flagValue(argc, argv, "--replay-batch"))
-            id.pei_batch =
-                static_cast<unsigned>(parseU64(*v, "--replay-batch"));
-        if (const auto v =
-                flagValue(argc, argv, "--replay-queue-depth"))
-            id.queue_depth = static_cast<int>(
-                parseU64(*v, "--replay-queue-depth"));
         return replayOne(id, fopt);
     }
 
-    // Pinning the default policy explicitly must not change stdout
-    // (the CI byte-identity leg diffs `--coherence eager` against a
-    // plain run), so the header notes only a non-default pin.
-    const std::string coherence_note =
-        !fopt.coherence.empty() && fopt.coherence != "eager"
-            ? ", coherence " + fopt.coherence
-            : "";
-    // Same rule for the interconnect pins: pinning a default
-    // explicitly (chain, 1 cube, 1 bank) must not change stdout.
-    std::string net_note;
-    if (!fopt.topology.empty() && fopt.topology != "chain")
-        net_note += ", topology " + fopt.topology;
-    if (fopt.cubes > 1)
-        net_note += ", cubes " + std::to_string(fopt.cubes);
-    if (fopt.pmu_shards > 1)
-        net_note += ", pmu-shards " + std::to_string(fopt.pmu_shards);
-    // Batching pins follow the same non-default-only rule: pinning
-    // --pei-batch=1 or --queue-depth=0 explicitly (the per-op
-    // defaults) must not change stdout either.
-    if (fopt.pei_batch > 1)
-        net_note += ", pei-batch " + std::to_string(fopt.pei_batch);
-    if (fopt.queue_depth > 0)
-        net_note += ", queue-depth " + std::to_string(fopt.queue_depth);
+    std::string pin_note;
+    for (const auto &[knob, value] : fopt.pins.offDefault())
+        pin_note += ", " + knob->flag().substr(2) + " " + value;
     std::printf("simfuzz: %llu case(s), %u fuzzed config(s), "
                 "master seed %llu, probe every %llu "
-                "event(s)%s%s%s%s%s%s\n",
+                "event(s)%s%s%s\n",
                 static_cast<unsigned long long>(cases),
                 fopt.num_configs,
                 static_cast<unsigned long long>(fopt.master_seed),
@@ -307,9 +226,7 @@ main(int argc, char **argv)
                 fopt.inject != InjectBug::None
                     ? injectBugName(fopt.inject)
                     : "",
-                fopt.backend.empty() ? "" : ", backend ",
-                fopt.backend.c_str(), coherence_note.c_str(),
-                net_note.c_str());
+                pin_note.c_str());
 
     Sweep sweep;
     std::vector<FuzzCaseResult> results(cases);
@@ -323,7 +240,7 @@ main(int argc, char **argv)
         sweep.add(label.str(), [id, fopt, i, &results](JobCtx &ctx) {
             FuzzCaseResult r = runFuzzCase(id, fopt, &ctx);
             const bool ok = r.ok();
-            const std::string what = r.summary();
+            const std::string what = r.summary(fopt);
             results[ctx.index()] = std::move(r);
             (void)i;
             if (!ok)
@@ -347,7 +264,8 @@ main(int argc, char **argv)
             continue;
         }
         if (!results[i].ok()) {
-            failures.push_back({results[i].id, results[i].summary()});
+            failures.push_back(
+                {results[i].id, results[i].summary(fopt)});
         } else {
             // Timed out before the case result was recorded.
             const FuzzCaseId id{
@@ -375,7 +293,7 @@ main(int argc, char **argv)
             const FuzzCaseResult m = shrinkCase(f.id, fopt);
             if (!m.ok()) {
                 min_id = m.id;
-                std::printf("minimized: %s\n", m.summary().c_str());
+                std::printf("minimized: %s\n", m.summary(fopt).c_str());
             } else {
                 std::printf("minimized: did not reproduce "
                             "sequentially (flaky?)\n");
@@ -399,9 +317,11 @@ main(int argc, char **argv)
     }
 
     std::printf("simfuzz: %zu ok, %zu failed, %zu timed out, "
-                "%zu skipped (%.1fs)\n",
+                "%zu skipped\n",
                 report.ok, report.failed, report.timed_out,
-                report.skipped, report.wall_seconds);
+                report.skipped);
+    std::fprintf(stderr, "simfuzz: finished in %.1fs\n",
+                 report.wall_seconds);
     if (fopt.inject != InjectBug::None) {
         const bool caught = !failures.empty();
         std::printf("inject-bug %s: %s\n", injectBugName(fopt.inject),

@@ -4,13 +4,7 @@
 #include <cstring>
 #include <thread>
 
-#include <algorithm>
-
-#include "coherence/policy.hh"
-#include "common/bitutil.hh"
 #include "common/logging.hh"
-#include "mem/backend.hh"
-#include "net/topology.hh"
 
 namespace pei
 {
@@ -63,83 +57,19 @@ sweepOptionsFromArgs(int argc, char **argv)
             opts.timeout_s = s;
         } else if (flagValue(argc, argv, i, "--filter", value)) {
             opts.filter = value;
-        } else if (flagValue(argc, argv, i, "--mem-backend", value)) {
-            const auto names = memoryBackendNames();
-            if (std::find(names.begin(), names.end(), value) ==
-                names.end()) {
-                std::string known;
-                for (const auto &n : names)
-                    known += (known.empty() ? "" : ", ") + n;
-                fatal("--mem-backend '%s' is not registered (known: %s)",
-                      value.c_str(), known.c_str());
-            }
-            opts.mem_backend = value;
-        } else if (flagValue(argc, argv, i, "--coherence", value)) {
-            const auto names = coherencePolicyNames();
-            if (std::find(names.begin(), names.end(), value) ==
-                names.end()) {
-                std::string known;
-                for (const auto &n : names)
-                    known += (known.empty() ? "" : ", ") + n;
-                fatal("--coherence '%s' is not registered (known: %s)",
-                      value.c_str(), known.c_str());
-            }
-            opts.coherence = value;
-        } else if (flagValue(argc, argv, i, "--topology", value)) {
-            Topology t;
-            if (!parseTopology(value, t)) {
-                std::string known;
-                for (const auto &n : topologyNames())
-                    known += (known.empty() ? "" : ", ") + n;
-                fatal("--topology '%s' is not a topology (known: %s)",
-                      value.c_str(), known.c_str());
-            }
-            opts.topology = value;
-        } else if (flagValue(argc, argv, i, "--cubes", value)) {
-            char *end = nullptr;
-            const long n = std::strtol(value.c_str(), &end, 10);
-            fatal_if(!end || *end != '\0' || n < 1 ||
-                         !isPowerOf2(static_cast<std::uint64_t>(n)),
-                     "--cubes wants a positive power of two, got '%s'",
-                     value.c_str());
-            opts.cubes = static_cast<unsigned>(n);
-        } else if (flagValue(argc, argv, i, "--pmu-shards", value)) {
-            char *end = nullptr;
-            const long n = std::strtol(value.c_str(), &end, 10);
-            fatal_if(!end || *end != '\0' || n < 1 ||
-                         !isPowerOf2(static_cast<std::uint64_t>(n)),
-                     "--pmu-shards wants a positive power of two, "
-                     "got '%s'",
-                     value.c_str());
-            opts.pmu_shards = static_cast<unsigned>(n);
-        } else if (flagValue(argc, argv, i, "--pei-batch", value)) {
-            char *end = nullptr;
-            const long n = std::strtol(value.c_str(), &end, 10);
-            fatal_if(!end || *end != '\0' || n < 1 || n > 64,
-                     "--pei-batch wants an integer in [1, 64], got '%s'",
-                     value.c_str());
-            opts.pei_batch = static_cast<unsigned>(n);
-        } else if (flagValue(argc, argv, i, "--batch-window-ticks",
-                             value)) {
-            char *end = nullptr;
-            const long long n = std::strtoll(value.c_str(), &end, 10);
-            fatal_if(!end || *end != '\0' || n < 1,
-                     "--batch-window-ticks wants a positive integer, "
-                     "got '%s'",
-                     value.c_str());
-            opts.batch_window_ticks = static_cast<std::uint64_t>(n);
-        } else if (flagValue(argc, argv, i, "--queue-depth", value)) {
-            char *end = nullptr;
-            const long n = std::strtol(value.c_str(), &end, 10);
-            fatal_if(!end || *end != '\0' || n < 0,
-                     "--queue-depth wants a non-negative integer, "
-                     "got '%s'",
-                     value.c_str());
-            opts.queue_depth = static_cast<unsigned>(n);
         } else if (std::strcmp(argv[i], "--list") == 0) {
             opts.list = true;
         } else if (std::strcmp(argv[i], "--no-progress") == 0) {
             opts.progress = false;
+        } else {
+            for (const Knob &k : knobTable()) {
+                const std::string flag = k.flag();
+                if (!flagValue(argc, argv, i, flag.c_str(), value))
+                    continue;
+                const std::string err = opts.knobs.assign(k, value);
+                fatal_if(!err.empty(), "%s %s", flag.c_str(), err.c_str());
+                break;
+            }
         }
     }
     return opts;

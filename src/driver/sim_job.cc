@@ -4,8 +4,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "common/logging.hh"
-#include "net/topology.hh"
 #include "runtime/report.hh"
 #include "runtime/runtime.hh"
 
@@ -54,25 +52,7 @@ runSimJob(const SimJob &job, JobCtx &ctx)
     }
 
     SystemConfig cfg = SystemConfig::scaled(job.mode);
-    if (!job.mem_backend.empty())
-        cfg.mem_backend = job.mem_backend;
-    if (!job.coherence.empty())
-        cfg.pim.coherence.policy = job.coherence;
-    if (!job.topology.empty()) {
-        const bool known = parseTopology(job.topology, cfg.hmc.topology);
-        fatal_if(!known, "job '%s': unknown topology '%s'",
-                 job.label.c_str(), job.topology.c_str());
-    }
-    if (job.cubes)
-        cfg.hmc.num_cubes = job.cubes;
-    if (job.pmu_shards)
-        cfg.pim.pmu_shards = job.pmu_shards;
-    if (job.pei_batch)
-        cfg.pim.pei_batch = job.pei_batch;
-    if (job.batch_window_ticks)
-        cfg.pim.batch_window_ticks = job.batch_window_ticks;
-    if (job.queue_depth)
-        cfg.pim.pcu.issue_queue_depth = job.queue_depth;
+    job.knobs.applyTo(cfg);
     if (job.tweak)
         job.tweak(cfg);
     System sys(cfg);

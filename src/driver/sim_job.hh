@@ -19,6 +19,7 @@
 
 #include "driver/job.hh"
 #include "energy/energy_model.hh"
+#include "runtime/knobs.hh"
 #include "workloads/workload.hh"
 
 namespace pei
@@ -88,25 +89,9 @@ struct SimJob
     std::string label;
     std::function<std::unique_ptr<Workload>()> factory;
     ExecMode mode = ExecMode::HostOnly;
-    /** Memory backend registry key; empty = the config's default.
-     *  Applied before @ref tweak so a tweak can still override. */
-    std::string mem_backend;
-    /** Coherence-policy registry key; empty = the config's default
-     *  (eager).  Applied before @ref tweak, like mem_backend. */
-    std::string coherence;
-    /** Interconnect topology key; empty = the config's default
-     *  (chain).  Applied before @ref tweak, like mem_backend. */
-    std::string topology;
-    /** Memory cubes on the interconnect; 0 = the config's default. */
-    unsigned cubes = 0;
-    /** PMU banks; 0 = the config's default (1, the shared PMU). */
-    unsigned pmu_shards = 0;
-    /** PMU batching window size; 0 = the config's default (1). */
-    unsigned pei_batch = 0;
-    /** Window timeout in ticks; 0 = the config's default. */
-    std::uint64_t batch_window_ticks = 0;
-    /** Vault-PCU issue-queue depth; 0 = the config's default (off). */
-    unsigned queue_depth = 0;
+    /** Knob assignments, applied before @ref tweak so a tweak can
+     *  still override them. */
+    KnobSet knobs;
     ConfigTweak tweak;
     unsigned threads = 0;  ///< 0 = one coroutine per core
 

@@ -29,7 +29,7 @@ Pmu::Pmu(EventQueue &eq, const PimConfig &cfg, unsigned cores,
     // pmu_shards directory/monitor pairs, splitting the capacity so
     // total reach is unchanged.  One shard keeps the legacy stat
     // names and is byte-identical to the unsharded PMU.
-    const unsigned nshards = cfg.pmu_shards ? cfg.pmu_shards : 1;
+    const unsigned nshards = cfg.pmu_shards;
     fatal_if(!isPowerOf2(nshards),
              "pmu_shards must be a power of two, got %u",
              cfg.pmu_shards);
@@ -104,8 +104,6 @@ Pmu::Pmu(EventQueue &eq, const PimConfig &cfg, unsigned cores,
     // and the whole dispatch path byte-identical to per-op dispatch.
     batch_on = cfg.pei_batch > 1 && mem.supportsPim();
     if (batch_on) {
-        window_ticks =
-            cfg.batch_window_ticks ? cfg.batch_window_ticks : 256;
         windows.resize(mem.pimUnits());
         vault_inflight.assign(mem.pimUnits(), 0);
     }
@@ -656,7 +654,7 @@ Pmu::armWindowTimer(unsigned gv)
     // Generation-checked timeout: a flush bumps timer_gen, voiding
     // any timer armed for the previous fill.
     const std::uint64_t gen = windows[gv].timer_gen;
-    eq.schedule(window_ticks, [this, gv, gen] {
+    eq.schedule(cfg.batch_window_ticks, [this, gv, gen] {
         BatchWindow &w = windows[gv];
         if (w.timer_gen != gen || w.txns.empty())
             return;

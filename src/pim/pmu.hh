@@ -107,10 +107,10 @@ struct PimConfig
 
     /**
      * Max ticks a non-full window waits before flushing
-     * (`--batch-window-ticks`); 0 picks the default (256 ticks =
-     * 64 ns).  Only consulted when pei_batch > 1.
+     * (`--batch-window-ticks`; 256 ticks = 64 ns).  Only consulted
+     * when pei_batch > 1.
      */
-    Ticks batch_window_ticks = 0;
+    Ticks batch_window_ticks = 256;
 
     /**
      * Coherence policy for memory-side offloads (Fig. 5 step ③):
@@ -316,9 +316,9 @@ class Pmu
     /**
      * Per-vault coalescing window (tentpole of the batched-dispatch
      * pipeline).  Memory-side PEIs park here until the window fills
-     * (cfg.pei_batch), its timer expires (window_ticks) or a pfence
-     * flushes it; a flush takes one merged coherence action and one
-     * interconnect train for the whole batch.  Parked PEIs hold their
+     * (cfg.pei_batch), its timer expires (cfg.batch_window_ticks) or a
+     * pfence flushes it; a flush takes one merged coherence action and
+     * one interconnect train for the whole batch.  Parked PEIs hold their
      * directory locks, so the timer is always armed while a window is
      * non-empty — a window can never strand its members.
      */
@@ -336,7 +336,6 @@ class Pmu
     };
 
     bool batch_on = false;   ///< pei_batch > 1 on a PIM backend
-    Ticks window_ticks = 0;  ///< resolved batch_window_ticks
     std::vector<BatchWindow> windows;      ///< one per global vault
     std::vector<unsigned> vault_inflight;  ///< dispatched, unretired
     SlotPool<TrainTxn> train_txns;

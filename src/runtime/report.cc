@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "common/logging.hh"
+#include "runtime/knobs.hh"
 
 namespace pei
 {
@@ -36,19 +37,15 @@ systemConfigJson(const SystemConfig &cfg)
        << ",\"l1_bytes\":" << cfg.cache.l1_bytes
        << ",\"l2_bytes\":" << cfg.cache.l2_bytes
        << ",\"l3_bytes\":" << cfg.cache.l3_bytes;
-    // stats-v2 "mem.backend" field: only emitted off the default so
-    // records of pre-existing hmc configurations stay byte-identical.
-    if (cfg.mem_backend != "hmc")
-        os << ",\"mem_backend\":\"" << jsonEscape(cfg.mem_backend) << "\"";
-    // Same rule for the interconnect topology and PMU sharding: the
-    // defaults (chain, 1 bank) predate the fields, so emitting them
-    // only off-default keeps earlier records byte-identical.
-    if (cfg.hmc.topology != Topology::Chain) {
-        os << ",\"topology\":\"" << topologyName(cfg.hmc.topology)
-           << "\"";
+    // Knobs appear only off their defaults, so adding a knob leaves
+    // the records of existing configurations unchanged.
+    for (const auto &[knob, value] : KnobSet::of(cfg).offDefault()) {
+        os << ",\"" << knob->key << "\":";
+        if (knob->quoted)
+            os << "\"" << jsonEscape(value) << "\"";
+        else
+            os << value;
     }
-    if (cfg.pim.pmu_shards > 1)
-        os << ",\"pmu_shards\":" << cfg.pim.pmu_shards;
     os << ",\"hmc_cubes\":" << cfg.hmc.num_cubes
        << ",\"vaults_per_cube\":" << cfg.hmc.vaults_per_cube
        << ",\"directory_entries\":" << cfg.pim.directory_entries

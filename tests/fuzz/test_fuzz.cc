@@ -11,6 +11,8 @@
  */
 
 #include <cstring>
+#include <map>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -180,16 +182,23 @@ TEST(FuzzReplay, FileRoundTrips)
     id.config = 2;
     id.prefix = 7;
     id.thread_mask = 0x15;
-    id.backend = "ddr";
-    id.coherence = "lazy";
-    id.topology = "mesh";
-    id.cubes = 8;
-    id.pmu_shards = 4;
     FuzzOptions opt;
     opt.master_seed = 999;
     opt.num_configs = 5;
     opt.probe_every = 32;
     opt.inject = InjectBug::SkipUnlock;
+    // Every knob pinned off its default.
+    const std::map<std::string, std::string> off = {
+        {"mem_backend", "ddr"},       {"coherence", "lazy"},
+        {"topology", "mesh"},         {"cubes", "8"},
+        {"pmu_shards", "4"},          {"pei_batch", "8"},
+        {"batch_window_ticks", "64"}, {"queue_depth", "4"},
+    };
+    ASSERT_EQ(off.size(), knobTable().size());
+    for (const Knob &k : knobTable()) {
+        ASSERT_EQ(opt.pins.assign(k, off.at(k.key)), "") << k.key;
+        ASSERT_NE(k.get(SystemConfig::scaled()), off.at(k.key)) << k.key;
+    }
 
     FuzzCaseId id2;
     FuzzOptions opt2;
@@ -198,11 +207,10 @@ TEST(FuzzReplay, FileRoundTrips)
     EXPECT_EQ(id2.config, id.config);
     EXPECT_EQ(id2.prefix, id.prefix);
     EXPECT_EQ(id2.thread_mask, id.thread_mask);
-    EXPECT_EQ(id2.backend, id.backend);
-    EXPECT_EQ(id2.coherence, id.coherence);
-    EXPECT_EQ(id2.topology, id.topology);
-    EXPECT_EQ(id2.cubes, id.cubes);
-    EXPECT_EQ(id2.pmu_shards, id.pmu_shards);
+    std::map<std::string, std::string> pinned;
+    for (const auto &[knob, value] : opt2.pins)
+        pinned[knob->key] = value;
+    EXPECT_EQ(pinned, off);
     EXPECT_EQ(opt2.master_seed, opt.master_seed);
     EXPECT_EQ(opt2.num_configs, opt.num_configs);
     EXPECT_EQ(opt2.probe_every, opt.probe_every);
@@ -223,7 +231,7 @@ TEST(FuzzSmoke, HundredCasesAcrossConfigsAndModesAreClean)
         id.seed = caseSeed(opt.master_seed, i);
         id.config = static_cast<unsigned>(i % opt.num_configs);
         const FuzzCaseResult r = runFuzzCase(id, opt, nullptr);
-        EXPECT_TRUE(r.ok()) << r.summary();
+        EXPECT_TRUE(r.ok()) << r.summary(opt);
     }
 }
 
@@ -246,8 +254,8 @@ expectInjectionCaughtAndShrunk(InjectBug bug, unsigned max_ops = 32)
         const FuzzCaseResult min = shrinkCase(id, opt);
         ASSERT_FALSE(min.ok())
             << "failure did not reproduce while shrinking";
-        EXPECT_LE(min.total_ops, max_ops) << min.summary();
-        SUCCEED() << "caught by case " << i << ": " << min.summary();
+        EXPECT_LE(min.total_ops, max_ops) << min.summary(opt);
+        SUCCEED() << "caught by case " << i << ": " << min.summary(opt);
         return;
     }
     FAIL() << "injected bug '" << injectBugName(bug)
@@ -284,13 +292,13 @@ TEST(FuzzSelfTest, CatchesSkippedConflictCheck)
 TEST(FuzzSmoke, FortyCasesAllLazyAreClean)
 {
     FuzzOptions opt;
-    opt.coherence = "lazy";
+    ASSERT_EQ(opt.pins.assign(*findKnob("coherence"), "lazy"), "");
     for (std::uint64_t i = 0; i < 40; ++i) {
         FuzzCaseId id;
         id.seed = caseSeed(opt.master_seed, i);
         id.config = static_cast<unsigned>(i % opt.num_configs);
         const FuzzCaseResult r = runFuzzCase(id, opt, nullptr);
-        EXPECT_TRUE(r.ok()) << r.summary();
+        EXPECT_TRUE(r.ok()) << r.summary(opt);
     }
 }
 

@@ -260,14 +260,14 @@ TEST(BackendEquivalence, FuzzOpSetGoldenEquivalence)
 {
     for (const char *b : kBackends) {
         fuzz::FuzzOptions opt;
-        opt.backend = b;
+        ASSERT_EQ(opt.pins.assign(*findKnob("mem_backend"), b), "");
         for (std::uint64_t i = 0; i < 6; ++i) {
             fuzz::FuzzCaseId id;
             id.seed = fuzz::caseSeed(opt.master_seed, i);
             id.config = static_cast<unsigned>(i % opt.num_configs);
             const fuzz::FuzzCaseResult r =
                 fuzz::runFuzzCase(id, opt, nullptr);
-            EXPECT_TRUE(r.ok()) << b << ": " << r.summary();
+            EXPECT_TRUE(r.ok()) << b << ": " << r.summary(opt);
         }
     }
 }

@@ -163,7 +163,8 @@ TEST(BatchingWindow, BatchOneIsByteIdenticalToDefault)
     // the final tick must match the default pipeline exactly, even
     // with a non-default window timeout configured.
     Tick end_default = 0, end_batch1 = 0;
-    const auto def = runMixed(1, 0, &end_default);
+    const auto def =
+        runMixed(1, PimConfig{}.batch_window_ticks, &end_default);
     const auto batch1 = runMixed(1, 77, &end_batch1);
     EXPECT_EQ(end_default, end_batch1);
     EXPECT_EQ(def, batch1);

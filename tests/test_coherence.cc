@@ -291,14 +291,14 @@ TEST(CoherenceDifferential, EagerAndLazyProduceIdenticalResults)
 {
     for (const char *policy : {"eager", "lazy"}) {
         fuzz::FuzzOptions opt;
-        opt.coherence = policy;
+        ASSERT_EQ(opt.pins.assign(*findKnob("coherence"), policy), "");
         for (std::uint64_t i = 0; i < 12; ++i) {
             fuzz::FuzzCaseId id;
             id.seed = fuzz::caseSeed(opt.master_seed, i);
             id.config = static_cast<unsigned>(i % opt.num_configs);
             const fuzz::FuzzCaseResult r =
                 fuzz::runFuzzCase(id, opt, nullptr);
-            EXPECT_TRUE(r.ok()) << policy << ": " << r.summary();
+            EXPECT_TRUE(r.ok()) << policy << ": " << r.summary(opt);
         }
     }
 }

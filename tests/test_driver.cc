@@ -2,9 +2,10 @@
  * @file
  * Tests of the experiment-sweep driver: JobQueue semantics,
  * WorkerPool submission-order aggregation, per-job failure isolation
- * and timeouts, input-cache sharing, and the headline guarantee —
+ * and timeouts, input-cache sharing, the headline guarantee —
  * stats-v2 records are byte-identical (modulo wall-clock fields)
- * regardless of how many workers execute the sweep.
+ * regardless of how many workers execute the sweep — and the knob
+ * flags: parsing, validation, and their effect on records.
  */
 
 #include <gtest/gtest.h>
@@ -14,10 +15,13 @@
 #include <regex>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "check/fuzz_case.hh"
 #include "driver/job_queue.hh"
+#include "driver/options.hh"
 #include "driver/sim_job.hh"
 #include "driver/sweep.hh"
 #include "driver/worker_pool.hh"
@@ -306,6 +310,107 @@ TEST(Sweep, RecordsIdenticalAcrossWorkerCounts)
     ASSERT_EQ(serial.size(), parallel.size());
     for (std::size_t i = 0; i < serial.size(); ++i)
         EXPECT_EQ(serial[i], parallel[i]) << "record " << i;
+}
+
+/** Parse @p args (after a program name) as bench flags. */
+SweepOptions
+parseFlags(std::vector<std::string> args)
+{
+    args.insert(args.begin(), "bench");
+    std::vector<char *> argv;
+    for (std::string &a : args)
+        argv.push_back(a.data());
+    return sweepOptionsFromArgs(static_cast<int>(argv.size()), argv.data());
+}
+
+/**
+ * The stats-v2 record, wall-clock fields stripped, of the 4-core
+ * PR/small Locality-Aware job above, configured by @p knobs.
+ */
+std::string
+prSmallRecord(const KnobSet &knobs)
+{
+    SimJob sim;
+    sim.label = "PR/small/Locality-Aware";
+    sim.factory = [] {
+        return makeWorkload(WorkloadKind::PR, InputSize::Small);
+    };
+    sim.mode = ExecMode::LocalityAware;
+    sim.knobs = knobs;
+    sim.tweak = [](SystemConfig &cfg) {
+        cfg.cores = 4;
+        cfg.hmc.vaults_per_cube = 4;
+    };
+    sim.threads = 4;
+    RunResult r;
+    Sweep sweep;
+    sweep.add(sim.label, [&](JobCtx &ctx) { r = runSimJob(sim, ctx); });
+    SweepOptions opts;
+    opts.jobs = 1;
+    opts.progress = false;
+    EXPECT_TRUE(sweep.run(opts).clean());
+    return stripWallClock(r.stats_record);
+}
+
+// Spelling a knob's default explicitly must configure exactly the
+// default run, and the display rule must render nothing for it.
+TEST(Knobs, ExplicitDefaultMatchesUnset)
+{
+    const std::string unset = prSmallRecord(KnobSet{});
+    const SystemConfig defaults = SystemConfig::scaled();
+    for (const Knob &k : knobTable()) {
+        const std::string flag = k.flag();
+        const std::string value = k.get(defaults);
+        const SweepOptions opts = parseFlags({flag, value});
+        EXPECT_FALSE(opts.knobs.empty()) << flag;
+        EXPECT_TRUE(opts.knobs.offDefault().empty()) << flag;
+        EXPECT_EQ(prSmallRecord(opts.knobs), unset) << flag << " " << value;
+    }
+    EXPECT_TRUE(KnobSet::of(defaults).offDefault().empty());
+}
+
+// The flag parser and the reproducer parser share each knob's
+// validation, so both reject the same values.
+TEST(Knobs, FlagsAndReproducersRejectOutOfRangeValues)
+{
+    fuzz::FuzzCaseId id;
+    fuzz::FuzzOptions opt;
+    ASSERT_TRUE(fuzz::parseReplayFile("seed=1\n", id, opt));
+    const std::pair<const char *, const char *> bad[] = {
+        {"cubes", "3"},         {"pmu_shards", "0"},
+        {"pei_batch", "65"},    {"batch_window_ticks", "0"},
+        {"topology", "torus"},  {"mem_backend", "nvram"},
+        {"coherence", "mesi"},
+    };
+    for (const auto &[key, value] : bad) {
+        const Knob *knob = findKnob(key);
+        ASSERT_NE(knob, nullptr) << key;
+        const std::string flag = knob->flag();
+        EXPECT_DEATH(parseFlags({flag, value}),
+                     flag + " .*'" + value + "'");
+        EXPECT_FALSE(fuzz::parseReplayFile(
+            std::string("seed=1\n") + key + "=" + value + "\n", id, opt))
+            << key << "=" << value;
+    }
+    // Reproducers spell the backend with its knob key.
+    EXPECT_FALSE(fuzz::parseReplayFile("seed=1\nbackend=ddr\n", id, opt));
+}
+
+// A record names every off-default knob in its config block, in
+// table order, ahead of hmc_cubes.
+TEST(Knobs, RecordConfigNamesOffDefaultKnobs)
+{
+    const SweepOptions opts = parseFlags(
+        {"--coherence", "lazy", "--pei-batch", "4", "--queue-depth", "8"});
+    const std::string record = prSmallRecord(opts.knobs);
+    const std::size_t begin = record.find("\"config\":{");
+    ASSERT_NE(begin, std::string::npos);
+    const std::string config =
+        record.substr(begin, record.find('}', begin) - begin);
+    EXPECT_NE(config.find(",\"coherence\":\"lazy\",\"pei_batch\":4,"
+                          "\"queue_depth\":8,\"hmc_cubes\":"),
+              std::string::npos)
+        << config;
 }
 
 } // namespace
