@@ -237,7 +237,7 @@ TEST(BackendTiming, StoreHeavyKernelPinsExactTiming)
     EXPECT_GT(hmc.counters.at("pmu.pei_trains"), 0u);
     EXPECT_GT(hmc.counters.at("pmu.window_singletons"), 0u);
     EXPECT_GT(hmc.counters.at("cache.writebacks_mem"), 0u);
-    expectPin("hmc", hmc.pin, {609762, 98292, 1216048, 10813, 6422});
+    expectPin("hmc", hmc.pin, {609762, 98274, 1216048, 10813, 6422});
 
     // ddr, Host-Only: channel reads, and writebacks that carry no
     // completion callback.
