@@ -1,7 +1,5 @@
 #include "energy_model.hh"
 
-#include "common/types.hh"
-
 namespace pei
 {
 
@@ -23,23 +21,27 @@ computeEnergy(const StatRegistry &stats, const EnergyParams &p)
         return name.size() >= n &&
                name.compare(name.size() - n, n, sfx) == 0;
     };
-    double acts = 0.0, reads = 0.0, writes = 0.0, tsv_bytes = 0.0;
+    double acts = 0.0, reads = 0.0, writes = 0.0, tsv_blocks = 0.0;
     double host_ops = 0.0, mem_ops = 0.0;
     double flits = 0.0, dir_ops = 0.0, mon_ops = 0.0;
     for (const auto &[name, value] : snap) {
         const auto v = static_cast<double>(value);
         // DRAM arrays live behind "vaultN." (hmc backend) or
         // "chanN." (ddr backend) stat prefixes; only vaults move
-        // data over TSVs.
-        if (name.rfind("vault", 0) == 0 || name.rfind("chan", 0) == 0) {
-            if (name.find(".activates") != std::string::npos)
+        // data over TSVs, one block per read or write.
+        const bool vault = name.rfind("vault", 0) == 0;
+        if (vault || name.rfind("chan", 0) == 0) {
+            if (name.find(".activates") != std::string::npos) {
                 acts += v;
-            else if (name.find(".reads") != std::string::npos)
+            } else if (name.find(".reads") != std::string::npos) {
                 reads += v;
-            else if (name.find(".writes") != std::string::npos)
+                if (vault)
+                    tsv_blocks += v;
+            } else if (name.find(".writes") != std::string::npos) {
                 writes += v;
-            else if (name.find(".tsv_bytes") != std::string::npos)
-                tsv_bytes += v;
+                if (vault)
+                    tsv_blocks += v;
+            }
         } else if (name.rfind("host_pcu", 0) == 0 &&
                    name.find(".executed") != std::string::npos) {
             host_ops += v;
@@ -68,7 +70,7 @@ computeEnergy(const StatRegistry &stats, const EnergyParams &p)
     }
     e.dram = acts * p.dram_activate_pj +
              (reads + writes) * p.dram_access_pj;
-    e.tsv = tsv_bytes / block_size * p.tsv_per_block_pj;
+    e.tsv = tsv_blocks * p.tsv_per_block_pj;
 
     // Only the hmc backend has packetized off-chip links; the other
     // backends fold bus energy into their per-access costs.

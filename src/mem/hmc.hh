@@ -155,11 +155,10 @@ class HmcBackend : public MemoryBackend
 
     bool supportsPim() const override { return true; }
     unsigned pimUnits() const override { return totalVaults(); }
-    MemPort &pimUnitPort(unsigned unit) override { return vault(unit); }
+    MemPort &pimUnitPort(unsigned unit) override { return *vaults[unit]; }
 
     const AddrMap &addrMap() const override { return map; }
 
-    Vault &vault(unsigned global_vault) { return *vaults[global_vault]; }
     unsigned totalVaults() const { return static_cast<unsigned>(vaults.size()); }
 
     std::uint64_t memReads() const override;

@@ -46,11 +46,12 @@ TEST(EnergyModel, AttributesComponentsIndependently)
     stats.add("link.res.flits", &res);
     stats.add("pim_dir.acquires", &dir);
     stats.add("loc_mon.lookups", &lookups);
-    Counter va, vr, vw, vt;
+    Counter va, vr, vw, cr, cw;
     stats.add("vault0.activates", &va);
     stats.add("vault0.reads", &vr);
     stats.add("vault0.writes", &vw);
-    stats.add("vault0.tsv_bytes", &vt);
+    stats.add("chan0.reads", &cr);
+    stats.add("chan0.writes", &cw);
 
     l1 += 100;
     EnergyParams p;
@@ -62,9 +63,15 @@ TEST(EnergyModel, AttributesComponentsIndependently)
     const EnergyBreakdown e = computeEnergy(stats, p);
     EXPECT_DOUBLE_EQ(e.dram,
                      10 * p.dram_activate_pj + 25 * p.dram_access_pj);
-    vt += 640; // 10 blocks
-    EXPECT_DOUBLE_EQ(computeEnergy(stats, p).tsv,
-                     10 * p.tsv_per_block_pj);
+    // Every vault read or write moves one block over the TSVs.
+    EXPECT_DOUBLE_EQ(e.tsv, 25 * p.tsv_per_block_pj);
+    // A DDR channel access costs DRAM energy but has no TSVs.
+    cr += 7;
+    cw += 3;
+    const EnergyBreakdown ddr = computeEnergy(stats, p);
+    EXPECT_DOUBLE_EQ(ddr.dram,
+                     10 * p.dram_activate_pj + 35 * p.dram_access_pj);
+    EXPECT_DOUBLE_EQ(ddr.tsv, 25 * p.tsv_per_block_pj);
     req += 3;
     res += 4;
     EXPECT_DOUBLE_EQ(computeEnergy(stats, p).offchip,

@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "common/rng.hh"
 #include "mem/addr_map.hh"
 #include "mem/dram.hh"
@@ -150,11 +153,21 @@ struct VaultFixture : public ::testing::Test
         return eq.now() - start;
     }
 
+    /** Read logged under @p tag in tagged when it completes. */
+    void
+    read(Addr paddr, char tag)
+    {
+        vault.accessBlock(paddr, false, [this, tag] {
+            tagged.emplace_back(tag, eq.now());
+        });
+    }
+
     StatRegistry stats;
     EventQueue eq;
     AddrMap map;
     DramConfig cfg;
     Vault vault;
+    std::vector<std::pair<char, Tick>> tagged; ///< see read()
 };
 
 // Address helpers: with 16 banks low-interleaved, blocks with equal
@@ -209,6 +222,46 @@ TEST_F(VaultFixture, FrFcfsPrefersRowHits)
     ASSERT_EQ(order.size(), 3u);
     EXPECT_EQ(order[1], 2); // the row hit overtakes the conflict
     EXPECT_EQ(order[2], 1);
+}
+
+TEST_F(VaultFixture, EarlierReArmLeavesExactlyOneStaleRetry)
+{
+    // a (bank 0) and b (bank 1) issue at 0: a is done at 55 + 55 + 16
+    // = 126, and b's burst follows at 142.  c hits b's row but waits
+    // for bank 1, so a retry is armed at 142.  d arrives at 1 for a's
+    // row and re-arms the retry earlier, at 126.  d issues then (done
+    // 126 + 55 + 16 = 197), and the retry for c is armed at 142
+    // again.  The abandoned first event at 142 must drain as a stale
+    // no-op; c bursts after d (213).
+    read(0x0, 'a');
+    read(0x40, 'b');
+    read(0x440, 'c');
+    eq.scheduleAt(1, [this] { read(0x400, 'd'); });
+    eq.run();
+    EXPECT_EQ(tagged, (std::vector<std::pair<char, Tick>>{
+                          {'a', 126}, {'b', 142}, {'d', 197}, {'c', 213}}));
+    EXPECT_EQ(vault.retryArms(), 3u);
+    EXPECT_EQ(vault.retryFires(), 2u);
+    EXPECT_EQ(vault.retryStale(), 1u);
+    EXPECT_TRUE(stats.audit().empty());
+}
+
+TEST_F(VaultFixture, FirstTouchActivateDoesNotWaitForConflict)
+{
+    // A vault has no activate limits.  At 126 a row conflict on bank
+    // 0 issues (precharge, activate at 181, done 126 + 165 + 16 =
+    // 307).  At 127 a first touch of idle bank 1 issues at once and
+    // bursts after it (323), without waiting for the conflict's
+    // activate and without arming a retry.
+    read(0x0, 'a');
+    eq.run();
+    eq.scheduleAt(126, [this] { read(0x4000000, 'b'); });
+    eq.scheduleAt(127, [this] { read(0x40, 'c'); });
+    eq.run();
+    EXPECT_EQ(tagged, (std::vector<std::pair<char, Tick>>{
+                          {'a', 126}, {'b', 307}, {'c', 323}}));
+    EXPECT_EQ(vault.retryArms(), 0u);
+    EXPECT_TRUE(stats.audit().empty());
 }
 
 TEST_F(VaultFixture, HighLoadDrainsCompletely)
