@@ -20,16 +20,57 @@ hasWritePerm(MesiState s)
 
 } // namespace
 
+CacheHierarchy::MshrFile::MshrFile(unsigned entries)
+    : waiters(entries), index(entries)
+{
+    free_slots.reserve(entries);
+    for (unsigned s = entries; s-- > 0;)
+        free_slots.push_back(s);
+}
+
+std::vector<CacheHierarchy::Callback> *
+CacheHierarchy::MshrFile::find(Addr block)
+{
+    const std::uint32_t s = index.find(block);
+    return s == SlotIndex::npos ? nullptr : &waiters[s];
+}
+
+void
+CacheHierarchy::MshrFile::allocate(Addr block)
+{
+    const std::uint32_t s = free_slots.back();
+    free_slots.pop_back();
+    index.insert(block, s);
+}
+
+std::vector<CacheHierarchy::Callback>
+CacheHierarchy::MshrFile::release(Addr block)
+{
+    const std::uint32_t s = index.erase(block);
+    panic_if(s == SlotIndex::npos, "MSHR vanished for block 0x%llx",
+             static_cast<unsigned long long>(block));
+    free_slots.push_back(s);
+    return std::move(waiters[s]);
+}
+
 CacheHierarchy::CacheHierarchy(EventQueue &eq, const CacheConfig &cfg,
                                unsigned cores, MemoryBackend &mem,
                                StatRegistry &stats)
     : eq(eq), cfg(cfg), mem(mem), l3(cfg.l3_bytes, cfg.l3_ways),
-      core_mshrs(cores), core_stalled(cores)
+      l3_mshrs(cfg.l3_mshrs), core_stalled(cores)
 {
     fatal_if(cores == 0 || cores > 32, "unsupported core count %u", cores);
+    // With no MSHRs every miss would stall forever.
+    fatal_if(cfg.core_mshrs == 0 || cfg.l3_mshrs == 0,
+             "cache needs at least one MSHR per core and one at the L3 "
+             "(core_mshrs=%u, l3_mshrs=%u)",
+             cfg.core_mshrs, cfg.l3_mshrs);
     privs.reserve(cores);
-    for (unsigned c = 0; c < cores; ++c)
+    core_mshrs.reserve(cores);
+    for (unsigned c = 0; c < cores; ++c) {
         privs.emplace_back(cfg);
+        core_mshrs.emplace_back(cfg.core_mshrs);
+    }
 
     stats.add("cache.l1_hits", &stat_l1_hits);
     stats.add("cache.l1_misses", &stat_l1_misses);
@@ -115,17 +156,16 @@ CacheHierarchy::access(unsigned core, Addr paddr, bool is_write, Callback cb)
     // Core-side MSHRs cover the private L1/L2 miss path: coalesce
     // same-block requests; stall when out of entries.
     auto &mshrs = core_mshrs[core];
-    if (auto it = mshrs.find(block); it != mshrs.end()) {
-        it->second.waiters.push_back(
-            Callback([this, req] { retryAccess(req); }));
+    if (auto *waiters = mshrs.find(block)) {
+        waiters->push_back(Callback([this, req] { retryAccess(req); }));
         return;
     }
-    if (mshrs.size() >= cfg.core_mshrs) {
+    if (mshrs.full()) {
         core_stalled[core].push_back(
             Callback([this, req] { retryAccess(req); }));
         return;
     }
-    mshrs.emplace(block, Mshr{});
+    mshrs.allocate(block);
 
     // L2 stage after the L1 lookup latency.
     eq.schedule(cfg.l1_latency, [this, req] { missL2(req); });
@@ -146,12 +186,7 @@ CacheHierarchy::completeCoreMiss(std::uint32_t req)
     // stalled requests, then signal the requester.
     const unsigned core = accesses[req].core;
     const Addr block = accesses[req].paddr >> block_shift;
-    auto &table = core_mshrs[core];
-    auto it = table.find(block);
-    panic_if(it == table.end(), "MSHR vanished for block 0x%llx",
-             static_cast<unsigned long long>(block));
-    auto waiters = std::move(it->second.waiters);
-    table.erase(it);
+    auto waiters = core_mshrs[core].release(block);
     Callback cb = std::move(accesses[req].cb);
     accesses.erase(req);
     cb();
@@ -201,10 +236,9 @@ CacheHierarchy::accessL3(std::uint32_t req)
         l3_listener(block);
 
     // Serialize against an in-flight DRAM fetch of the same block.
-    if (auto it = l3_mshrs.find(block); it != l3_mshrs.end()) {
+    if (auto *waiters = l3_mshrs.find(block)) {
         ++stat_l3_coalesced;
-        it->second.waiters.push_back(
-            Callback([this, req] { accessL3(req); }));
+        waiters->push_back(Callback([this, req] { accessL3(req); }));
         return;
     }
 
@@ -259,11 +293,11 @@ CacheHierarchy::accessL3(std::uint32_t req)
     }
 
     ++stat_l3_misses;
-    if (l3_mshrs.size() >= cfg.l3_mshrs) {
+    if (l3_mshrs.full()) {
         l3_stalled.push_back(Callback([this, req] { accessL3(req); }));
         return;
     }
-    l3_mshrs.emplace(block, Mshr{});
+    l3_mshrs.allocate(block);
 
     mem.readBlock(accesses[req].paddr, [this, req] { l3FetchDone(req); });
 }
@@ -287,9 +321,7 @@ CacheHierarchy::l3FetchDone(std::uint32_t req)
     eq.schedule(cfg.l3_latency + cfg.xbar_latency,
                 [this, req] { completeCoreMiss(req); });
 
-    auto it = l3_mshrs.find(block);
-    auto waiters = std::move(it->second.waiters);
-    l3_mshrs.erase(it);
+    auto waiters = l3_mshrs.release(block);
     for (auto &w : waiters)
         w();
     drainL3Stalled();
@@ -410,10 +442,10 @@ CacheHierarchy::backInvalidate(Addr paddr, Callback cb)
 {
     const Addr block = paddr >> block_shift;
 
-    if (auto it = l3_mshrs.find(block); it != l3_mshrs.end()) {
+    if (auto *waiters = l3_mshrs.find(block)) {
         const std::uint32_t op =
             back_ops.emplace(BackOp{paddr, std::move(cb)});
-        it->second.waiters.push_back(
+        waiters->push_back(
             Callback([this, op] { retryBackInvalidate(op); }));
         return;
     }
@@ -453,10 +485,10 @@ CacheHierarchy::backWriteback(Addr paddr, Callback cb)
 {
     const Addr block = paddr >> block_shift;
 
-    if (auto it = l3_mshrs.find(block); it != l3_mshrs.end()) {
+    if (auto *waiters = l3_mshrs.find(block)) {
         const std::uint32_t op =
             back_ops.emplace(BackOp{paddr, std::move(cb)});
-        it->second.waiters.push_back(
+        waiters->push_back(
             Callback([this, op] { retryBackWriteback(op); }));
         return;
     }
@@ -570,7 +602,7 @@ CacheHierarchy::drainCoreStalled(unsigned core)
     // free MSHR — it never re-stalls while capacity remains, so the
     // loop strictly shrinks the queue (no quadratic retry storm).
     auto &queue = core_stalled[core];
-    while (!queue.empty() && core_mshrs[core].size() < cfg.core_mshrs) {
+    while (!queue.empty() && !core_mshrs[core].full()) {
         Callback fn = std::move(queue.front());
         queue.pop_front();
         fn();
@@ -583,7 +615,7 @@ CacheHierarchy::drainL3Stalled()
     // Same shrinking-queue argument as drainCoreStalled: retried
     // requests hit, coalesce, or claim a free MSHR; none re-stall
     // while capacity remains.
-    while (!l3_stalled.empty() && l3_mshrs.size() < cfg.l3_mshrs) {
+    while (!l3_stalled.empty() && !l3_mshrs.full()) {
         Callback fn = std::move(l3_stalled.front());
         l3_stalled.pop_front();
         fn();

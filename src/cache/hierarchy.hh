@@ -24,7 +24,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <unordered_map>
 #include <vector>
 
 #include "cache/cache_array.hh"
@@ -33,6 +32,7 @@
 #include "mem/backend.hh"
 #include "sim/continuation.hh"
 #include "sim/event_queue.hh"
+#include "sim/slot_index.hh"
 #include "sim/slot_pool.hh"
 
 namespace pei
@@ -178,10 +178,36 @@ class CacheHierarchy
         {}
     };
 
-    /** Outstanding-miss bookkeeping for one block. */
-    struct Mshr
+    /**
+     * A fixed file of miss-status holding registers: one entry per
+     * block with a miss in flight, holding the requests coalesced
+     * onto it.  Entries come from a free-slot stack and are found
+     * through a SlotIndex, so no operation allocates an entry.
+     */
+    class MshrFile
     {
-        std::vector<Callback> waiters;
+      public:
+        explicit MshrFile(unsigned entries);
+
+        /** Waiters on @p block's miss, or nullptr if none is in flight. */
+        std::vector<Callback> *find(Addr block);
+
+        bool full() const { return free_slots.empty(); }
+
+        /** Claim an entry for @p block (not full, not in flight). */
+        void allocate(Addr block);
+
+        /**
+         * Free @p block's entry and hand back its waiters in arrival
+         * order.  They leave the entry before they run, because a
+         * waiter may claim an entry itself.
+         */
+        std::vector<Callback> release(Addr block);
+
+      private:
+        std::vector<std::vector<Callback>> waiters; ///< per entry
+        std::vector<std::uint32_t> free_slots;
+        SlotIndex index; ///< block -> entry
     };
 
     /**
@@ -255,11 +281,11 @@ class CacheHierarchy
     std::vector<PrivateCaches> privs;
     CacheArray l3;
 
-    /** Per-core MSHRs: block -> waiters (includes the L1/L2 level). */
-    std::vector<std::unordered_map<Addr, Mshr>> core_mshrs;
+    /** Per-core MSHRs (cover the L1/L2 miss path). */
+    std::vector<MshrFile> core_mshrs;
 
-    /** L3 MSHRs: block -> waiters for in-flight DRAM fetches. */
-    std::unordered_map<Addr, Mshr> l3_mshrs;
+    /** L3 MSHRs: in-flight DRAM fetches. */
+    MshrFile l3_mshrs;
 
     /** Requests stalled on core-MSHR exhaustion, per core. */
     std::vector<std::deque<Callback>> core_stalled;

@@ -175,10 +175,12 @@ DramController::trySchedule()
     const Tick now = eq.now();
     advanceRefresh(now);
 
-    bool progress = true;
-    while (progress && (!read_q.empty() || !write_q.empty())) {
-        progress = false;
-
+    // Earliest start among the active queue's requests, as of the
+    // last pick scan.  When that scan finds nothing issuable it has
+    // visited every request, so this is when the policy can next
+    // make progress.
+    Tick earliest = max_tick;
+    while (!read_q.empty() || !write_q.empty()) {
         // Drain hysteresis: once the write queue hits the high
         // watermark, writes win until it is back at the low one.
         if (write_q.size() >= t.write_drain_high)
@@ -191,9 +193,13 @@ DramController::trySchedule()
         // FR-FCFS within the active queue: oldest issuable row hit
         // wins, else the oldest issuable request.
         auto pick = q.end();
+        earliest = max_tick;
         for (auto it = q.begin(); it != q.end(); ++it) {
-            if (earliestStart(*it, now) > now)
+            const Tick start = earliestStart(*it, now);
+            if (start > now) {
+                earliest = std::min(earliest, start);
                 continue;
+            }
             if (banks[it->bank].open_row ==
                 static_cast<std::int64_t>(it->row)) {
                 pick = it;
@@ -202,13 +208,12 @@ DramController::trySchedule()
             if (pick == q.end())
                 pick = it;
         }
+        if (pick == q.end())
+            break;
 
-        if (pick != q.end()) {
-            Request req = std::move(*pick);
-            q.erase(pick);
-            issue(std::move(req), now);
-            progress = true;
-        }
+        Request req = std::move(*pick);
+        q.erase(pick);
+        issue(std::move(req), now);
     }
 
     if (read_q.empty() && write_q.empty())
@@ -218,9 +223,6 @@ DramController::trySchedule()
     // constraint; retry at its earliest release.  Only the active
     // queue counts — a write that is issuable *now* but outranked by
     // pending reads is not progress.
-    Tick earliest = max_tick;
-    for (const auto &r : activeQueue())
-        earliest = std::min(earliest, earliestStart(r, now));
     panic_if(earliest == max_tick || earliest <= now,
              "%s%u scheduler stuck", unit, id);
     armRetry(earliest);

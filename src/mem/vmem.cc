@@ -15,40 +15,45 @@ VirtualMemory::alloc(std::uint64_t bytes, std::uint64_t align)
     next_vaddr += bytes;
 
     // Map every page in [base, base + bytes).
-    const Addr first_vpn = vpn(base);
-    const Addr last_vpn = vpn(base + bytes - 1);
-    for (Addr p = first_vpn; p <= last_vpn; ++p) {
-        if (page_table.count(p))
+    const Addr first = vpn(base) - vpn(base_vaddr);
+    const Addr last = vpn(base + bytes - 1) - vpn(base_vaddr);
+    if (page_table.size() <= last)
+        page_table.resize(last + 1, no_frame);
+    for (Addr p = first; p <= last; ++p) {
+        if (page_table[p] != no_frame)
             continue;
-        fatal_if((next_frame + 1) * page_size > phys_limit,
+        fatal_if((frames.size() + 1) * page_size > phys_limit,
                  "out of simulated physical memory (%llu bytes)",
                  static_cast<unsigned long long>(phys_limit));
-        page_table.emplace(p, next_frame);
+        page_table[p] = frames.size();
         frames.push_back(Frame{std::make_unique<std::byte[]>(page_size)});
         std::memset(frames.back().data.get(), 0, page_size);
-        ++next_frame;
     }
     return base;
+}
+
+std::uint64_t
+VirtualMemory::frameOf(Addr vaddr) const
+{
+    // An address below base_vaddr wraps to a huge index.
+    const Addr idx = vpn(vaddr) - vpn(base_vaddr);
+    const std::uint64_t pfn =
+        idx < page_table.size() ? page_table[idx] : no_frame;
+    fatal_if(pfn == no_frame, "access to unmapped virtual address 0x%llx",
+             static_cast<unsigned long long>(vaddr));
+    return pfn;
 }
 
 Addr
 VirtualMemory::translate(Addr vaddr) const
 {
-    auto it = page_table.find(vpn(vaddr));
-    fatal_if(it == page_table.end(),
-             "access to unmapped virtual address 0x%llx",
-             static_cast<unsigned long long>(vaddr));
-    return (it->second << page_shift) | (vaddr & (page_size - 1));
+    return (frameOf(vaddr) << page_shift) | (vaddr & (page_size - 1));
 }
 
 const std::byte *
 VirtualMemory::framePtr(Addr vaddr) const
 {
-    auto it = page_table.find(vpn(vaddr));
-    fatal_if(it == page_table.end(),
-             "access to unmapped virtual address 0x%llx",
-             static_cast<unsigned long long>(vaddr));
-    return frames[it->second].data.get() + (vaddr & (page_size - 1));
+    return frames[frameOf(vaddr)].data.get() + (vaddr & (page_size - 1));
 }
 
 void *
@@ -91,25 +96,62 @@ VirtualMemory::writeBytes(Addr vaddr, const void *src, std::uint64_t size)
     }
 }
 
+Tlb::Tlb(unsigned entries, Ticks walk_latency)
+    : walk_latency(walk_latency), slots(entries), index(entries)
+{
+    fatal_if(entries == 0, "TLB needs at least one entry");
+}
+
+void
+Tlb::unlink(std::uint32_t s)
+{
+    const Slot &e = slots[s];
+    if (e.prev != none)
+        slots[e.prev].next = e.next;
+    else
+        mru = e.next;
+    if (e.next != none)
+        slots[e.next].prev = e.prev;
+    else
+        lru = e.prev;
+}
+
+void
+Tlb::pushFront(std::uint32_t s)
+{
+    slots[s].prev = none;
+    slots[s].next = mru;
+    if (mru != none)
+        slots[mru].prev = s;
+    else
+        lru = s;
+    mru = s;
+}
+
 Ticks
 Tlb::access(Addr vaddr)
 {
     const Addr page = VirtualMemory::vpn(vaddr);
-    ++tick;
-    auto it = lru.find(page);
-    if (it != lru.end()) {
-        it->second = tick;
+    std::uint32_t s = index.find(page);
+    if (s != none) {
         ++hit_count;
+        if (s != mru) {
+            unlink(s);
+            pushFront(s);
+        }
         return 0;
     }
     ++miss_count;
-    if (lru.size() >= capacity) {
-        auto victim = std::min_element(
-            lru.begin(), lru.end(),
-            [](const auto &a, const auto &b) { return a.second < b.second; });
-        lru.erase(victim);
+    if (used < slots.size()) {
+        s = used++;
+    } else {
+        s = lru; // the page whose last use is oldest
+        unlink(s);
+        index.erase(slots[s].page);
     }
-    lru.emplace(page, tick);
+    slots[s].page = page;
+    index.insert(page, s);
+    pushFront(s);
     return walk_latency;
 }
 

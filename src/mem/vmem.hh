@@ -15,11 +15,11 @@
 
 #include <cstring>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "common/logging.hh"
 #include "common/types.hh"
+#include "sim/slot_index.hh"
 
 namespace pei
 {
@@ -117,8 +117,8 @@ class VirtualMemory
     /** Bytes of virtual memory allocated so far. */
     std::uint64_t allocatedBytes() const { return next_vaddr - base_vaddr; }
 
-    /** Number of mapped pages. */
-    std::size_t mappedPages() const { return page_table.size(); }
+    /** Number of mapped pages (each owns one frame). */
+    std::size_t mappedPages() const { return frames.size(); }
 
   private:
     struct Frame
@@ -126,28 +126,41 @@ class VirtualMemory
         std::unique_ptr<std::byte[]> data;
     };
 
+    /** Frame backing @p vaddr; fatal on unmapped access. */
+    std::uint64_t frameOf(Addr vaddr) const;
+
     const std::byte *framePtr(Addr vaddr) const;
 
     std::uint64_t phys_limit;
     // Start allocations away from 0 so that null-ish addresses fault.
     static constexpr Addr base_vaddr = 0x10000;
+    /** Page-table entry of a page no allocation covers. */
+    static constexpr std::uint64_t no_frame = ~std::uint64_t{0};
     Addr next_vaddr = base_vaddr;
-    std::uint64_t next_frame = 0;
-    std::unordered_map<Addr, std::uint64_t> page_table; // vpn -> pfn
-    std::vector<Frame> frames;                          // pfn -> storage
+    /**
+     * vpn - vpn(base_vaddr) -> pfn.  Allocations are packed upwards
+     * from base_vaddr, so the table is dense; only pages skipped by a
+     * coarse alignment hold no_frame.
+     */
+    std::vector<std::uint64_t> page_table;
+    std::vector<Frame> frames; // pfn -> storage
 };
 
 /**
  * Per-core TLB: fully-associative, LRU, with a fixed page-walk
  * penalty on miss.  Returns the access latency contribution of
  * translation for a memory operation or PEI issue.
+ *
+ * Entries live in a fixed slot array threaded by a recency list
+ * (head most, tail least recently used) and are found through a
+ * SlotIndex, so hits and misses are both O(1).  Every access moves
+ * its page to the head, so the tail is exactly the page whose last
+ * use is oldest: the LRU victim.
  */
 class Tlb
 {
   public:
-    Tlb(unsigned entries, Ticks walk_latency)
-        : capacity(entries), walk_latency(walk_latency)
-    {}
+    Tlb(unsigned entries, Ticks walk_latency);
 
     /**
      * Look up @p vaddr; updates LRU state and miss counters.
@@ -159,12 +172,26 @@ class Tlb
     std::uint64_t misses() const { return miss_count; }
 
   private:
-    unsigned capacity;
+    static constexpr std::uint32_t none = SlotIndex::npos;
+
+    struct Slot
+    {
+        Addr page = 0;
+        std::uint32_t prev = none; ///< toward the most recently used
+        std::uint32_t next = none; ///< toward the least recently used
+    };
+
+    void unlink(std::uint32_t s);
+    void pushFront(std::uint32_t s);
+
     Ticks walk_latency;
     std::uint64_t hit_count = 0;
     std::uint64_t miss_count = 0;
-    std::uint64_t tick = 0;
-    std::unordered_map<Addr, std::uint64_t> lru; // vpn -> last use
+    std::vector<Slot> slots; ///< one per TLB entry
+    std::uint32_t used = 0;  ///< slots filled so far
+    std::uint32_t mru = none;
+    std::uint32_t lru = none;
+    SlotIndex index; ///< vpn -> slot
 };
 
 } // namespace pei

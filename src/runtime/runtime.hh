@@ -41,7 +41,11 @@ class Runtime
         return alloc(count * sizeof(T), align);
     }
 
-    /** Spawn a kernel coroutine bound to @p core. */
+    /**
+     * Spawn a kernel coroutine bound to @p core.  A coroutine lambda
+     * reads its captures through the lambda object, so pass a named
+     * lambda that outlives run(), not a temporary.
+     */
     template <typename Fn>
     void
     spawn(unsigned core, Fn &&fn)
@@ -54,7 +58,8 @@ class Runtime
 
     /**
      * Spawn @p nthreads kernels on cores [base, base + nthreads),
-     * invoking fn(ctx, tid, nthreads).
+     * invoking fn(ctx, tid, nthreads).  As with spawn(), a coroutine
+     * lambda must outlive run().
      */
     template <typename Fn>
     void

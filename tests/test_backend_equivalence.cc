@@ -62,21 +62,21 @@ runMixOn(const std::string &backend, std::uint64_t seed)
     Runtime rt(sys);
     const std::uint64_t n = 1 << 10;
     const Addr arr = rt.allocArray<std::uint64_t>(n);
-    rt.spawnThreads(sys.numCores(),
-                    [&, seed](Ctx &ctx, unsigned tid, unsigned) -> Task {
-                        Rng rng(seed * 131 + tid);
-                        for (int i = 0; i < 800; ++i) {
-                            const Addr a = arr + 8 * rng.below(n);
-                            if (rng.chance(0.5))
-                                co_await ctx.inc64(a);
-                            else if (rng.chance(0.5))
-                                co_await ctx.loadAsync(a);
-                            else
-                                co_await ctx.storeAsync(a);
-                        }
-                        co_await ctx.pfence();
-                        co_await ctx.drain();
-                    });
+    const auto kernel = [&, seed](Ctx &ctx, unsigned tid, unsigned) -> Task {
+        Rng rng(seed * 131 + tid);
+        for (int i = 0; i < 800; ++i) {
+            const Addr a = arr + 8 * rng.below(n);
+            if (rng.chance(0.5))
+                co_await ctx.inc64(a);
+            else if (rng.chance(0.5))
+                co_await ctx.loadAsync(a);
+            else
+                co_await ctx.storeAsync(a);
+        }
+        co_await ctx.pfence();
+        co_await ctx.drain();
+    };
+    rt.spawnThreads(sys.numCores(), kernel);
 
     ArchResult r;
     r.ticks = rt.run();

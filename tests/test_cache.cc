@@ -173,6 +173,20 @@ TEST_F(CacheFixture, MshrExhaustionStallsAndRecovers)
     caches->checkInvariants();
 }
 
+using CacheFixtureDeathTest = CacheFixture;
+
+TEST_F(CacheFixtureDeathTest, ZeroMshrFilesAreRejected)
+{
+    CacheConfig no_core = cache_cfg;
+    no_core.core_mshrs = 0;
+    EXPECT_DEATH(CacheHierarchy(eq, no_core, 4, *hmc, stats),
+                 "at least one MSHR");
+    CacheConfig no_l3 = cache_cfg;
+    no_l3.l3_mshrs = 0;
+    EXPECT_DEATH(CacheHierarchy(eq, no_l3, 4, *hmc, stats),
+                 "at least one MSHR");
+}
+
 TEST_F(CacheFixture, BackInvalidateRemovesEveryCopy)
 {
     doAccess(0, 0x6000, true); // dirty in core 0

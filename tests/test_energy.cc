@@ -150,12 +150,13 @@ TEST(EnergyModel, PimOnlyOnCacheResidentDataCostsMoreDram)
         System sys(cfg);
         Runtime rt(sys);
         const Addr a = rt.allocArray<std::uint64_t>(1 << 10); // 8 KB
-        rt.spawnThreads(4, [&](Ctx &ctx, unsigned tid, unsigned) -> Task {
+        const auto kernel = [&](Ctx &ctx, unsigned tid, unsigned) -> Task {
             Rng rng(tid);
             for (int i = 0; i < 2000; ++i)
                 co_await ctx.inc64(a + 8 * rng.below(1 << 10));
             co_await ctx.drain();
-        });
+        };
+        rt.spawnThreads(4, kernel);
         rt.run();
         return computeEnergy(sys.stats());
     };
@@ -176,12 +177,13 @@ TEST(EnergyModel, MemPcuShareIsSmall)
     System sys(cfg);
     Runtime rt(sys);
     const Addr a = rt.allocArray<std::uint64_t>(1 << 16);
-    rt.spawnThreads(4, [&](Ctx &ctx, unsigned tid, unsigned) -> Task {
+    const auto kernel = [&](Ctx &ctx, unsigned tid, unsigned) -> Task {
         Rng rng(tid);
         for (int i = 0; i < 3000; ++i)
             co_await ctx.inc64(a + 8 * rng.below(1 << 16));
         co_await ctx.drain();
-    });
+    };
+    rt.spawnThreads(4, kernel);
     rt.run();
     const EnergyBreakdown e = computeEnergy(sys.stats());
     const double hmc_energy = e.dram + e.tsv + e.offchip + e.pcu;

@@ -11,11 +11,14 @@
 
 #include <cstdint>
 #include <functional> // stdfunction-allowed: naive reference queue under test
+#include <map>
 #include <string>
 #include <vector>
 
+#include "common/rng.hh"
 #include "sim/continuation.hh"
 #include "sim/event_queue.hh"
+#include "sim/slot_index.hh"
 #include "sim/slot_pool.hh"
 #include "sim/task.hh"
 
@@ -296,6 +299,37 @@ TEST(SlotPool, DestroysLiveSlotsAtTeardown)
         destroyed = 0;
     }
     EXPECT_EQ(destroyed, 1); // the still-live first slot
+}
+
+TEST(SlotIndex, MatchesMapUnderChurnAtFullCapacity)
+{
+    // Keys 0..47 into a 16-key index: long probe runs, deletes in
+    // their middle, key 0, and erases of absent keys.  Every lookup
+    // must agree with a plain map after every operation.
+    constexpr std::uint32_t capacity = 16;
+    constexpr Addr keys = 3 * capacity;
+    SlotIndex index(capacity);
+    std::map<Addr, std::uint32_t> ref;
+    Rng rng(7);
+    for (int i = 0; i < 20000; ++i) {
+        const Addr key = rng.below(keys);
+        if (auto it = ref.find(key); it != ref.end()) {
+            EXPECT_EQ(index.erase(key), it->second);
+            ref.erase(it);
+        } else if (ref.size() < capacity) {
+            const auto slot = static_cast<std::uint32_t>(rng.below(1000));
+            index.insert(key, slot);
+            ref.emplace(key, slot);
+        } else {
+            EXPECT_EQ(index.erase(key), SlotIndex::npos);
+        }
+        for (Addr k = 0; k < keys; ++k) {
+            const auto it = ref.find(k);
+            ASSERT_EQ(index.find(k),
+                      it == ref.end() ? SlotIndex::npos : it->second)
+                << "key " << k << " after operation " << i;
+        }
+    }
 }
 
 TEST(Continuation, MoveTransfersOwnership)

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -77,6 +79,100 @@ TEST(Tlb, HitsAfterFirstAccessAndEvictsLru)
     EXPECT_EQ(tlb.access(0x3000), 100u); // evicts 0x2000 (LRU)
     EXPECT_EQ(tlb.access(0x2000), 100u); // miss again
     EXPECT_EQ(tlb.misses(), 4u);
+}
+
+TEST(VirtualMemoryDeathTest, UnmappedAccessIsASimulatedSegfault)
+{
+    VirtualMemory vm(64 << 20);
+    const Addr first = vm.alloc(page_size);
+    // A coarse alignment leaves unmapped pages between the two.
+    const Addr second = vm.alloc(page_size, 16 * page_size);
+    const Addr gap = first + 4 * page_size;
+    ASSERT_LT(gap, second);
+    const Addr below = first - 8;
+    const Addr past = second + 4 * page_size;
+    for (const Addr a : {below, gap, past}) {
+        SCOPED_TRACE(a);
+        EXPECT_DEATH((void)vm.translate(a),
+                     "access to unmapped virtual address");
+        EXPECT_DEATH((void)vm.read<std::uint64_t>(a),
+                     "access to unmapped virtual address");
+    }
+    // The pages around them stay mapped.
+    EXPECT_EQ(vm.read<std::uint64_t>(first), 0u);
+    EXPECT_EQ(vm.read<std::uint64_t>(second), 0u);
+}
+
+/**
+ * The TLB's replacement policy written plainly: each page keeps the
+ * stamp of its last use, and a miss on a full TLB evicts the page
+ * with the oldest stamp.
+ */
+class ReferenceLru
+{
+  public:
+    explicit ReferenceLru(unsigned capacity) : capacity(capacity) {}
+
+    /** True on a hit. */
+    bool
+    access(Addr page)
+    {
+        ++tick;
+        if (auto it = last_use.find(page); it != last_use.end()) {
+            it->second = tick;
+            return true;
+        }
+        if (last_use.size() >= capacity) {
+            last_use.erase(std::min_element(
+                last_use.begin(), last_use.end(),
+                [](const auto &a, const auto &b) {
+                    return a.second < b.second;
+                }));
+        }
+        last_use.emplace(page, tick);
+        return false;
+    }
+
+  private:
+    unsigned capacity;
+    std::uint64_t tick = 0;
+    std::unordered_map<Addr, std::uint64_t> last_use;
+};
+
+TEST(Tlb, MatchesReferenceLruOnRandomStreams)
+{
+    constexpr Ticks walk = 100;
+    constexpr int accesses = 20000;
+    for (const unsigned capacity : {1u, 2u, 7u, 64u}) {
+        // Streams over half, twice and eight times the capacity.
+        for (const unsigned halves : {1u, 4u, 16u}) {
+            SCOPED_TRACE(testing::Message() << capacity << " entries, "
+                                            << halves << "/2 x span");
+            Rng rng(capacity * 100 + halves);
+            std::vector<Addr> pages(std::max(1u, capacity * halves / 2));
+            for (Addr &p : pages)
+                p = rng.next() >> 28; // random 36-bit page numbers
+            Tlb tlb(capacity, walk);
+            ReferenceLru ref(capacity);
+            std::uint64_t hits = 0;
+            for (int i = 0; i < accesses; ++i) {
+                const Addr page = pages[rng.below(pages.size())];
+                const bool hit = ref.access(page);
+                hits += hit;
+                ASSERT_EQ(tlb.access((page << page_shift) |
+                                     rng.below(page_size)),
+                          hit ? 0u : walk)
+                    << "access " << i;
+            }
+            EXPECT_EQ(tlb.hits(), hits);
+            EXPECT_EQ(tlb.misses(), accesses - hits);
+        }
+    }
+}
+
+TEST(TlbDeathTest, ZeroEntriesAreRejected)
+{
+    EXPECT_DEATH(Tlb(0, 100), "TLB needs at least one entry");
 }
 
 // ------------------------------------------------------------ AddrMap

@@ -52,15 +52,14 @@ TEST(PaperBaseline, ConstructsAndRunsAllModes)
         EXPECT_EQ(sys.mem().pimUnits(), 128u);
         Runtime rt(sys);
         const Addr a = rt.allocArray<std::uint64_t>(1 << 12);
-        rt.spawnThreads(sys.numCores(),
-                        [&](Ctx &ctx, unsigned tid, unsigned) -> Task {
-                            Rng rng(tid);
-                            for (int i = 0; i < 200; ++i)
-                                co_await ctx.inc64(a +
-                                                   8 * rng.below(1 << 12));
-                            co_await ctx.pfence();
-                            co_await ctx.drain();
-                        });
+        const auto kernel = [&](Ctx &ctx, unsigned tid, unsigned) -> Task {
+            Rng rng(tid);
+            for (int i = 0; i < 200; ++i)
+                co_await ctx.inc64(a + 8 * rng.below(1 << 12));
+            co_await ctx.pfence();
+            co_await ctx.drain();
+        };
+        rt.spawnThreads(sys.numCores(), kernel);
         rt.run();
         std::uint64_t sum = 0;
         for (std::uint64_t i = 0; i < (1 << 12); ++i)
@@ -91,13 +90,13 @@ TEST(PaperBaseline, SixteenMegabyteL3AbsorbsSmallWorkingSets)
     Runtime rt(sys);
     // 2 MB working set — deep inside the 16 MB L3.
     const Addr a = rt.allocArray<std::uint64_t>(1 << 18);
-    rt.spawnThreads(sys.numCores(),
-                    [&](Ctx &ctx, unsigned tid, unsigned) -> Task {
-                        Rng rng(tid);
-                        for (int i = 0; i < 4000; ++i)
-                            co_await ctx.inc64(a + 8 * rng.below(1 << 18));
-                        co_await ctx.drain();
-                    });
+    const auto kernel = [&](Ctx &ctx, unsigned tid, unsigned) -> Task {
+        Rng rng(tid);
+        for (int i = 0; i < 4000; ++i)
+            co_await ctx.inc64(a + 8 * rng.below(1 << 18));
+        co_await ctx.drain();
+    };
+    rt.spawnThreads(sys.numCores(), kernel);
     rt.run();
     const auto misses = sys.stats().get("cache.l3_misses");
     const auto hits = sys.stats().get("cache.l3_hits");

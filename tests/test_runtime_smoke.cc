@@ -29,7 +29,7 @@ TEST_P(RuntimeSmoke, LoadStoreRoundTrip)
     Runtime rt(sys);
     const Addr arr = rt.allocArray<std::uint64_t>(1024);
 
-    rt.spawn(0, [&](Ctx &ctx) -> Task {
+    const auto kernel = [&](Ctx &ctx) -> Task {
         for (std::uint64_t i = 0; i < 1024; ++i) {
             ctx.fwrite<std::uint64_t>(arr + 8 * i, i * i);
             co_await ctx.store(arr + 8 * i);
@@ -39,7 +39,8 @@ TEST_P(RuntimeSmoke, LoadStoreRoundTrip)
                 co_await ctx.loadValue<std::uint64_t>(arr + 8 * i);
             EXPECT_EQ(v, i * i);
         }
-    });
+    };
+    rt.spawn(0, kernel);
     const Tick elapsed = rt.run();
     EXPECT_GT(elapsed, 0u);
 }
@@ -54,13 +55,14 @@ TEST_P(RuntimeSmoke, PeiIncrementAtomicAcrossCores)
 
     constexpr unsigned threads = 4;
     constexpr unsigned per_thread = 500;
-    rt.spawnThreads(threads, [&](Ctx &ctx, unsigned tid, unsigned) -> Task {
+    const auto kernel = [&](Ctx &ctx, unsigned tid, unsigned) -> Task {
         for (unsigned i = 0; i < per_thread; ++i) {
             co_await ctx.inc64(hot);
             co_await ctx.inc64(cold + 8 * ((tid * per_thread + i) % 64));
         }
         co_await ctx.drain();
-    });
+    };
+    rt.spawnThreads(threads, kernel);
     rt.run();
 
     EXPECT_EQ(sys.memory().read<std::uint64_t>(hot),
@@ -80,13 +82,14 @@ TEST_P(RuntimeSmoke, PeiMinAndFadd)
     for (unsigned i = 0; i < 16; ++i)
         sys.memory().write<std::uint64_t>(mins + 8 * i, ~0ULL);
 
-    rt.spawnThreads(4, [&](Ctx &ctx, unsigned tid, unsigned) -> Task {
+    const auto kernel = [&](Ctx &ctx, unsigned tid, unsigned) -> Task {
         for (unsigned i = 0; i < 16; ++i)
             co_await ctx.min64(mins + 8 * i, 100 + tid * 10 + i);
         for (unsigned i = 0; i < 100; ++i)
             co_await ctx.fadd(acc, 0.5);
         co_await ctx.drain();
-    });
+    };
+    rt.spawnThreads(4, kernel);
     rt.run();
 
     for (unsigned i = 0; i < 16; ++i)
@@ -102,7 +105,7 @@ TEST_P(RuntimeSmoke, PfenceOrdersPeisBeforeNormalReads)
     Barrier barrier(sys.eventQueue(), 4);
     bool checked = false;
 
-    rt.spawnThreads(4, [&](Ctx &ctx, unsigned tid, unsigned n) -> Task {
+    const auto kernel = [&](Ctx &ctx, unsigned tid, unsigned n) -> Task {
         for (unsigned i = tid; i < 256; i += n)
             for (unsigned k = 0; k < 8; ++k)
                 co_await ctx.inc64(counters + 8 * i);
@@ -115,7 +118,8 @@ TEST_P(RuntimeSmoke, PfenceOrdersPeisBeforeNormalReads)
             checked = true;
         }
         co_await ctx.drain();
-    });
+    };
+    rt.spawnThreads(4, kernel);
     rt.run();
     EXPECT_TRUE(checked);
 }
@@ -138,7 +142,7 @@ TEST(RuntimeSmoke2, CacheInvariantsHoldAfterMixedTraffic)
     for (int i = 0; i < 4000; ++i)
         plan.emplace_back(arr + 8 * rng.below(4096), rng.chance(0.3));
 
-    rt.spawnThreads(4, [&](Ctx &ctx, unsigned tid, unsigned n) -> Task {
+    const auto kernel = [&](Ctx &ctx, unsigned tid, unsigned n) -> Task {
         for (std::size_t i = tid; i < plan.size(); i += n) {
             if (plan[i].second)
                 co_await ctx.storeAsync(plan[i].first);
@@ -146,7 +150,8 @@ TEST(RuntimeSmoke2, CacheInvariantsHoldAfterMixedTraffic)
                 co_await ctx.loadAsync(plan[i].first);
         }
         co_await ctx.drain();
-    });
+    };
+    rt.spawnThreads(4, kernel);
     rt.run();
     sys.caches().checkInvariants();
 }
@@ -171,7 +176,7 @@ TEST(RuntimeSmoke2, HashProbeReturnsMatchAndNext)
     sys.memory().write(b1, bucket1);
 
     bool done = false;
-    rt.spawn(0, [&](Ctx &ctx) -> Task {
+    const auto kernel = [&](Ctx &ctx) -> Task {
         HashProbeIn in{333};
         // Probe chain: miss in bucket0, follow next, hit in bucket1.
         PimPacket r0 = co_await ctx.pei(PeiOpcode::HashProbe, b0, &in,
@@ -184,7 +189,8 @@ TEST(RuntimeSmoke2, HashProbeReturnsMatchAndNext)
                                         sizeof(in));
         EXPECT_EQ(r1.output[8], 1);
         done = true;
-    });
+    };
+    rt.spawn(0, kernel);
     rt.run();
     EXPECT_TRUE(done);
 }

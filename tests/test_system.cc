@@ -29,21 +29,21 @@ runMix(const SystemConfig &cfg, std::uint64_t seed,
     Runtime rt(sys);
     const std::uint64_t n = 1 << 12;
     const Addr arr = rt.allocArray<std::uint64_t>(n);
-    rt.spawnThreads(sys.numCores(),
-                    [&, seed](Ctx &ctx, unsigned tid, unsigned) -> Task {
-                        Rng rng(seed * 97 + tid);
-                        for (int i = 0; i < 2000; ++i) {
-                            const Addr a = arr + 8 * rng.below(n);
-                            if (rng.chance(0.5))
-                                co_await ctx.inc64(a);
-                            else if (rng.chance(0.5))
-                                co_await ctx.loadAsync(a);
-                            else
-                                co_await ctx.storeAsync(a);
-                        }
-                        co_await ctx.pfence();
-                        co_await ctx.drain();
-                    });
+    const auto kernel = [&, seed](Ctx &ctx, unsigned tid, unsigned) -> Task {
+        Rng rng(seed * 97 + tid);
+        for (int i = 0; i < 2000; ++i) {
+            const Addr a = arr + 8 * rng.below(n);
+            if (rng.chance(0.5))
+                co_await ctx.inc64(a);
+            else if (rng.chance(0.5))
+                co_await ctx.loadAsync(a);
+            else
+                co_await ctx.storeAsync(a);
+        }
+        co_await ctx.pfence();
+        co_await ctx.drain();
+    };
+    rt.spawnThreads(sys.numCores(), kernel);
     const Tick t = rt.run();
     // stats-v2 audit: every run must end with consistent accounting
     // (directory balance, PEI conservation, cache hit/miss totals).
@@ -63,13 +63,13 @@ TEST(SystemProperties, PeiLatencyHistogramsAndRunRecord)
     Runtime rt(sys);
     const std::uint64_t n = 1 << 10;
     const Addr arr = rt.allocArray<std::uint64_t>(n);
-    rt.spawnThreads(sys.numCores(),
-                    [&](Ctx &ctx, unsigned tid, unsigned) -> Task {
-                        Rng rng(tid + 1);
-                        for (int i = 0; i < 500; ++i)
-                            co_await ctx.inc64(arr + 8 * rng.below(n));
-                        co_await ctx.drain();
-                    });
+    const auto kernel = [&](Ctx &ctx, unsigned tid, unsigned) -> Task {
+        Rng rng(tid + 1);
+        for (int i = 0; i < 500; ++i)
+            co_await ctx.inc64(arr + 8 * rng.below(n));
+        co_await ctx.drain();
+    };
+    rt.spawnThreads(sys.numCores(), kernel);
     rt.run();
 
     StatRegistry &st = sys.stats();
@@ -137,12 +137,12 @@ TEST_P(GeometrySweep, AtomicityHoldsAcrossMemoryGeometries)
     System sys(cfg);
     Runtime rt(sys);
     const Addr hot = rt.allocArray<std::uint64_t>(4);
-    rt.spawnThreads(sys.numCores(),
-                    [&](Ctx &ctx, unsigned tid, unsigned) -> Task {
-                        for (int i = 0; i < 300; ++i)
-                            co_await ctx.inc64(hot + 8 * (tid % 4));
-                        co_await ctx.drain();
-                    });
+    const auto kernel = [&](Ctx &ctx, unsigned tid, unsigned) -> Task {
+        for (int i = 0; i < 300; ++i)
+            co_await ctx.inc64(hot + 8 * (tid % 4));
+        co_await ctx.drain();
+    };
+    rt.spawnThreads(sys.numCores(), kernel);
     rt.run();
     std::uint64_t total = 0;
     for (int i = 0; i < 4; ++i)
@@ -215,11 +215,12 @@ TEST(SystemProperties, HostOnlyNeverOffloadsPimOnlyAlwaysDoes)
         System sys(smallConfig(ExecMode::HostOnly));
         Runtime rt(sys);
         const Addr a = rt.allocArray<std::uint64_t>(1024);
-        rt.spawn(0, [&](Ctx &ctx) -> Task {
+        const auto kernel = [&](Ctx &ctx) -> Task {
             for (int i = 0; i < 512; ++i)
                 co_await ctx.inc64(a + 8 * (i * 2 % 1024));
             co_await ctx.drain();
-        });
+        };
+        rt.spawn(0, kernel);
         rt.run();
         EXPECT_EQ(sys.pmu().peisMem(), 0u);
         EXPECT_EQ(sys.pmu().peisHost(), 512u);
@@ -228,11 +229,12 @@ TEST(SystemProperties, HostOnlyNeverOffloadsPimOnlyAlwaysDoes)
         System sys(smallConfig(ExecMode::PimOnly));
         Runtime rt(sys);
         const Addr a = rt.allocArray<std::uint64_t>(1024);
-        rt.spawn(0, [&](Ctx &ctx) -> Task {
+        const auto kernel = [&](Ctx &ctx) -> Task {
             for (int i = 0; i < 512; ++i)
                 co_await ctx.inc64(a + 8 * (i * 2 % 1024));
             co_await ctx.drain();
-        });
+        };
+        rt.spawn(0, kernel);
         rt.run();
         EXPECT_EQ(sys.pmu().peisHost(), 0u);
         EXPECT_EQ(sys.pmu().peisMem(), 512u);
@@ -247,14 +249,13 @@ TEST(SystemProperties, LocalityAwareSplitsByWorkingSet)
         System sys(cfg);
         Runtime rt(sys);
         const Addr a = rt.allocArray<std::uint64_t>(words);
-        rt.spawnThreads(sys.numCores(),
-                        [&](Ctx &ctx, unsigned tid, unsigned) -> Task {
-                            Rng rng(tid + 17);
-                            for (int i = 0; i < 4000; ++i)
-                                co_await ctx.inc64(a +
-                                                   8 * rng.below(words));
-                            co_await ctx.drain();
-                        });
+        const auto kernel = [&](Ctx &ctx, unsigned tid, unsigned) -> Task {
+            Rng rng(tid + 17);
+            for (int i = 0; i < 4000; ++i)
+                co_await ctx.inc64(a + 8 * rng.below(words));
+            co_await ctx.drain();
+        };
+        rt.spawnThreads(sys.numCores(), kernel);
         rt.run();
         const double total = static_cast<double>(sys.pmu().peisHost() +
                                                  sys.pmu().peisMem());
@@ -275,7 +276,7 @@ TEST(SystemProperties, PfenceCoversTlbDeferredWriters)
     // Counters spread across many pages.
     const Addr a = rt.allocArray<std::uint64_t>(1 << 16);
     bool checked = false;
-    rt.spawn(0, [&](Ctx &ctx) -> Task {
+    const auto kernel = [&](Ctx &ctx) -> Task {
         for (int i = 0; i < 64; ++i)
             co_await ctx.inc64(a + 4096 * i); // one per page
         co_await ctx.pfence();
@@ -285,7 +286,8 @@ TEST(SystemProperties, PfenceCoversTlbDeferredWriters)
         EXPECT_EQ(sum, 64u);
         checked = true;
         co_await ctx.drain();
-    });
+    };
+    rt.spawn(0, kernel);
     rt.run();
     EXPECT_TRUE(checked);
 }
@@ -303,18 +305,17 @@ TEST(SystemProperties, BalancedDispatchMovesTrafficToIdleLink)
         Runtime rt(sys);
         const std::uint64_t floats = 1 << 18; // 1 MB of points
         const Addr a = rt.allocArray<float>(floats);
-        rt.spawnThreads(
-            sys.numCores(),
-            [&](Ctx &ctx, unsigned tid, unsigned n) -> Task {
-                const std::uint64_t blocks = floats / 16;
-                float center[16] = {};
-                for (std::uint64_t b = tid; b < blocks; b += n) {
-                    co_await ctx.peiAsync(PeiOpcode::EuclidDist,
-                                          a + 64 * b, center,
-                                          sizeof(center));
-                }
-                co_await ctx.drain();
-            });
+        const auto kernel = [&](Ctx &ctx, unsigned tid, unsigned n) -> Task {
+            const std::uint64_t blocks = floats / 16;
+            float center[16] = {};
+            for (std::uint64_t b = tid; b < blocks; b += n) {
+                co_await ctx.peiAsync(PeiOpcode::EuclidDist,
+                                      a + 64 * b, center,
+                                      sizeof(center));
+            }
+            co_await ctx.drain();
+        };
+        rt.spawnThreads(sys.numCores(), kernel);
         rt.run();
         const double req =
             static_cast<double>(sys.mem().requestBytes());
@@ -332,14 +333,15 @@ TEST(SystemProperties, WindowLimitsInFlightOps)
     System sys(cfg);
     Runtime rt(sys);
     const Addr a = rt.allocArray<std::uint64_t>(1 << 12);
-    rt.spawn(0, [&](Ctx &ctx) -> Task {
+    const auto kernel = [&](Ctx &ctx) -> Task {
         for (int i = 0; i < 256; ++i) {
             co_await ctx.loadAsync(a + 64 * (i % (1 << 6)));
             EXPECT_LE(ctx.core().inFlight(), 2u);
         }
         co_await ctx.drain();
         EXPECT_EQ(ctx.core().inFlight(), 0u);
-    });
+    };
+    rt.spawn(0, kernel);
     rt.run();
     EXPECT_GT(sys.stats().get("core0.window_stalls"), 0u);
 }

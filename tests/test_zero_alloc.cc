@@ -16,9 +16,10 @@
  *    steady-state window, because every per-operation record lives
  *    in a SlotPool and every callback is an inline Continuation;
  *  - a miss-heavy locality-aware segment (the fig06-small regime)
- *    is bounded loosely instead: DRAM vault request deques and MSHR
- *    map nodes still allocate per miss by design, but the rate must
- *    stay far below one allocation per event.
+ *    is bounded instead: the TLB, page table and MSHR files are
+ *    fixed arrays, but the DRAM request deques and the MSHR waiter
+ *    vectors still allocate per miss, so the rate must stay below
+ *    0.08 allocations per event.
  */
 
 #include <gtest/gtest.h>
@@ -234,10 +235,11 @@ TEST(ZeroAlloc, MissHeavySegmentStaysFarBelowOneAllocPerEvent)
 {
     // The fig06-small regime: a locality-aware machine with a working
     // set far past L3, so PEIs split between host execution (cache
-    // misses -> MSHR map nodes) and memory-side offload (vault
+    // misses -> MSHR waiter vectors) and memory-side offload (vault
     // request deques).  Those residual containers allocate per miss
-    // by design; the refactor's claim here is a rate bound, not
-    // exact zero.
+    // by design, so the bound is a rate, not exact zero.  It sits
+    // above today's 0.047 and below the 0.12 that per-miss MSHR map
+    // nodes cost.
     SystemConfig cfg = SystemConfig::scaled(ExecMode::LocalityAware);
     cfg.cores = 4;
     cfg.phys_bytes = 256ULL << 20;
@@ -261,7 +263,7 @@ TEST(ZeroAlloc, MissHeavySegmentStaysFarBelowOneAllocPerEvent)
     const double events = static_cast<double>(
         sys.eventQueue().executedCount() - events_before);
     ASSERT_GT(events, 100000.0);
-    EXPECT_LT(allocs / events, 0.2)
+    EXPECT_LT(allocs / events, 0.08)
         << allocs << " allocations over " << events << " events";
 }
 
