@@ -150,8 +150,9 @@ void
 BM_EventQueueSchedulingChurn(benchmark::State &state)
 {
     // Mixed schedule/partial-drain/schedule cycles: slots churn
-    // through the freelist mid-heap instead of draining cleanly, the
-    // pattern the cache hierarchy and PMU produce under load.
+    // through the freelist while other events are still pending
+    // instead of draining cleanly, the pattern the cache hierarchy
+    // and PMU produce under load.
     EventQueue eq;
     Rng rng(11);
     std::uint64_t sink = 0;
@@ -214,6 +215,29 @@ BM_CacheArrayFindHit(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_CacheArrayFindHit);
+
+void
+BM_CacheArrayFindMiss(benchmark::State &state)
+{
+    // Every set full and every probe absent, so each lookup compares
+    // all 16 ways of its set; a hit stops at its way.
+    CacheArray array(1 << 20, 16);
+    Rng rng(3);
+    for (std::uint64_t i = 0; i < 4 * (1 << 20) / block_size; ++i) {
+        const Addr block = rng.next() >> 20;
+        array.fill(array.victim(block), block, MesiState::Shared);
+    }
+    std::vector<Addr> blocks;
+    for (int i = 0; i < 4096; ++i)
+        blocks.push_back((rng.next() >> 20) | (Addr{1} << 44));
+    std::size_t i = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(array.find(blocks[i]));
+        i = (i + 1) % blocks.size();
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_CacheArrayFindMiss);
 
 void
 BM_TlbAccess(benchmark::State &state)

@@ -6,6 +6,10 @@
  * The array tracks tags and coherence state only; functional data
  * lives in the backing store (VirtualMemory), which is the standard
  * decoupled functional/timing split for this class of simulator.
+ *
+ * Each way's block address and LRU stamp sit in dense per-way
+ * arrays, apart from the rest of its state, so a lookup or victim
+ * pick scans only 8 bytes per way.
  */
 
 #ifndef PEISIM_CACHE_CACHE_ARRAY_HH
@@ -43,23 +47,24 @@ mesiName(MesiState s)
     return "?";
 }
 
-/** One cache line's metadata. */
+/**
+ * One cache line's state.  Its block address and LRU stamp live in
+ * the owning CacheArray (CacheArray::blockOf).
+ */
 struct CacheLine
 {
-    Addr block = invalid_addr; ///< full block address (paddr >> 6)
-    bool valid = false;
-    bool dirty = false;
-    MesiState state = MesiState::Invalid; ///< private caches only
-    std::uint64_t last_use = 0;
-
     // Directory fields (shared L3 only).
     std::uint32_t sharers = 0; ///< bitmask of cores with a copy
     std::int8_t owner = -1;    ///< core holding E/M, or -1
+
+    bool dirty = false;
+    MesiState state = MesiState::Invalid; ///< private caches only
 };
 
 /**
  * A set-associative array of CacheLine indexed by block address.
- * Block addresses are full physical addresses shifted by block_shift.
+ * Block addresses are full physical addresses shifted by block_shift,
+ * so none equals invalid_addr, which marks an empty way.
  */
 class CacheArray
 {
@@ -67,7 +72,9 @@ class CacheArray
     CacheArray(std::uint64_t capacity_bytes, unsigned ways)
         : ways(ways),
           sets(static_cast<unsigned>(capacity_bytes / block_size / ways)),
-          lines(static_cast<std::size_t>(sets) * ways)
+          tags(static_cast<std::size_t>(sets) * ways, invalid_addr),
+          stamps(tags.size(), 0),
+          lines(tags.size())
     {
         fatal_if(ways == 0 || sets == 0 || !isPowerOf2(sets),
                  "bad cache geometry: %llu bytes, %u ways",
@@ -88,50 +95,48 @@ class CacheArray
     CacheLine *
     find(Addr block)
     {
-        CacheLine *base = &lines[static_cast<std::size_t>(setIndex(block)) * ways];
+        const std::size_t base = firstWay(block);
         for (unsigned w = 0; w < ways; ++w) {
-            if (base[w].valid && base[w].block == block)
-                return &base[w];
+            if (tags[base + w] == block)
+                return &lines[base + w];
         }
         return nullptr;
     }
 
+    /** Block held by @p line, or invalid_addr if it is invalid. */
+    Addr blockOf(const CacheLine &line) const { return tags[wayOf(line)]; }
+
     /** Promote @p line to most-recently-used. */
-    void
-    touch(CacheLine &line)
-    {
-        line.last_use = ++use_clock;
-    }
+    void touch(CacheLine &line) { stamps[wayOf(line)] = ++use_clock; }
 
     /**
-     * Choose a victim way in @p block's set: an invalid line if any,
-     * else the LRU line.  The caller handles eviction of a valid
-     * victim before reusing it.
+     * Choose a victim way in @p block's set: the first invalid line
+     * if any, else the LRU line.  The caller handles eviction of a
+     * valid victim before reusing it.
      */
     CacheLine &
     victim(Addr block)
     {
-        CacheLine *base = &lines[static_cast<std::size_t>(setIndex(block)) * ways];
-        CacheLine *lru = &base[0];
+        const std::size_t base = firstWay(block);
         for (unsigned w = 0; w < ways; ++w) {
-            if (!base[w].valid)
-                return base[w];
-            if (base[w].last_use < lru->last_use)
-                lru = &base[w];
+            if (tags[base + w] == invalid_addr)
+                return lines[base + w];
         }
-        return *lru;
+        std::size_t lru = base;
+        for (unsigned w = 1; w < ways; ++w) {
+            if (stamps[base + w] < stamps[lru])
+                lru = base + w;
+        }
+        return lines[lru];
     }
 
     /** Reset @p line to hold @p block (valid, clean, no directory). */
     void
     fill(CacheLine &line, Addr block, MesiState state)
     {
-        line.block = block;
-        line.valid = true;
-        line.dirty = false;
+        tags[wayOf(line)] = block;
+        line = CacheLine{};
         line.state = state;
-        line.sharers = 0;
-        line.owner = -1;
         touch(line);
     }
 
@@ -139,38 +144,38 @@ class CacheArray
     void
     invalidate(CacheLine &line)
     {
-        line.valid = false;
-        line.dirty = false;
-        line.state = MesiState::Invalid;
-        line.sharers = 0;
-        line.owner = -1;
-        line.block = invalid_addr;
+        tags[wayOf(line)] = invalid_addr;
+        line = CacheLine{};
     }
 
-    /** Count of valid lines (test/debug helper; O(capacity)). */
-    std::size_t
-    validCount() const
-    {
-        std::size_t n = 0;
-        for (const auto &l : lines)
-            n += l.valid;
-        return n;
-    }
-
-    /** Invoke @p fn on every valid line (test/debug helper). */
+    /** Invoke `fn(block, line)` on every valid line (test/debug helper). */
     template <typename Fn>
     void
     forEachValid(Fn &&fn) const
     {
-        for (const auto &l : lines) {
-            if (l.valid)
-                fn(l);
+        for (std::size_t i = 0; i < tags.size(); ++i) {
+            if (tags[i] != invalid_addr)
+                fn(tags[i], lines[i]);
         }
     }
 
   private:
+    std::size_t
+    firstWay(Addr block) const
+    {
+        return static_cast<std::size_t>(setIndex(block)) * ways;
+    }
+
+    std::size_t
+    wayOf(const CacheLine &line) const
+    {
+        return static_cast<std::size_t>(&line - lines.data());
+    }
+
     unsigned ways;
     unsigned sets;
+    std::vector<Addr> tags;            ///< per way; invalid_addr if empty
+    std::vector<std::uint64_t> stamps; ///< per way: last-use clock
     std::vector<CacheLine> lines;
     std::uint64_t use_clock = 0;
 };

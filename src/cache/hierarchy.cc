@@ -336,8 +336,8 @@ CacheHierarchy::fillPrivate(unsigned core, Addr block, MesiState state)
     CacheLine *l2line = pc.l2.find(block);
     if (!l2line) {
         CacheLine &v = pc.l2.victim(block);
-        if (v.valid) {
-            const Addr vblock = v.block;
+        const Addr vblock = pc.l2.blockOf(v);
+        if (vblock != invalid_addr) {
             // Inclusive: purge the L1 copy, merging dirtiness down.
             CacheLine *vl1 = pc.l1.find(vblock);
             bool vdirty = v.dirty;
@@ -368,11 +368,13 @@ CacheHierarchy::fillPrivate(unsigned core, Addr block, MesiState state)
     CacheLine *l1line = pc.l1.find(block);
     if (!l1line) {
         CacheLine &v = pc.l1.victim(block);
-        if (v.valid && v.dirty) {
-            // Merge dirty data into the L2 copy (present by inclusion).
-            CacheLine *vl2 = pc.l2.find(v.block);
+        if (v.dirty) {
+            // Merge dirty data into the L2 copy (present by inclusion;
+            // only a valid line is ever dirty).
+            const Addr vblock = pc.l1.blockOf(v);
+            CacheLine *vl2 = pc.l2.find(vblock);
             panic_if(!vl2, "L1 victim 0x%llx missing from inclusive L2",
-                     static_cast<unsigned long long>(v.block));
+                     static_cast<unsigned long long>(vblock));
             vl2->dirty = true;
         }
         pc.l1.fill(v, block, state);
@@ -420,8 +422,8 @@ CacheLine &
 CacheHierarchy::insertL3(Addr block)
 {
     CacheLine &v = l3.victim(block);
-    if (v.valid) {
-        const Addr vblock = v.block;
+    const Addr vblock = l3.blockOf(v);
+    if (vblock != invalid_addr) {
         bool dirty = v.dirty;
         // Inclusive policy: back-invalidate every private copy.
         for (unsigned c = 0; c < privs.size(); ++c) {
@@ -642,43 +644,42 @@ CacheHierarchy::invariantViolation()
         const std::string who = "core " + std::to_string(c);
 
         // L1 ⊆ L2 with compatible states.
-        pc.l1.forEachValid([&](const CacheLine &l1line) {
-            if (!pc.l2.find(l1line.block)) {
-                record(who + ": L1 block " + blockStr(l1line.block) +
+        pc.l1.forEachValid([&](Addr block, const CacheLine &) {
+            if (!pc.l2.find(block)) {
+                record(who + ": L1 block " + blockStr(block) +
                        " not in L2");
             }
         });
 
         // L2 ⊆ L3 with directory agreement.
-        pc.l2.forEachValid([&](const CacheLine &l2line) {
-            CacheLine *l3line = l3.find(l2line.block);
+        pc.l2.forEachValid([&](Addr block, const CacheLine &l2line) {
+            CacheLine *l3line = l3.find(block);
             if (!l3line) {
-                record(who + ": L2 block " + blockStr(l2line.block) +
+                record(who + ": L2 block " + blockStr(block) +
                        " not in L3");
                 return;
             }
             if (!(l3line->sharers & (1u << c))) {
-                record(who + " not in sharer set of " +
-                       blockStr(l2line.block));
+                record(who + " not in sharer set of " + blockStr(block));
             }
             if ((l2line.state == MesiState::Exclusive ||
                  l2line.state == MesiState::Modified) &&
                 l3line->owner != static_cast<std::int8_t>(c)) {
                 record(who + " holds " + mesiName(l2line.state) + " on " +
-                       blockStr(l2line.block) + " but L3 owner is " +
+                       blockStr(block) + " but L3 owner is " +
                        std::to_string(static_cast<int>(l3line->owner)));
             }
         });
     }
 
     // Directory sharer bits only reference cores that hold the block.
-    l3.forEachValid([&](const CacheLine &l3line) {
+    l3.forEachValid([&](Addr block, const CacheLine &l3line) {
         for (unsigned c = 0; c < privs.size(); ++c) {
             if (!(l3line.sharers & (1u << c)))
                 continue;
-            if (!privs[c].l2.find(l3line.block)) {
+            if (!privs[c].l2.find(block)) {
                 record("stale sharer bit: core " + std::to_string(c) +
-                       " on block " + blockStr(l3line.block));
+                       " on block " + blockStr(block));
             }
         }
     });

@@ -117,21 +117,21 @@ class CacheHierarchy
     void
     forEachCachedBlock(Fn &&fn)
     {
-        l3.forEachValid([&](const CacheLine &line) {
+        l3.forEachValid([&](Addr block, const CacheLine &line) {
             bool dirty = line.dirty;
             for (unsigned c = 0; c < privs.size() && !dirty; ++c) {
                 if (!(line.sharers & (1u << c)))
                     continue;
-                CacheLine *l1 = privs[c].l1.find(line.block);
+                CacheLine *l1 = privs[c].l1.find(block);
                 if (l1 && l1->dirty) {
                     dirty = true;
                     break;
                 }
-                CacheLine *l2 = privs[c].l2.find(line.block);
+                CacheLine *l2 = privs[c].l2.find(block);
                 if (l2 && l2->dirty)
                     dirty = true;
             }
-            fn(line.block, dirty);
+            fn(block, dirty);
         });
     }
 

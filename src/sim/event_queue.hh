@@ -6,22 +6,38 @@
  * scheduled for the same tick execute in scheduling order (FIFO),
  * which keeps simulations fully deterministic.
  *
- * Storage layout: the binary heap holds 24-byte EventRef PODs
- * (tick, seq, slot) while the continuations themselves live in a
- * SlotPool slab arena addressed by slot.  Heap sift operations move
- * only PODs, arena slots are recycled through a freelist, and the
- * callables are allocation-free InlineFunctions — so a steady-state
- * schedule/execute cycle touches the heap allocator exactly zero
- * times.  Ordering is unaffected: the (tick, seq) key is identical
- * to a naive heap of fat nodes, which tests/test_event_queue.cc
- * drives op-for-op against this queue as the ordering reference.
+ * Storage layout: a hashed timing wheel (Varghese & Lauck, SOSP
+ * 1987) of 256 per-tick FIFO buckets holds every event due within
+ * 256 ticks of now, which is nearly all of them; a binary heap of
+ * 24-byte (tick, seq, slot) PODs holds only the events further out.
+ * Scheduling into the window is an O(1) append, and the next event
+ * is the head of the first occupied bucket, found with a bitmap
+ * scan.  When time advances to t, every heap event due before
+ * t + 256 moves into its bucket in (tick, seq) order.
+ *
+ * The continuations themselves live in a SlotPool slab arena
+ * addressed by slot; each 64-byte arena record also holds the link
+ * to the next record in its bucket.  Arena slots are recycled
+ * through a freelist and the callables are allocation-free
+ * InlineFunctions, so a steady-state schedule/execute cycle touches
+ * the heap allocator exactly zero times.
+ *
+ * Ordering is exactly the (tick, seq) order of a plain heap: a heap
+ * event for tick T was scheduled before T entered the window, so
+ * before any event scheduled straight into T's bucket, and the heap
+ * releases same-tick events in seq order; so every bucket is in
+ * scheduling order.  tests/test_event_queue.cc drives this queue
+ * op-for-op against a naive heap of fat nodes as the ordering
+ * reference.
  */
 
 #ifndef PEISIM_SIM_EVENT_QUEUE_HH
 #define PEISIM_SIM_EVENT_QUEUE_HH
 
 #include <algorithm>
+#include <array>
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <functional> // stdfunction-allowed: cold boundary-probe hook only
 #include <stdexcept>
@@ -94,15 +110,19 @@ class EventQueue
                  static_cast<unsigned long long>(when),
                  static_cast<unsigned long long>(cur_tick));
         const std::uint32_t slot = arena.emplace(std::move(fn));
-        events.push_back(Event{when, next_seq++, slot});
-        std::push_heap(events.begin(), events.end(), Later{});
+        if (when - cur_tick < wheel_span) {
+            append(when, slot);
+        } else {
+            far.push_back(FarEvent{when, next_seq++, slot});
+            std::push_heap(far.begin(), far.end(), Later{});
+        }
     }
 
     /** True if no events are pending. */
-    bool empty() const { return events.empty(); }
+    bool empty() const { return wheel_count == 0 && far.empty(); }
 
     /** Number of pending events. */
-    std::size_t size() const { return events.size(); }
+    std::size_t size() const { return wheel_count + far.size(); }
 
     /**
      * Pop and execute the next event, advancing time to it.
@@ -111,17 +131,29 @@ class EventQueue
     bool
     runOne()
     {
-        if (events.empty())
-            return false;
-        // pop_heap moves the front event to the back, where it can be
-        // moved from without casting away constness.  The callback
-        // may schedule new events, so extract it fully first.
-        std::pop_heap(events.begin(), events.end(), Later{});
-        const Event ev = events.back();
-        events.pop_back();
-        cur_tick = ev.when;
-        Continuation fn = std::move(arena[ev.slot]);
-        arena.erase(ev.slot);
+        if (wheel_count == 0) {
+            if (far.empty())
+                return false;
+            // Only far events remain: jump straight to the first.
+            advanceTo(far.front().when);
+        }
+        const unsigned b = nextBucket();
+        const Tick when =
+            cur_tick + ((b - static_cast<unsigned>(cur_tick)) & wheel_mask);
+        if (when != cur_tick)
+            advanceTo(when);
+
+        // The callback may schedule new events, so unlink it and
+        // extract it fully first.
+        const std::uint32_t slot = head[b];
+        Node &node = arena[slot];
+        if (node.next == none)
+            occupied[b >> 6] &= ~(std::uint64_t{1} << (b & 63));
+        else
+            head[b] = node.next;
+        --wheel_count;
+        Continuation fn = std::move(node.fn);
+        arena.erase(slot);
         fn();
         ++executed_count;
         if (probe && executed_count % probe_every == 0)
@@ -185,7 +217,7 @@ class EventQueue
     run()
     {
         RunOutcome out;
-        while (!events.empty()) {
+        while (!empty()) {
             if ((out.executed & (stop_check_interval - 1)) == 0 &&
                 stopRequested()) {
                 out.why = RunBreak::Stopped;
@@ -234,8 +266,26 @@ class EventQueue
     }
 
   private:
-    /** POD heap node; the continuation lives in the slab arena. */
-    struct Event
+    /** Width of the wheel in ticks: one bucket per tick. */
+    static constexpr unsigned wheel_span = 256;
+    static constexpr unsigned wheel_mask = wheel_span - 1;
+    static constexpr unsigned wheel_words = wheel_span / 64;
+    static constexpr std::uint32_t none = ~std::uint32_t{0};
+
+    /**
+     * Arena record: a pending continuation plus, while it waits in a
+     * wheel bucket, the slot of the next record in that bucket.
+     */
+    struct Node
+    {
+        explicit Node(Continuation &&f) : fn(std::move(f)) {}
+
+        Continuation fn;
+        std::uint32_t next = none;
+    };
+
+    /** POD far-heap node; the continuation lives in the slab arena. */
+    struct FarEvent
     {
         Tick when;
         std::uint64_t seq;
@@ -247,7 +297,7 @@ class EventQueue
     struct Later
     {
         bool
-        operator()(const Event &a, const Event &b) const
+        operator()(const FarEvent &a, const FarEvent &b) const
         {
             if (a.when != b.when)
                 return a.when > b.when;
@@ -255,10 +305,65 @@ class EventQueue
         }
     };
 
-    std::vector<Event> events; ///< binary heap ordered by Later
-    SlotPool<Continuation> arena; ///< pending-event continuations
+    /** Append @p slot to the bucket of tick @p when (in the window). */
+    void
+    append(Tick when, std::uint32_t slot)
+    {
+        const unsigned b = static_cast<unsigned>(when) & wheel_mask;
+        const std::uint64_t bit = std::uint64_t{1} << (b & 63);
+        if (occupied[b >> 6] & bit) {
+            arena[tail[b]].next = slot;
+        } else {
+            head[b] = slot;
+            occupied[b >> 6] |= bit;
+        }
+        tail[b] = slot;
+        ++wheel_count;
+    }
+
+    /**
+     * Advance time to @p t and move every far event now inside the
+     * window into its bucket.  Callers only advance to a tick whose
+     * earlier window ticks have all run, so those buckets hold no
+     * events yet and the migrated ones keep their (tick, seq) order
+     * ahead of anything scheduled later.  No far event is due before
+     * @p t, so the subtraction cannot wrap.
+     */
+    void
+    advanceTo(Tick t)
+    {
+        cur_tick = t;
+        while (!far.empty() && far.front().when - t < wheel_span) {
+            std::pop_heap(far.begin(), far.end(), Later{});
+            const FarEvent ev = far.back();
+            far.pop_back();
+            append(ev.when, ev.slot);
+        }
+    }
+
+    /** First occupied bucket at or after now's, circularly (the
+     *  wheel must hold at least one event). */
+    unsigned
+    nextBucket() const
+    {
+        const unsigned start = static_cast<unsigned>(cur_tick) & wheel_mask;
+        unsigned w = start >> 6;
+        std::uint64_t bits = occupied[w] & (~std::uint64_t{0} << (start & 63));
+        while (bits == 0) {
+            w = (w + 1) & (wheel_words - 1);
+            bits = occupied[w];
+        }
+        return (w << 6) | static_cast<unsigned>(std::countr_zero(bits));
+    }
+
+    std::array<std::uint32_t, wheel_span> head{}; ///< first slot per bucket
+    std::array<std::uint32_t, wheel_span> tail{}; ///< last slot per bucket
+    std::array<std::uint64_t, wheel_words> occupied{}; ///< bucket bitmap
+    std::size_t wheel_count = 0;  ///< events in the wheel
+    std::vector<FarEvent> far;    ///< binary heap ordered by Later
+    SlotPool<Node> arena;         ///< pending-event records
     Tick cur_tick = 0;
-    std::uint64_t next_seq = 0;
+    std::uint64_t next_seq = 0;   ///< far-heap FIFO tie-break
     std::uint64_t executed_count = 0;
     std::atomic<bool> stop_requested_{false};
     EventFn probe;                 ///< event-boundary invariant probe

@@ -232,7 +232,120 @@ TEST_F(CacheFixture, LruVictimIsLeastRecentlyUsed)
     array.fill(array.victim(b), b, MesiState::Shared);
     array.touch(*array.find(a)); // b becomes LRU
     CacheLine &v = array.victim(c);
-    EXPECT_EQ(v.block, b);
+    EXPECT_EQ(array.blockOf(v), b);
+}
+
+/**
+ * CacheArray's earlier layout, as a reference: block, valid bit and
+ * LRU stamp inline in each line, with the same first-invalid-way
+ * preference and minimum-stamp victim.  Lines are named by index.
+ */
+class LineScanArray
+{
+  public:
+    LineScanArray(unsigned sets, unsigned ways)
+        : sets(sets), ways(ways), lines(std::size_t{sets} * ways)
+    {}
+
+    /** Index of the valid line holding @p block, or -1. */
+    long
+    find(Addr block) const
+    {
+        const std::size_t base = (block & (sets - 1)) * ways;
+        for (unsigned w = 0; w < ways; ++w) {
+            if (lines[base + w].valid && lines[base + w].block == block)
+                return static_cast<long>(base + w);
+        }
+        return -1;
+    }
+
+    std::size_t
+    victim(Addr block) const
+    {
+        const std::size_t base = (block & (sets - 1)) * ways;
+        std::size_t lru = base;
+        for (unsigned w = 0; w < ways; ++w) {
+            if (!lines[base + w].valid)
+                return base + w;
+            if (lines[base + w].last_use < lines[lru].last_use)
+                lru = base + w;
+        }
+        return lru;
+    }
+
+    Addr blockAt(std::size_t i) const { return lines[i].block; }
+    void touch(std::size_t i) { lines[i].last_use = ++use_clock; }
+
+    void
+    fill(std::size_t i, Addr block)
+    {
+        lines[i].block = block;
+        lines[i].valid = true;
+        touch(i);
+    }
+
+    void
+    invalidate(std::size_t i)
+    {
+        lines[i].block = invalid_addr;
+        lines[i].valid = false;
+    }
+
+  private:
+    struct Line
+    {
+        Addr block = invalid_addr;
+        bool valid = false;
+        std::uint64_t last_use = 0;
+    };
+
+    unsigned sets;
+    unsigned ways;
+    std::vector<Line> lines;
+    std::uint64_t use_clock = 0;
+};
+
+TEST(CacheArray, MatchesLineScanReferenceOpForOp)
+{
+    // Seeded streams of lookups (half of hits touch), victim picks
+    // with fills, and invalidations over three times as many blocks
+    // as the array holds, so sets stay full and victims are real LRU
+    // picks.  Every lookup and every victim's block must agree.
+    constexpr unsigned sets = 8;
+    for (unsigned ways : {1u, 2u, 4u, 16u}) {
+        for (std::uint64_t seed : {1u, 2u, 3u}) {
+            SCOPED_TRACE(::testing::Message()
+                         << ways << " ways, seed " << seed);
+            CacheArray array(std::uint64_t{sets} * ways * block_size, ways);
+            LineScanArray ref(sets, ways);
+            Rng rng(seed);
+            const std::uint64_t universe = 3 * sets * ways;
+            for (int op = 0; op < 20000; ++op) {
+                const Addr block = 0x4000 + rng.below(universe);
+                CacheLine *line = array.find(block);
+                const long ref_line = ref.find(block);
+                ASSERT_EQ(line != nullptr, ref_line >= 0)
+                    << "find of block " << block << " at op " << op;
+                if (line) {
+                    ASSERT_EQ(array.blockOf(*line), block);
+                    if (rng.below(4) == 0) {
+                        array.invalidate(*line);
+                        ref.invalidate(static_cast<std::size_t>(ref_line));
+                    } else if (rng.below(2) == 0) {
+                        array.touch(*line);
+                        ref.touch(static_cast<std::size_t>(ref_line));
+                    }
+                    continue;
+                }
+                CacheLine &v = array.victim(block);
+                const std::size_t ref_v = ref.victim(block);
+                ASSERT_EQ(array.blockOf(v), ref.blockAt(ref_v))
+                    << "victim for block " << block << " at op " << op;
+                array.fill(v, block, MesiState::Shared);
+                ref.fill(ref_v, block);
+            }
+        }
+    }
 }
 
 class CacheGeometry

@@ -9,10 +9,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <functional> // stdfunction-allowed: naive reference queue under test
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hh"
@@ -205,23 +207,27 @@ class NaiveReferenceQueue
  * Deterministic event cascade: each event logs its id and spawns
  * children by fixed arithmetic rules, mixing same-tick (delay 0)
  * bursts with short delays so FIFO tie-breaking, nested scheduling,
- * and slab-slot reuse all get exercised.
+ * and slab-slot reuse all get exercised.  Delays are (id % 5) *
+ * @p stride, so a stride of 64 or more also sends events beyond the
+ * queue's 256-tick wheel.
  */
 template <typename Queue>
 void
 spawnCascade(Queue &q, std::vector<std::uint64_t> &log, std::uint64_t id,
-             int depth)
+             int depth, Ticks stride)
 {
-    q.schedule(id % 5, [&q, &log, id, depth] {
+    q.schedule(id % 5 * stride, [&q, &log, id, depth, stride] {
         log.push_back(id);
         if (depth < 3 && id % 3 == 0)
-            spawnCascade(q, log, id * 7 + 1, depth + 1);
+            spawnCascade(q, log, id * 7 + 1, depth + 1, stride);
         if (depth < 3 && id % 4 == 1)
-            spawnCascade(q, log, id * 11 + 2, depth + 1);
+            spawnCascade(q, log, id * 11 + 2, depth + 1, stride);
     });
 }
 
-TEST(EventQueue, MatchesNaiveReferenceQueueOpForOp)
+/** Drive both queues op-for-op with cascades of delay @p stride. */
+void
+expectMatchesNaiveReference(Ticks stride)
 {
     EventQueue arena_q;
     NaiveReferenceQueue naive_q;
@@ -235,10 +241,10 @@ TEST(EventQueue, MatchesNaiveReferenceQueueOpForOp)
     for (int round = 0; round < 6; ++round) {
         const int burst = 300 + 100 * round; // up to 800 > one chunk
         for (int i = 0; i < burst; ++i, ++id) {
-            spawnCascade(arena_q, arena_log, id, 0);
-            spawnCascade(naive_q, naive_log, id, 0);
+            spawnCascade(arena_q, arena_log, id, 0, stride);
+            spawnCascade(naive_q, naive_log, id, 0, stride);
         }
-        // Partial drain so later rounds reuse freed slots mid-heap.
+        // Partial drain so later rounds reuse freed slots mid-queue.
         for (int i = 0; i < burst / 2; ++i) {
             arena_q.runOne();
             naive_q.runOne();
@@ -253,6 +259,127 @@ TEST(EventQueue, MatchesNaiveReferenceQueueOpForOp)
     // The bursts above outgrow a single 256-slot chunk, so slab
     // growth (not just first-chunk reuse) is covered.
     EXPECT_GT(arena_q.arenaCapacity(), 256u);
+}
+
+TEST(EventQueue, MatchesNaiveReferenceQueueOpForOp)
+{
+    // Stride 1 keeps every delay inside the wheel; stride 130 gives
+    // delays 0, 130, 260, 390 and 520, so events also pass through
+    // the far heap and tie with later direct inserts at one tick.
+    for (Ticks stride : {Ticks{1}, Ticks{130}}) {
+        SCOPED_TRACE(::testing::Message() << "delay stride " << stride);
+        expectMatchesNaiveReference(stride);
+    }
+}
+
+/**
+ * Reschedules itself every tick until @p until, logging each beat,
+ * so the wheel never empties while far events enter the window and
+ * they must migrate rather than wait for a jump.
+ */
+struct Heartbeat
+{
+    EventQueue &eq;
+    Tick until;
+    std::vector<Tick> &ticks;
+
+    void
+    beat()
+    {
+        ticks.push_back(eq.now());
+        if (eq.now() < until)
+            eq.schedule(1, [this] { beat(); });
+    }
+};
+
+/** One labelled event as it ran: (tick, id). */
+using Ran = std::pair<Tick, int>;
+
+TEST(EventQueue, WindowEdgeDelaysRunInTickOrder)
+{
+    // From tick 10, delays 257, 256 and 255 (scheduled in that order)
+    // straddle the wheel's edge: the last lands in a bucket, the
+    // others in the far heap.
+    EventQueue eq;
+    std::vector<Tick> ticks;
+    std::vector<Ran> ran;
+    Heartbeat hb{eq, 400, ticks};
+    eq.schedule(0, [&hb] { hb.beat(); });
+    eq.schedule(10, [&] {
+        for (int d : {257, 256, 255}) {
+            eq.schedule(static_cast<Ticks>(d), [&, d] {
+                ticks.push_back(eq.now());
+                ran.emplace_back(eq.now(), d);
+            });
+        }
+    });
+    eq.run();
+    EXPECT_EQ(ran, (std::vector<Ran>{{265, 255}, {266, 256}, {267, 257}}));
+    EXPECT_TRUE(std::is_sorted(ticks.begin(), ticks.end()))
+        << "time ran backwards";
+    EXPECT_EQ(eq.now(), 400u);
+}
+
+TEST(EventQueue, MigratedEventRunsBeforeLaterSameTickInserts)
+{
+    // Event 0 is scheduled for tick 300 while 300 is beyond the
+    // window, so it waits in the far heap.  Events 1 and 2 target the
+    // same tick after it entered the window, straight into its
+    // bucket.  They run in schedule order: 0, 1, 2.
+    EventQueue eq;
+    std::vector<Tick> ticks;
+    std::vector<Ran> ran;
+    Heartbeat hb{eq, 400, ticks};
+    auto log = [&](int id) {
+        return [&, id] { ran.emplace_back(eq.now(), id); };
+    };
+    eq.schedule(0, [&hb] { hb.beat(); });
+    eq.scheduleAt(300, log(0));
+    eq.scheduleAt(100, [&] { eq.scheduleAt(300, log(1)); });
+    eq.scheduleAt(299, [&] { eq.schedule(1, log(2)); });
+    eq.run();
+    EXPECT_EQ(ran, (std::vector<Ran>{{300, 0}, {300, 1}, {300, 2}}));
+    EXPECT_TRUE(std::is_sorted(ticks.begin(), ticks.end()))
+        << "time ran backwards";
+}
+
+TEST(EventQueue, IdleGapsAndBucketWrapKeepOrder)
+{
+    // With only far events pending, the queue jumps across idle gaps
+    // far longer than the window, up to the last representable tick.
+    // From tick 1000 (bucket 232), +255 lands in bucket 231, the last
+    // one the circular scan reaches, and +30 from there wraps the
+    // index past 255.  Same-tick far events keep their schedule order.
+    EventQueue eq;
+    std::vector<Ran> ran;
+    auto log = [&](int id) {
+        return [&, id] { ran.emplace_back(eq.now(), id); };
+    };
+    eq.scheduleAt(max_tick, log(8));
+    eq.scheduleAt(70000, log(7));
+    eq.scheduleAt(5000, log(5));
+    eq.scheduleAt(1000, [&] {
+        ran.emplace_back(eq.now(), 0);
+        eq.schedule(600, log(4));
+        eq.schedule(255, [&] {
+            ran.emplace_back(eq.now(), 2);
+            eq.schedule(30, log(3));
+        });
+        eq.schedule(0, log(1));
+    });
+    eq.scheduleAt(5000, log(6));
+    eq.run();
+    EXPECT_EQ(ran, (std::vector<Ran>{{1000, 0},
+                                     {1000, 1},
+                                     {1255, 2},
+                                     {1285, 3},
+                                     {1600, 4},
+                                     {5000, 5},
+                                     {5000, 6},
+                                     {70000, 7},
+                                     {max_tick, 8}}));
+    EXPECT_EQ(eq.now(), max_tick);
+    EXPECT_TRUE(eq.empty());
 }
 
 TEST(SlotPool, HandlesAreStableAndFreelistRecycles)

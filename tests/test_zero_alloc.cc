@@ -7,9 +7,9 @@
  * wrappers and measures allocation deltas across event-boundary
  * windows:
  *
- *  - a bare EventQueue schedule/run storm must perform exactly zero
- *    heap allocations once the slab arena has grown to its working
- *    size;
+ *  - a bare EventQueue schedule/run storm, with near and far
+ *    delays, must perform exactly zero heap allocations once the
+ *    slab arena has grown to its working size;
  *  - a Host-only, L1-resident blocking-PEI segment through the full
  *    stack (core window -> TLB -> PMU -> directory -> PCU -> cache
  *    hierarchy -> coroutine resume) must also reach exact zero per
@@ -144,12 +144,18 @@ TEST(ZeroAlloc, EventQueueSteadyStateAllocatesNothing)
 {
     EventQueue eq;
     std::uint64_t sink = 0;
+    // Every fourth event lands 256 ticks or more out, in the far
+    // heap; it migrates into the wheel while near events are still
+    // pending, or on the jump once they have run.
     auto burst = [&] {
-        for (int i = 0; i < 256; ++i)
-            eq.schedule(static_cast<Ticks>(i % 7), [&sink] { ++sink; });
+        for (int i = 0; i < 256; ++i) {
+            const Ticks delay = static_cast<Ticks>(i % 4 == 3 ? 256 + i
+                                                             : i % 7);
+            eq.schedule(delay, [&sink] { ++sink; });
+        }
         eq.run();
     };
-    // Warm up: grow the slab arena and the heap vector to their
+    // Warm up: grow the slab arena and the far-heap vector to their
     // steady working size.
     for (int w = 0; w < 64; ++w)
         burst();
