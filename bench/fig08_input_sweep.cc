@@ -26,7 +26,8 @@ using peibench::submitWorkload;
 int
 main(int argc, char **argv)
 {
-    peibench::benchInit(argc, argv, "fig08_input_sweep");
+    peibench::benchInit(argc, argv, "fig08_input_sweep",
+                        {{"--backend-sweep", false}});
     peibench::printHeader(
         "Figure 8", "PageRank with different graph sizes",
         "Locality-Aware PIM%% grows 0.3%% -> 87%% with graph size and "

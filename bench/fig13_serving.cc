@@ -120,7 +120,8 @@ jsonNumber(const std::string &json, const std::string &key)
 int
 main(int argc, char **argv)
 {
-    peibench::benchInit(argc, argv, "fig13_serving");
+    peibench::benchInit(argc, argv, "fig13_serving",
+                        {{"--serving-json", true}});
 
     std::string serving_json = PEISIM_ROOT "/BENCH_serving.json";
     for (int i = 1; i < argc; ++i) {

@@ -137,7 +137,8 @@ pointJson(const char *topo, unsigned cubes, unsigned cores,
 int
 main(int argc, char **argv)
 {
-    peibench::benchInit(argc, argv, "fig14_scaleout");
+    peibench::benchInit(argc, argv, "fig14_scaleout",
+                        {{"--scaleout-json", true}});
 
     std::string scaleout_json = PEISIM_ROOT "/BENCH_scaleout.json";
     for (int i = 1; i < argc; ++i) {

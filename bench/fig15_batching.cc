@@ -111,7 +111,8 @@ pointJson(unsigned batch, unsigned qd, const RunResult &r,
 int
 main(int argc, char **argv)
 {
-    peibench::benchInit(argc, argv, "fig15_batching");
+    peibench::benchInit(argc, argv, "fig15_batching",
+                        {{"--batching-json", true}});
 
     std::string batching_json = PEISIM_ROOT "/BENCH_batching.json";
     for (int i = 1; i < argc; ++i) {

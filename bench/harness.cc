@@ -83,11 +83,13 @@ submitJob(const std::string &label, SimJob &&sim)
 } // namespace
 
 void
-benchInit(int argc, char **argv, const std::string &name)
+benchInit(int argc, char **argv, const std::string &name,
+          std::vector<OwnFlag> own)
 {
     bench_name = name;
     stats_json_path = statsJsonPathFromArgs(argc, argv);
-    sweep_opts = sweepOptionsFromArgs(argc, argv);
+    own.push_back({"--stats-json", true});
+    sweep_opts = sweepOptionsFromArgs(argc, argv, own);
     if (!flush_registered) {
         std::atexit(flushAtExit);
         flush_registered = true;

@@ -36,10 +36,13 @@ using RunHandle = std::size_t;
 
 /**
  * Parse harness-level flags (`--stats-json`, `--jobs`, `--timeout-s`,
- * `--filter`, `--list`, `--no-progress`), name the bench, and
- * register the atexit stats flush.  Call first thing in main().
+ * `--filter`, `--list`, `--no-progress`) and knob flags, name the
+ * bench, and register the atexit stats flush.  @p own lists the
+ * flags the bench parses itself; any other argument is fatal.  Call
+ * first thing in main().
  */
-void benchInit(int argc, char **argv, const std::string &name);
+void benchInit(int argc, char **argv, const std::string &name,
+               std::vector<OwnFlag> own = {});
 
 /**
  * Queue one Table 3 workload run, labelled "<kind>/<size>/<mode>".

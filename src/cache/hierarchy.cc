@@ -553,30 +553,6 @@ CacheHierarchy::contains(Addr paddr)
 }
 
 bool
-CacheHierarchy::dirtyIn(Addr paddr)
-{
-    const Addr block = paddr >> block_shift;
-    // Inclusion: private copies exist only under an L3 line, so its
-    // sharer vector bounds the scan.
-    CacheLine *line = l3.find(block);
-    if (!line)
-        return false;
-    if (line->dirty)
-        return true;
-    for (unsigned c = 0; c < privs.size(); ++c) {
-        if (!(line->sharers & (1u << c)))
-            continue;
-        CacheLine *l1 = privs[c].l1.find(block);
-        if (l1 && l1->dirty)
-            return true;
-        CacheLine *l2 = privs[c].l2.find(block);
-        if (l2 && l2->dirty)
-            return true;
-    }
-    return false;
-}
-
-bool
 CacheHierarchy::l3Contains(Addr paddr)
 {
     return l3.find(paddr >> block_shift) != nullptr;

@@ -97,44 +97,6 @@ class CacheHierarchy
     /** True if any cache level holds @p paddr's block (test hook). */
     bool contains(Addr paddr);
 
-    /**
-     * True if any cached copy of @p paddr's block is dirty (L3 line
-     * or a private copy under it).  Pure query: no state, stat, or
-     * LRU change — coherence policies use it to price the writeback
-     * data a back-inval/back-writeback would move off-chip.
-     */
-    bool dirtyIn(Addr paddr);
-
-    /**
-     * Visit every block resident anywhere in the hierarchy as
-     * `fn(Addr block, bool dirty)`, where dirty covers the L3 line
-     * and every private copy under it (the hierarchy is inclusive,
-     * so the L3 enumerates all cached blocks).  Pure query — the
-     * commit-scan hook for deferred coherence policies, which
-     * intersect it against their speculative signatures.
-     */
-    template <typename Fn>
-    void
-    forEachCachedBlock(Fn &&fn)
-    {
-        l3.forEachValid([&](Addr block, const CacheLine &line) {
-            bool dirty = line.dirty;
-            for (unsigned c = 0; c < privs.size() && !dirty; ++c) {
-                if (!(line.sharers & (1u << c)))
-                    continue;
-                CacheLine *l1 = privs[c].l1.find(block);
-                if (l1 && l1->dirty) {
-                    dirty = true;
-                    break;
-                }
-                CacheLine *l2 = privs[c].l2.find(block);
-                if (l2 && l2->dirty)
-                    dirty = true;
-            }
-            fn(block, dirty);
-        });
-    }
-
     /** True if the L3 holds the block (test hook). */
     bool l3Contains(Addr paddr);
 

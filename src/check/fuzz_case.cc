@@ -25,8 +25,6 @@ injectBugName(InjectBug b)
         return "skip-unlock";
       case InjectBug::SkipBackInval:
         return "skip-back-inval";
-      case InjectBug::SkipConflictCheck:
-        return "skip-conflict-check";
       case InjectBug::None:
         break;
     }
@@ -78,21 +76,17 @@ fuzzConfig(unsigned config_index, std::uint64_t master_seed, ExecMode mode)
     cfg.ddr.channels = cfg.hmc.vaults_per_cube;
     cfg.ideal_mem.pim_units = cfg.hmc.vaults_per_cube;
 
-    // Coherence draws come last for the same replay-stability
-    // reason: every draw above (and thus every pre-existing fuzzed
-    // geometry and backend) is unchanged.  Small signatures and
-    // batches crank up speculation pressure (aliasing, frequent
-    // commits) on the lazy policy; eager ignores them.
-    static const char *const policies[] = {"eager", "lazy"};
-    cfg.pim.coherence.policy = policies[rng.below(2)];
-    cfg.pim.coherence.signature_bits = rng.chance(0.5) ? 64 : 256;
-    cfg.pim.coherence.batch_peis = rng.chance(0.5) ? 4 : 16;
+    // Three discarded draws, once the coherence policy's, keep every
+    // draw below, and so every fuzzed geometry, where it was.
+    (void)rng.below(2);
+    (void)rng.chance(0.5);
+    (void)rng.chance(0.5);
 
     // Interconnect and PMU-sharding draws appended after everything
-    // else (same replay-stability rule as the backend and coherence
-    // draws above).  Chain appears twice: it is the paper default and
-    // the byte-identity baseline; cube counts stay small so the
-    // golden cross-check stays fast.
+    // else (same replay-stability rule as the backend draw above).
+    // Chain appears twice: it is the paper default and the
+    // byte-identity baseline; cube counts stay small so the golden
+    // cross-check stays fast.
     static const char *const topos[] = {"chain", "ring", "mesh",
                                         "chain"};
     const bool topo_ok =
@@ -121,8 +115,6 @@ caseConfig(const FuzzCaseId &id, const FuzzOptions &opt, ExecMode mode)
 {
     SystemConfig cfg = fuzzConfig(id.config, opt.master_seed, mode);
     opt.pins.applyTo(cfg);
-    if (opt.inject == InjectBug::SkipConflictCheck)
-        cfg.pim.coherence.policy = "lazy"; // the injection's target
     return cfg;
 }
 
@@ -229,9 +221,6 @@ runOneMode(const FuzzProgram &prog, const GoldenResult &golden,
         break;
       case InjectBug::SkipBackInval:
         sys.caches().injectSkipBackInvalidate(1);
-        break;
-      case InjectBug::SkipConflictCheck:
-        sys.pmu().coherence().injectSkipConflictCheck(1);
         break;
       case InjectBug::None:
         break;
@@ -527,8 +516,6 @@ parseReplayFile(const std::string &text, FuzzCaseId &id, FuzzOptions &opt)
                     opt.inject = InjectBug::SkipUnlock;
                 else if (value == "skip-back-inval")
                     opt.inject = InjectBug::SkipBackInval;
-                else if (value == "skip-conflict-check")
-                    opt.inject = InjectBug::SkipConflictCheck;
                 else
                     return false;
             } else if (key == "seed") {

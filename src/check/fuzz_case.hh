@@ -43,9 +43,6 @@ enum class InjectBug
     None,
     SkipUnlock,    ///< PimDirectory skips its first release()
     SkipBackInval, ///< CacheHierarchy skips its first back-invalidation
-    /** Lazy coherence skips its first commit's conflict check
-     *  (forces the lazy policy on). */
-    SkipConflictCheck,
 };
 
 const char *injectBugName(InjectBug b);
@@ -99,8 +96,7 @@ SystemConfig fuzzConfig(unsigned config_index, std::uint64_t master_seed,
 
 /**
  * The machine case @p id runs on under @p mode: the fuzzed config
- * with @p opt's pins applied, and the lazy policy forced on when the
- * conflict-check injection (whose target it is) is armed.
+ * with @p opt's pins applied.
  */
 SystemConfig caseConfig(const FuzzCaseId &id, const FuzzOptions &opt,
                         ExecMode mode);

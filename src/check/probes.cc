@@ -71,11 +71,6 @@ checkOnce(System &sys, LinkWatermark *wm)
         }
     }
 
-    // Coherence-policy bookkeeping (batch tables, signature bounds).
-    const std::string coh_v = sys.pmu().coherence().probeViolation();
-    if (!coh_v.empty())
-        throw FuzzViolation("coherence policy: " + coh_v);
-
     // Operand-buffer occupancy bounds.
     Pmu &pmu = sys.pmu();
     for (unsigned c = 0; c < pmu.numHostPcus(); ++c) {
@@ -110,11 +105,6 @@ checkOnce(System &sys, LinkWatermark *wm)
     // Offload coherence windows (Fig. 5 step ③): the target of an
     // offloaded writer PEI must stay uncached until it retires; the
     // target of an offloaded reader PEI may stay cached but clean.
-    // Only eager coherence establishes these windows — a deferred
-    // policy intentionally leaves stale copies cached until its
-    // batch commits, so the window probes do not apply.
-    if (pmu.coherence().deferred())
-        return;
     for (const Addr block : pmu.memWriterBlocks()) {
         if (sys.caches().contains(block << block_shift)) {
             throw FuzzViolation(

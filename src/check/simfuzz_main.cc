@@ -49,7 +49,7 @@ usage(const char *argv0)
         "  --configs K          fuzzed configs in rotation (default 4)\n"
         "  --probe-every N      probe cadence in events (default 64)\n"
         "  --inject-bug B       checker self-test: skip-unlock |\n"
-        "                       skip-back-inval | skip-conflict-check\n"
+        "                       skip-back-inval\n"
         "  --no-shrink          report failures without minimizing\n"
         "  --max-failures N     stop shrinking after N failures "
         "(default 4)\n"
@@ -138,7 +138,15 @@ main(int argc, char **argv)
         return 0;
     }
 
-    const SweepOptions sopt = sweepOptionsFromArgs(argc, argv);
+    const SweepOptions sopt = sweepOptionsFromArgs(
+        argc, argv,
+        {{"--cases", true},         {"--master-seed", true},
+         {"--configs", true},       {"--probe-every", true},
+         {"--inject-bug", true},    {"--no-shrink", false},
+         {"--max-failures", true},  {"--failure-dir", true},
+         {"--replay-seed", true},   {"--replay-config", true},
+         {"--replay-prefix", true}, {"--replay-mask", true},
+         {"--replay-file", true}});
 
     FuzzOptions fopt;
     fopt.pins = sopt.knobs;
@@ -166,8 +174,6 @@ main(int argc, char **argv)
             fopt.inject = InjectBug::SkipUnlock;
         } else if (*v == "skip-back-inval") {
             fopt.inject = InjectBug::SkipBackInval;
-        } else if (*v == "skip-conflict-check") {
-            fopt.inject = InjectBug::SkipConflictCheck;
         } else {
             std::fprintf(stderr, "simfuzz: unknown --inject-bug '%s'\n",
                          v->c_str());

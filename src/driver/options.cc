@@ -33,10 +33,39 @@ flagValue(int argc, char **argv, int &i, const char *flag,
     return false;
 }
 
+/** Parse argv[i] as a knob flag into @p knobs; false if it is none. */
+bool
+knobFlag(int argc, char **argv, int &i, KnobSet &knobs)
+{
+    std::string value;
+    for (const Knob &k : knobTable()) {
+        const std::string flag = k.flag();
+        if (!flagValue(argc, argv, i, flag.c_str(), value))
+            continue;
+        const std::string err = knobs.assign(k, value);
+        fatal_if(!err.empty(), "%s %s", flag.c_str(), err.c_str());
+        return true;
+    }
+    return false;
+}
+
+/** Skip argv[i] (and its value) if it is one of @p own. */
+bool
+ownFlag(int argc, char **argv, int &i, const std::vector<OwnFlag> &own)
+{
+    std::string value;
+    for (const OwnFlag &f : own) {
+        if (f.takes_value ? flagValue(argc, argv, i, f.name, value)
+                          : std::strcmp(argv[i], f.name) == 0)
+            return true;
+    }
+    return false;
+}
+
 } // namespace
 
 SweepOptions
-sweepOptionsFromArgs(int argc, char **argv)
+sweepOptionsFromArgs(int argc, char **argv, const std::vector<OwnFlag> &own)
 {
     SweepOptions opts;
     for (int i = 1; i < argc; ++i) {
@@ -61,15 +90,9 @@ sweepOptionsFromArgs(int argc, char **argv)
             opts.list = true;
         } else if (std::strcmp(argv[i], "--no-progress") == 0) {
             opts.progress = false;
-        } else {
-            for (const Knob &k : knobTable()) {
-                const std::string flag = k.flag();
-                if (!flagValue(argc, argv, i, flag.c_str(), value))
-                    continue;
-                const std::string err = opts.knobs.assign(k, value);
-                fatal_if(!err.empty(), "%s %s", flag.c_str(), err.c_str());
-                break;
-            }
+        } else if (!knobFlag(argc, argv, i, opts.knobs) &&
+                   !ownFlag(argc, argv, i, own)) {
+            fatal("unknown argument '%s'", argv[i]);
         }
     }
     return opts;

@@ -9,14 +9,16 @@
  *   --no-progress   suppress the live progress line on stderr
  *
  * plus one flag per configuration knob (runtime/knobs.hh).  Both
- * "--flag value" and "--flag=value" spellings are accepted; flags
- * the sweep does not own (e.g. --stats-json) are ignored.
+ * "--flag value" and "--flag=value" spellings are accepted.  A binary
+ * names the flags it parses itself (e.g. --stats-json); any other
+ * argument is an error.
  */
 
 #ifndef PEISIM_DRIVER_OPTIONS_HH
 #define PEISIM_DRIVER_OPTIONS_HH
 
 #include <string>
+#include <vector>
 
 #include "runtime/knobs.hh"
 
@@ -33,8 +35,19 @@ struct SweepOptions
     bool progress = true;
 };
 
-/** Parse the sweep flags out of @p argv (fatal on malformed value). */
-SweepOptions sweepOptionsFromArgs(int argc, char **argv);
+/** A flag a binary parses itself, next to the sweep flags. */
+struct OwnFlag
+{
+    const char *name; ///< e.g. "--stats-json"
+    bool takes_value; ///< "--name v" / "--name=v", else a bare switch
+};
+
+/**
+ * Parse the sweep flags out of @p argv.  Arguments named in @p own
+ * are skipped; any other argument, or a malformed value, is fatal.
+ */
+SweepOptions sweepOptionsFromArgs(int argc, char **argv,
+                                  const std::vector<OwnFlag> &own = {});
 
 /** Worker count @p opts asks for (resolves 0 to the host's cores). */
 unsigned resolveWorkerCount(const SweepOptions &opts);

@@ -47,8 +47,8 @@ struct PimPacket
      * Multi-block (gather/scatter) element descriptor.  Classic
      * Table-1 ops leave mb_count at 0; multi-block ops access
      * mb_count 8-byte elements at paddr + i*mb_stride.  Kept on the
-     * packet so the coherence seam and PCUs can enumerate the touched
-     * blocks without decoding op-specific input operands.
+     * packet so the PMU's coherence step and the PCUs can enumerate
+     * the touched blocks without decoding op-specific input operands.
      */
     std::uint16_t mb_count = 0;
     std::uint32_t mb_stride = 0;

@@ -67,9 +67,6 @@ Pmu::Pmu(EventQueue &eq, const PimConfig &cfg, unsigned cores,
         mons.back()->setAccessLatency(cfg.monitor_latency);
     }
 
-    coh = createCoherencePolicy(cfg.coherence.policy, eq, hierarchy,
-                                cfg.coherence, stats);
-
     // The monitor mirrors every last-level cache access (§4.3), but
     // only when locality-aware execution is enabled; Host-Only and
     // PIM-Only "disable the locality monitor" (§7).
@@ -116,6 +113,7 @@ Pmu::Pmu(EventQueue &eq, const PimConfig &cfg, unsigned cores,
     stats.add("pmu.peis_mem_readers", &stat_peis_mem_readers);
     stats.add("pmu.mem_writer_blocks", &stat_mem_writer_blocks);
     stats.add("pmu.mem_reader_blocks", &stat_mem_reader_blocks);
+    stats.add("coh.actions", &stat_coh_actions);
     if (batch_on) {
         stats.add("pmu.batched_peis", &stat_batched_peis);
         stats.add("pmu.pei_trains", &stat_pei_trains);
@@ -142,19 +140,16 @@ Pmu::Pmu(EventQueue &eq, const PimConfig &cfg, unsigned cores,
                    " != host+mem=" + std::to_string(retired) +
                    " (PEI lost in the pipeline?)";
         });
-    // Offload/coherence conservation: under the eager policy every
-    // element block of a memory-side writer PEI performs exactly one
-    // back-invalidation and every reader element block exactly one
-    // back-writeback (Fig. 5 step ③).  Classic ops have one element
-    // block, so these are the per-PEI identities of old; gather/
-    // scatter contribute one action per element block.  The cache
-    // counters count performed operations once, so a skipped cleaning
-    // step (e.g. simfuzz's --inject-bug skip-back-inval) breaks the
-    // balance.  The batching window dedups actions across a merged
-    // train and deferred policies batch and elide by design, so the
-    // balance holds only for eager per-op dispatch; lazy registers
-    // its own invariants (coherence/lazy.cc).
-    if (cfg.coherence.policy == "eager" && !batch_on) {
+    // Offload/coherence conservation (Fig. 5 step ③).  The PMU is
+    // the only caller of the cache's back-ops, and the cache counts
+    // each one once, when performed, so a skipped cleaning step (e.g.
+    // simfuzz's --inject-bug skip-back-inval) breaks the balance.
+    // Per-op dispatch cleans every element block of a memory-side
+    // writer PEI with exactly one back-invalidation and every reader
+    // element block with exactly one back-writeback.  Classic ops
+    // have one element block, so these are per-PEI identities;
+    // gather/scatter contribute one action per element block.
+    if (!batch_on) {
         stats.addInvariant(
             "pmu.mem_writer_blocks == cache.back_invalidations",
             [this, &stats] {
@@ -175,6 +170,22 @@ Pmu::Pmu(EventQueue &eq, const PimConfig &cfg, unsigned cores,
                     return std::string();
                 return "mem-side reader blocks=" + std::to_string(r) +
                        " != back-writebacks=" + std::to_string(bw);
+            });
+    } else {
+        // A train cleans a block its members share only once, so
+        // batched dispatch balances the cleans it issued instead.
+        stats.addInvariant(
+            "coh.actions == cache.back_invalidations + "
+            "cache.back_writebacks",
+            [this, &stats] {
+                const std::uint64_t a = stat_coh_actions.value();
+                const std::uint64_t ops =
+                    stats.get("cache.back_invalidations") +
+                    stats.get("cache.back_writebacks");
+                if (a == ops)
+                    return std::string();
+                return "coherence actions=" + std::to_string(a) +
+                       " != back-ops=" + std::to_string(ops);
             });
     }
     if (batch_on) {
@@ -339,9 +350,18 @@ Pmu::buildLockList(PeiTxn &t)
     // Ascending (bank, entry-key) acquisition order — globally
     // consistent across all PEIs, so ordered multi-acquisition
     // cannot form a wait cycle — with aliased entries acquired once.
-    std::sort(locks, locks + nb, [](const Lock &a, const Lock &b) {
-        return a.shard != b.shard ? a.shard < b.shard : a.key < b.key;
-    });
+    // An insertion sort suits the <= 8 locks and keeps ties in
+    // element order.
+    for (unsigned i = 1; i < nb; ++i) {
+        const Lock l = locks[i];
+        unsigned j = i;
+        for (; j > 0 && (locks[j - 1].shard != l.shard
+                             ? l.shard < locks[j - 1].shard
+                             : l.key < locks[j - 1].key);
+             --j)
+            locks[j] = locks[j - 1];
+        locks[j] = l;
+    }
     t.lock_count = 0;
     unsigned i = 0;
     while (i < nb) {
@@ -540,10 +560,10 @@ Pmu::hostExecuteBuffered(std::uint32_t txn)
     // last one lands.
     Addr blocks[max_pei_target_blocks];
     const unsigned nb = t.pkt.targetBlocks(blocks, max_pei_target_blocks);
-    t.mb_pending = nb;
+    t.pending = nb;
     for (unsigned i = 0; i < nb; ++i) {
         hierarchy.access(t.core, blocks[i], false, [this, txn] {
-            if (--txns[txn].mb_pending == 0)
+            if (--txns[txn].pending == 0)
                 hostLoaded(txn);
         });
     }
@@ -581,10 +601,10 @@ Pmu::hostComputed(std::uint32_t txn)
     }
     Addr blocks[max_pei_target_blocks];
     const unsigned nb = t.pkt.targetBlocks(blocks, max_pei_target_blocks);
-    t.mb_pending = nb;
+    t.pending = nb;
     for (unsigned i = 0; i < nb; ++i) {
         hierarchy.access(t.core, blocks[i], true, [this, txn] {
-            if (--txns[txn].mb_pending == 0)
+            if (--txns[txn].pending == 0)
                 finish(txn, true);
         });
     }
@@ -621,13 +641,25 @@ Pmu::memExecute(std::uint32_t txn)
         return;
     }
 
-    // Fig. 5 step ③: make the on-chip copies of the target block
-    // coherent with the offload.  Eager cleans them now
-    // (back-invalidation for writers, back-writeback for readers);
-    // lazy records the access in its batch signatures and defers the
-    // reconciliation to commit time.
-    t.coh_token =
-        coh->beforeOffload(t.pkt, Callback([this, txn] { offload(txn); }));
+    // Fig. 5 step ③: clean every on-chip copy of the target blocks
+    // before the packet leaves; it goes once the last one is clean.
+    t.pending = nb;
+    for (unsigned i = 0; i < nb; ++i) {
+        cleanBlock(blocks[i], t.pkt.is_writer, Callback([this, txn] {
+                       if (--txns[txn].pending == 0)
+                           offload(txn);
+                   }));
+    }
+}
+
+void
+Pmu::cleanBlock(Addr paddr, bool invalidate, Callback done)
+{
+    ++stat_coh_actions;
+    if (invalidate)
+        hierarchy.backInvalidate(paddr, std::move(done));
+    else
+        hierarchy.backWriteback(paddr, std::move(done));
 }
 
 void
@@ -708,22 +740,39 @@ Pmu::dispatchTrain(unsigned gv, unsigned n)
     }
 
     // One merged coherence action covers the whole train (Fig. 5
-    // step ③ amortized): eager dedups the members' element blocks
-    // into one back-inval/back-writeback set, lazy folds them into
-    // one speculation batch.  Copy the member handles out first: the
-    // ready callback may fire inline and retire the train record.
-    std::uint32_t members[64];
-    for (unsigned i = 0; i < n; ++i)
-        members[i] = tr.txns[i];
-    const PimPacket *pkts[64];
-    std::uint32_t tokens[64] = {};
-    for (unsigned i = 0; i < n; ++i)
-        pkts[i] = &txns[members[i]].pkt;
-    coh->beforeOffloadBatch(
-        pkts, n, Callback([this, train] { offloadTrain(train); }),
-        tokens);
-    for (unsigned i = 0; i < n; ++i)
-        txns[members[i]].coh_token = tokens[i];
+    // step ③ amortized): each distinct element block of the members
+    // is cleaned once — back-invalidated if any member writes it,
+    // back-written-back otherwise — where per-op dispatch would clean
+    // a hot block once per PEI.  The train leaves once the last block
+    // is clean.
+    struct Action
+    {
+        Addr block;
+        bool written;
+    };
+    Action acts[64 * max_pei_target_blocks];
+    unsigned nacts = 0;
+    for (unsigned i = 0; i < n; ++i) {
+        const PimPacket &pkt = txns[tr.txns[i]].pkt;
+        Addr blocks[max_pei_target_blocks];
+        const unsigned nb =
+            pkt.targetBlocks(blocks, max_pei_target_blocks);
+        for (unsigned b = 0; b < nb; ++b) {
+            unsigned k = 0;
+            while (k < nacts && acts[k].block != blocks[b])
+                ++k;
+            if (k == nacts)
+                acts[nacts++] = {blocks[b], false};
+            acts[k].written = acts[k].written || pkt.is_writer;
+        }
+    }
+    tr.pending = nacts;
+    for (unsigned k = 0; k < nacts; ++k) {
+        cleanBlock(acts[k].block, acts[k].written, Callback([this, train] {
+                       if (--train_txns[train].pending == 0)
+                           offloadTrain(train);
+                   }));
+    }
 }
 
 void
@@ -804,7 +853,6 @@ Pmu::finish(std::uint32_t txn, bool executed_at_host)
                      "mem-side PEI retired without an in-flight record");
             inflight.erase(it);
         }
-        coh->onRetire(t.coh_token);
         if (batch_on) {
             // Return the vault-PCU credit and retry a flush the
             // credit gate deferred.
@@ -848,9 +896,7 @@ Pmu::pfence(Callback done)
     // retired (§3.2).  The directory tracks writers from issue
     // (registerWriter in executePei) to retire (release in finish),
     // which covers the whole PEI pipeline and subsumes the "all
-    // entries readable" condition.  A deferred coherence policy also
-    // closes its open speculation batch so the fence's ordering
-    // guarantee extends to its commit.  Open batching windows flush
+    // entries readable" condition.  Open batching windows flush
     // first so parked writers head to memory immediately instead of
     // waiting out their window timers (a credit-stalled window drains
     // as its in-flight members retire; the directory keeps tracking
@@ -859,7 +905,6 @@ Pmu::pfence(Callback done)
         for (unsigned gv = 0; gv < windows.size(); ++gv)
             flushWindow(gv);
     }
-    coh->onFence();
     if (dirs.size() == 1) {
         dirs[0]->pfence(std::move(done));
         return;

@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "cache/hierarchy.hh"
-#include "coherence/policy.hh"
 #include "common/stats.hh"
 #include "mem/backend.hh"
 #include "mem/vmem.hh"
@@ -97,8 +96,8 @@ struct PimConfig
     /**
      * PMU batching window (`--pei-batch`): memory-side PEIs bound for
      * the same vault coalesce into trains of up to this many ops —
-     * one merged coherence action through the CoherencePolicy seam
-     * and one packet train through the interconnect per flush.  1
+     * one merged coherence action (each distinct target block cleaned
+     * once) and one packet train through the interconnect per flush.  1
      * (the default) bypasses the window entirely and is
      * byte-identical to per-op dispatch; only meaningful on
      * PIM-capable backends.  Capped at 64.
@@ -111,15 +110,6 @@ struct PimConfig
      * when pei_batch > 1.
      */
     Ticks batch_window_ticks = 256;
-
-    /**
-     * Coherence policy for memory-side offloads (Fig. 5 step ③):
-     * "eager" = the paper's per-operation back-inval/back-writeback
-     * (bit-identical default); "lazy" = LazyPIM-style batched
-     * speculation (coherence/lazy.hh).  `--coherence` on every bench
-     * and simfuzz.
-     */
-    CoherenceConfig coherence;
 
     PcuConfig pcu;
 };
@@ -167,7 +157,6 @@ class Pmu
     PimDirectory &directoryBank(unsigned s) { return *dirs[s]; }
     LocalityMonitor &monitorBank(unsigned s) { return *mons[s]; }
 
-    CoherencePolicy &coherence() { return *coh; }
     Pcu &hostPcu(unsigned core) { return *host_pcus[core]; }
 
     /** Memory-side PCU buffer of PIM unit @p unit (probe hook). */
@@ -231,8 +220,8 @@ class Pmu
         unsigned core;
         Tick asked = 0;      ///< directory-wait start
         Tick load_start = 0; ///< host cache-load start
-        std::uint32_t coh_token = 0; ///< coherence-policy batch token
-        unsigned mb_pending = 0; ///< outstanding multi-block host accesses
+        /** Outstanding element-block host accesses or step-③ cleans. */
+        unsigned pending = 0;
         /**
          * Directory locks this PEI holds, one representative block
          * per distinct (bank, entry), in ascending acquisition
@@ -271,6 +260,13 @@ class Pmu
     void dispatchTrain(unsigned gv, unsigned n);
     void offloadTrain(std::uint32_t train);
 
+    /**
+     * Fig. 5 step ③ for one block: back-invalidate it (@p invalidate,
+     * a writer offload) or back-write it back (a reader offload);
+     * @p done fires once no cache holds a stale or dirty copy.
+     */
+    void cleanBlock(Addr paddr, bool invalidate, Callback done);
+
     /** Record one in-flight probe entry per element block. */
     void pushInflightBlocks(const PeiTxn &t);
 
@@ -307,7 +303,6 @@ class Pmu
     unsigned shard_mask = 0;
     std::vector<std::unique_ptr<PimDirectory>> dirs;
     std::vector<std::unique_ptr<LocalityMonitor>> mons;
-    std::unique_ptr<CoherencePolicy> coh;
     std::vector<std::unique_ptr<Pcu>> host_pcus;
     std::vector<std::unique_ptr<MemSidePcu>> mem_pcus;
 
@@ -333,6 +328,7 @@ class Pmu
     struct TrainTxn
     {
         std::vector<std::uint32_t> txns;
+        unsigned pending = 0; ///< step-③ cleans still outstanding
     };
 
     bool batch_on = false;   ///< pei_batch > 1 on a PIM backend
@@ -360,10 +356,12 @@ class Pmu
     Counter stat_peis_mem_readers; ///< reader PEIs sent memory-side
     /** Element blocks of memory-side writer/reader PEIs (one per
      *  target block — equals the PEI counters for classic ops, more
-     *  for gather/scatter).  Basis of the eager coherence-conservation
+     *  for gather/scatter).  Basis of the per-op coherence-conservation
      *  invariants, which count per-block actions. */
     Counter stat_mem_writer_blocks;
     Counter stat_mem_reader_blocks;
+    /** Step-③ cleans issued: back-invalidations + back-writebacks. */
+    Counter stat_coh_actions;
     Counter stat_batched_peis;      ///< PEIs dispatched in trains (>= 2)
     Counter stat_pei_trains;        ///< trains dispatched (>= 2 members)
     Counter stat_window_singletons; ///< windows that drained with 1 PEI

@@ -6,7 +6,6 @@
 #include <limits>
 #include <type_traits>
 
-#include "coherence/policy.hh"
 #include "common/bitutil.hh"
 #include "common/logging.hh"
 #include "mem/backend.hh"
@@ -102,10 +101,6 @@ knobTable()
             "mem_backend", "main-memory backend (hmc | ddr | ideal)",
             [](auto &c) -> auto & { return c.mem_backend; },
             memoryBackendNames),
-        registryKnob(
-            "coherence", "offload coherence policy (eager | lazy)",
-            [](auto &c) -> auto & { return c.pim.coherence.policy; },
-            coherencePolicyNames),
         {"topology", "off-chip interconnect (chain | ring | mesh)",
          [](SystemConfig &c, const std::string &v) {
              if (parseTopology(v, c.hmc.topology))

@@ -189,10 +189,10 @@ TEST(FuzzReplay, FileRoundTrips)
     opt.inject = InjectBug::SkipUnlock;
     // Every knob pinned off its default.
     const std::map<std::string, std::string> off = {
-        {"mem_backend", "ddr"},       {"coherence", "lazy"},
-        {"topology", "mesh"},         {"cubes", "8"},
-        {"pmu_shards", "4"},          {"pei_batch", "8"},
-        {"batch_window_ticks", "64"}, {"queue_depth", "4"},
+        {"mem_backend", "ddr"},       {"topology", "mesh"},
+        {"cubes", "8"},               {"pmu_shards", "4"},
+        {"pei_batch", "8"},           {"batch_window_ticks", "64"},
+        {"queue_depth", "4"},
     };
     ASSERT_EQ(off.size(), knobTable().size());
     for (const Knob &k : knobTable()) {
@@ -270,36 +270,6 @@ TEST(FuzzSelfTest, CatchesSkippedDirectoryUnlock)
 TEST(FuzzSelfTest, CatchesSkippedBackInvalidation)
 {
     expectInjectionCaughtAndShrunk(InjectBug::SkipBackInval);
-}
-
-// The conflict-check injection forces the lazy policy on (the bug
-// lives in its commit path) and elides every signature intersection
-// from the first commit onward; the exact shadow sets keep counting
-// true conflicts, so any case whose kernel batch races a host store
-// breaks `coh.conflicts >= coh.exact_conflicts` at audit time and
-// shrinks to a minimal conflicting program.
-TEST(FuzzSelfTest, CatchesSkippedConflictCheck)
-{
-    // The first failing case draws a multi-cube geometry whose racing
-    // batch needs a longer host/kernel overlap to conflict, so the
-    // minimal reproducer is larger than the single-cube injections'.
-    expectInjectionCaughtAndShrunk(InjectBug::SkipConflictCheck, 64);
-}
-
-// The smoke above fuzzes the policy per config; this leg pins every
-// case to lazy so the deferred machinery sees the full op set even
-// if the config draws would have favored eager.
-TEST(FuzzSmoke, FortyCasesAllLazyAreClean)
-{
-    FuzzOptions opt;
-    ASSERT_EQ(opt.pins.assign(*findKnob("coherence"), "lazy"), "");
-    for (std::uint64_t i = 0; i < 40; ++i) {
-        FuzzCaseId id;
-        id.seed = caseSeed(opt.master_seed, i);
-        id.config = static_cast<unsigned>(i % opt.num_configs);
-        const FuzzCaseResult r = runFuzzCase(id, opt, nullptr);
-        EXPECT_TRUE(r.ok()) << r.summary(opt);
-    }
 }
 
 } // namespace

@@ -314,13 +314,15 @@ TEST(Sweep, RecordsIdenticalAcrossWorkerCounts)
 
 /** Parse @p args (after a program name) as bench flags. */
 SweepOptions
-parseFlags(std::vector<std::string> args)
+parseFlags(std::vector<std::string> args,
+           const std::vector<OwnFlag> &own = {})
 {
     args.insert(args.begin(), "bench");
     std::vector<char *> argv;
     for (std::string &a : args)
         argv.push_back(a.data());
-    return sweepOptionsFromArgs(static_cast<int>(argv.size()), argv.data());
+    return sweepOptionsFromArgs(static_cast<int>(argv.size()), argv.data(),
+                                own);
 }
 
 /**
@@ -380,7 +382,6 @@ TEST(Knobs, FlagsAndReproducersRejectOutOfRangeValues)
         {"cubes", "3"},         {"pmu_shards", "0"},
         {"pei_batch", "65"},    {"batch_window_ticks", "0"},
         {"topology", "torus"},  {"mem_backend", "nvram"},
-        {"coherence", "mesi"},
     };
     for (const auto &[key, value] : bad) {
         const Knob *knob = findKnob(key);
@@ -394,6 +395,30 @@ TEST(Knobs, FlagsAndReproducersRejectOutOfRangeValues)
     }
     // Reproducers spell the backend with its knob key.
     EXPECT_FALSE(fuzz::parseReplayFile("seed=1\nbackend=ddr\n", id, opt));
+    // The coherence knob is gone, so reproducers that still pin it
+    // are rejected rather than replayed on a different machine.
+    EXPECT_FALSE(
+        fuzz::parseReplayFile("seed=1\ncoherence=eager\n", id, opt));
+}
+
+// A flag no binary owns is an error, not a silent default run: a
+// removed knob and a typo alike.
+TEST(Knobs, UnknownFlagsAreRejected)
+{
+    EXPECT_DEATH(parseFlags({"--coherence", "lazy"}),
+                 "unknown argument '--coherence'");
+    EXPECT_DEATH(parseFlags({"--jbos", "4"}), "unknown argument '--jbos'");
+    EXPECT_DEATH(parseFlags({"--jobs", "4", "stray"}),
+                 "unknown argument 'stray'");
+
+    // A binary's own flags pass through, values and all.
+    const std::vector<OwnFlag> own = {{"--stats-json", true},
+                                      {"--backend-sweep", false}};
+    const SweepOptions opts = parseFlags(
+        {"--stats-json", "out.json", "--backend-sweep", "--jobs=2"}, own);
+    EXPECT_EQ(opts.jobs, 2u);
+    EXPECT_DEATH(parseFlags({"--backend-sweep=1"}, own),
+                 "unknown argument '--backend-sweep=1'");
 }
 
 // A record names every off-default knob in its config block, in
@@ -401,13 +426,13 @@ TEST(Knobs, FlagsAndReproducersRejectOutOfRangeValues)
 TEST(Knobs, RecordConfigNamesOffDefaultKnobs)
 {
     const SweepOptions opts = parseFlags(
-        {"--coherence", "lazy", "--pei-batch", "4", "--queue-depth", "8"});
+        {"--topology", "ring", "--pei-batch", "4", "--queue-depth", "8"});
     const std::string record = prSmallRecord(opts.knobs);
     const std::size_t begin = record.find("\"config\":{");
     ASSERT_NE(begin, std::string::npos);
     const std::string config =
         record.substr(begin, record.find('}', begin) - begin);
-    EXPECT_NE(config.find(",\"coherence\":\"lazy\",\"pei_batch\":4,"
+    EXPECT_NE(config.find(",\"topology\":\"ring\",\"pei_batch\":4,"
                           "\"queue_depth\":8,\"hmc_cubes\":"),
               std::string::npos)
         << config;

@@ -535,6 +535,37 @@ TEST(BalancedDispatchTest, ZeroThresholdKeepsMonitorDecisionAbsolute)
     EXPECT_TRUE(sys.stats().audit().empty());
 }
 
+// ---------------------------------------------------- offload coherence
+
+/** One writer PEI on @p target, offloaded under PIM-Only. */
+Task
+writerKernel(Ctx &ctx, Addr target)
+{
+    co_await ctx.pei(PeiOpcode::Inc64, target, nullptr, 0);
+    co_await ctx.drain();
+}
+
+// Fig. 5 step ③: a skipped back-invalidation must trip the
+// conservation audit under per-op and batched dispatch alike.
+TEST(EagerCoherence, SkippedBackInvalidationBreaksTheAudit)
+{
+    for (const unsigned batch : {1u, 4u}) {
+        SystemConfig cfg = fixture::smallConfig(ExecMode::PimOnly);
+        cfg.pim.pei_batch = batch;
+        System sys(cfg);
+        sys.caches().injectSkipBackInvalidate(1);
+        Runtime rt(sys);
+        const Addr target = rt.alloc(block_size);
+        sys.memory().write<std::uint64_t>(target, 0);
+
+        rt.spawn(0, [&](Ctx &ctx) { return writerKernel(ctx, target); });
+        rt.run();
+
+        EXPECT_EQ(sys.stats().get("pmu.peis_mem"), 1u) << batch;
+        EXPECT_FALSE(sys.stats().audit().empty()) << "pei_batch " << batch;
+    }
+}
+
 // ------------------------------------------------------------- PCU
 
 TEST(PcuTest, OperandBufferLimitsInFlight)
