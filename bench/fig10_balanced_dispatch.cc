@@ -10,6 +10,7 @@
  */
 
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "bench/harness.hh"
@@ -18,6 +19,7 @@ using namespace pei;
 using peibench::RunHandle;
 using peibench::result;
 using peibench::submit;
+using peibench::submitWorkload;
 
 int
 main(int argc, char **argv)
@@ -40,10 +42,13 @@ main(int argc, char **argv)
              submit(kind, InputSize::Large, ExecMode::HostOnly),
              submit(kind, InputSize::Large, ExecMode::PimOnly),
              submit(kind, InputSize::Large, ExecMode::LocalityAware),
-             submit(kind, InputSize::Large, ExecMode::LocalityAware,
-                    [](SystemConfig &cfg) {
-                        cfg.pim.balanced_dispatch = true;
-                    })});
+             submitWorkload(
+                 [kind] { return makeWorkload(kind, InputSize::Large); },
+                 std::string(kindName(kind)) +
+                     "/large/Locality-Aware/balanced",
+                 ExecMode::LocalityAware, [](SystemConfig &cfg) {
+                     cfg.pim.balanced_dispatch = true;
+                 })});
     }
     peibench::sweepRun();
 

@@ -18,8 +18,7 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
+#include <cstdlib>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -120,16 +119,8 @@ jsonNumber(const std::string &json, const std::string &key)
 int
 main(int argc, char **argv)
 {
-    peibench::benchInit(argc, argv, "fig13_serving",
-                        {{"--serving-json", true}});
-
-    std::string serving_json = PEISIM_ROOT "/BENCH_serving.json";
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--serving-json") == 0 && i + 1 < argc)
-            serving_json = argv[++i];
-        else if (std::strncmp(argv[i], "--serving-json=", 15) == 0)
-            serving_json = argv[i] + 15;
-    }
+    peibench::benchInit(argc, argv, "fig13_serving", {},
+                        {"--serving-json", "BENCH_serving.json"});
 
     peibench::printHeader(
         "Figure 13", "Serving saturation sweep (offered load vs tail "
@@ -205,35 +196,10 @@ main(int argc, char **argv)
                     achieved < 0.9 * offered ? "  <- saturated" : "");
     }
 
-    // The committed baseline: every run point's summary in submission
-    // order.  --filter'ed (skipped) points are omitted; a failed or
-    // timed-out point suppresses the write so a broken sweep can
-    // never silently refresh the baseline.
-    bool all_ok = true;
-    std::string doc = "{\"bench\":\"fig13_serving\",\"points\":[";
-    for (std::size_t i = 0; i < points.size(); ++i) {
-        const RunResult &r = result(points[i].h);
-        if (r.status == JobStatus::Skipped)
-            continue;
-        if (!r.ok()) {
-            all_ok = false;
-            continue;
-        }
-        if (doc.back() != '[')
-            doc += ",";
-        doc += "\n" + r.aux_json;
-    }
-    doc += "\n]}\n";
-    // Operational note -> stderr: stdout stays byte-identical even
-    // when the destination path differs between runs.
-    if (all_ok) {
-        std::ofstream out(serving_json, std::ios::trunc);
-        out << doc;
-        std::fprintf(stderr, "Serving baseline written to %s\n",
-                     serving_json.c_str());
-    } else {
-        std::fprintf(stderr,
-                     "Serving baseline NOT written (failed points).\n");
-    }
+    // The committed baseline: every run point's summary.
+    std::vector<peibench::BaselinePoint> baseline;
+    for (const Point &p : points)
+        baseline.push_back({{p.h}, [&p] { return result(p.h).aux_json; }});
+    peibench::writeBaseline(baseline);
     return peibench::benchFinish();
 }

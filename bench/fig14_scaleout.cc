@@ -20,7 +20,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -29,6 +28,7 @@
 #include "net/topology.hh"
 
 using namespace pei;
+using peibench::LinkStats;
 using peibench::RunHandle;
 using peibench::result;
 using peibench::submitWorkload;
@@ -36,56 +36,8 @@ using peibench::submitWorkload;
 namespace
 {
 
-std::uint64_t
-stat(const RunResult &r, const char *name)
-{
-    const auto it = r.stats.find(name);
-    return it == r.stats.end() ? 0 : it->second;
-}
-
-/** One physical link's counters, pulled out of a stats snapshot. */
-struct LinkPoint
-{
-    unsigned index = 0;
-    std::uint64_t flits = 0;
-    std::uint64_t busy_ticks = 0;
-};
-
-/** Every "link<N>.*" family in @p r, sorted by link index. */
-std::vector<LinkPoint>
-linkPoints(const RunResult &r)
-{
-    std::vector<LinkPoint> links;
-    for (const auto &[name, value] : r.stats) {
-        const char *const sfx = ".busy_ticks";
-        if (name.rfind("link", 0) != 0)
-            continue;
-        if (name.size() <= 4 + std::strlen(sfx) ||
-            name.compare(name.size() - std::strlen(sfx),
-                         std::strlen(sfx), sfx) != 0) {
-            continue;
-        }
-        const std::string digits =
-            name.substr(4, name.size() - 4 - std::strlen(sfx));
-        if (digits.empty() ||
-            digits.find_first_not_of("0123456789") != std::string::npos) {
-            continue;
-        }
-        LinkPoint lp;
-        lp.index = static_cast<unsigned>(std::stoul(digits));
-        lp.busy_ticks = value;
-        lp.flits = stat(r, ("link" + digits + ".flits").c_str());
-        links.push_back(lp);
-    }
-    std::sort(links.begin(), links.end(),
-              [](const LinkPoint &a, const LinkPoint &b) {
-                  return a.index < b.index;
-              });
-    return links;
-}
-
 double
-utilization(const LinkPoint &lp, Tick ticks)
+utilization(const LinkStats &lp, Tick ticks)
 {
     return ticks ? static_cast<double>(lp.busy_ticks) /
                        static_cast<double>(ticks)
@@ -115,11 +67,11 @@ pointJson(const char *topo, unsigned cubes, unsigned cores,
     s += ",\"host_ticks\":" + std::to_string(host.ticks);
     s += ",\"pim_ticks\":" + std::to_string(la.ticks);
     s += ",\"speedup\":" + fmt("%.3f", speedup);
-    s += ",\"req_hops\":" + std::to_string(stat(la, "net.req_hops"));
-    s += ",\"res_hops\":" + std::to_string(stat(la, "net.res_hops"));
+    s += ",\"req_hops\":" + std::to_string(la.stat("net.req_hops"));
+    s += ",\"res_hops\":" + std::to_string(la.stat("net.res_hops"));
     s += ",\"links\":[";
     bool first = true;
-    for (const LinkPoint &lp : linkPoints(la)) {
+    for (const LinkStats &lp : peibench::linkStats(la)) {
         if (!first)
             s += ",";
         first = false;
@@ -137,16 +89,8 @@ pointJson(const char *topo, unsigned cubes, unsigned cores,
 int
 main(int argc, char **argv)
 {
-    peibench::benchInit(argc, argv, "fig14_scaleout",
-                        {{"--scaleout-json", true}});
-
-    std::string scaleout_json = PEISIM_ROOT "/BENCH_scaleout.json";
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--scaleout-json") == 0 && i + 1 < argc)
-            scaleout_json = argv[++i];
-        else if (std::strncmp(argv[i], "--scaleout-json=", 16) == 0)
-            scaleout_json = argv[i] + 16;
-    }
+    peibench::benchInit(argc, argv, "fig14_scaleout", {},
+                        {"--scaleout-json", "BENCH_scaleout.json"});
 
     std::printf("==================================================="
                 "===========================\n");
@@ -230,7 +174,7 @@ main(int argc, char **argv)
             const RunResult &host = result(p.host);
             const RunResult &la = result(p.la);
             double max_util = 0.0;
-            for (const LinkPoint &lp : linkPoints(la))
+            for (const LinkStats &lp : peibench::linkStats(la))
                 max_util =
                     std::max(max_util, utilization(lp, la.ticks));
             std::printf(
@@ -241,46 +185,20 @@ main(int argc, char **argv)
                 la.ticks ? static_cast<double>(host.ticks) /
                                static_cast<double>(la.ticks)
                          : 0.0,
-                static_cast<unsigned long long>(
-                    stat(la, "net.req_hops")),
-                static_cast<unsigned long long>(
-                    stat(la, "net.res_hops")),
+                static_cast<unsigned long long>(la.stat("net.req_hops")),
+                static_cast<unsigned long long>(la.stat("net.res_hops")),
                 max_util);
         }
     }
 
-    // The committed baseline: every point in submission order.
-    // --filter'ed (skipped) points are omitted; a failed point
-    // suppresses the write so a broken sweep can never silently
-    // refresh the baseline.
-    bool all_ok = true;
-    std::string doc = "{\"bench\":\"fig14_scaleout\",\"points\":[";
+    std::vector<peibench::BaselinePoint> baseline;
     for (const Point &p : points) {
-        const RunResult &host = result(p.host);
-        const RunResult &la = result(p.la);
-        if (host.status == JobStatus::Skipped ||
-            la.status == JobStatus::Skipped) {
-            continue;
-        }
-        if (!host.ok() || !la.ok()) {
-            all_ok = false;
-            continue;
-        }
-        if (doc.back() != '[')
-            doc += ",";
-        doc += "\n" + pointJson(p.topo, p.cubes, p.cores, host, la);
+        baseline.push_back({{p.host, p.la}, [&p] {
+                                return pointJson(p.topo, p.cubes, p.cores,
+                                                 result(p.host),
+                                                 result(p.la));
+                            }});
     }
-    doc += "\n]}\n";
-    // Operational note -> stderr: stdout stays byte-identical even
-    // when the destination path differs between runs.
-    if (all_ok) {
-        std::ofstream out(scaleout_json, std::ios::trunc);
-        out << doc;
-        std::fprintf(stderr, "Scale-out baseline written to %s\n",
-                     scaleout_json.c_str());
-    } else {
-        std::fprintf(stderr,
-                     "Scale-out baseline NOT written (failed points).\n");
-    }
+    peibench::writeBaseline(baseline);
     return peibench::benchFinish();
 }

@@ -18,8 +18,6 @@
  */
 
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -33,42 +31,20 @@ using peibench::submitWorkload;
 namespace
 {
 
-std::uint64_t
-stat(const RunResult &r, const char *name)
-{
-    const auto it = r.stats.find(name);
-    return it == r.stats.end() ? 0 : it->second;
-}
-
 /** Sum of every physical "link<N>.flits" counter in @p r. */
 std::uint64_t
 linkFlits(const RunResult &r)
 {
     std::uint64_t flits = 0;
-    for (const auto &[name, value] : r.stats) {
-        const char *const sfx = ".flits";
-        if (name.rfind("link", 0) != 0)
-            continue;
-        if (name.size() <= 4 + std::strlen(sfx) ||
-            name.compare(name.size() - std::strlen(sfx),
-                         std::strlen(sfx), sfx) != 0) {
-            continue;
-        }
-        const std::string digits =
-            name.substr(4, name.size() - 4 - std::strlen(sfx));
-        if (digits.empty() ||
-            digits.find_first_not_of("0123456789") != std::string::npos) {
-            continue;
-        }
-        flits += value;
-    }
+    for (const peibench::LinkStats &l : peibench::linkStats(r))
+        flits += l.flits;
     return flits;
 }
 
 double
 peisPerSecond(const RunResult &r)
 {
-    return r.ticks ? static_cast<double>(stat(r, "pmu.peis_issued")) *
+    return r.ticks ? static_cast<double>(r.stat("pmu.peis_issued")) *
                          static_cast<double>(ticks_per_second) /
                          static_cast<double>(r.ticks)
                    : 0.0;
@@ -90,12 +66,11 @@ pointJson(unsigned batch, unsigned qd, const RunResult &r,
     std::string s = "{\"batch\":" + std::to_string(batch);
     s += ",\"queue_depth\":" + std::to_string(qd);
     s += ",\"ticks\":" + std::to_string(r.ticks);
-    s += ",\"peis\":" + std::to_string(stat(r, "pmu.peis_issued"));
+    s += ",\"peis\":" + std::to_string(r.stat("pmu.peis_issued"));
     s += ",\"peis_per_s\":" + fmt("%.0f", peisPerSecond(r));
-    s += ",\"trains\":" + std::to_string(stat(r, "pmu.pei_trains"));
-    s += ",\"batched_peis\":" +
-         std::to_string(stat(r, "pmu.batched_peis"));
-    s += ",\"req_flits\":" + std::to_string(stat(r, "net.req.flits"));
+    s += ",\"trains\":" + std::to_string(r.stat("pmu.pei_trains"));
+    s += ",\"batched_peis\":" + std::to_string(r.stat("pmu.batched_peis"));
+    s += ",\"req_flits\":" + std::to_string(r.stat("net.req.flits"));
     s += ",\"link_flits\":" + std::to_string(flits);
     s += ",\"link_flit_reduction\":" +
          fmt("%.3f", base_link_flits
@@ -111,16 +86,8 @@ pointJson(unsigned batch, unsigned qd, const RunResult &r,
 int
 main(int argc, char **argv)
 {
-    peibench::benchInit(argc, argv, "fig15_batching",
-                        {{"--batching-json", true}});
-
-    std::string batching_json = PEISIM_ROOT "/BENCH_batching.json";
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--batching-json") == 0 && i + 1 < argc)
-            batching_json = argv[++i];
-        else if (std::strncmp(argv[i], "--batching-json=", 16) == 0)
-            batching_json = argv[i] + 16;
-    }
+    peibench::benchInit(argc, argv, "fig15_batching", {},
+                        {"--batching-json", "BENCH_batching.json"});
 
     std::printf("==================================================="
                 "===========================\n");
@@ -187,9 +154,9 @@ main(int argc, char **argv)
             "%5u %3u %14llu %12.3e %8llu %8llu %10llu %10llu %6.1f%%\n",
             p.batch, p.qd, static_cast<unsigned long long>(r.ticks),
             peisPerSecond(r),
-            static_cast<unsigned long long>(stat(r, "pmu.pei_trains")),
-            static_cast<unsigned long long>(stat(r, "pmu.batched_peis")),
-            static_cast<unsigned long long>(stat(r, "net.req.flits")),
+            static_cast<unsigned long long>(r.stat("pmu.pei_trains")),
+            static_cast<unsigned long long>(r.stat("pmu.batched_peis")),
+            static_cast<unsigned long long>(r.stat("net.req.flits")),
             static_cast<unsigned long long>(flits),
             base_link_flits
                 ? 100.0 * (1.0 - static_cast<double>(flits) /
@@ -197,35 +164,14 @@ main(int argc, char **argv)
                 : 0.0);
     }
 
-    // The committed baseline: every point in submission order.
-    // --filter'ed (skipped) points are omitted; a failed point
-    // suppresses the write so a broken sweep can never silently
-    // refresh the baseline.
-    bool all_ok = true;
-    std::string doc = "{\"bench\":\"fig15_batching\",\"points\":[";
+    std::vector<peibench::BaselinePoint> baseline;
     for (const Point &p : points) {
-        const RunResult &r = result(p.run);
-        if (r.status == JobStatus::Skipped)
-            continue;
-        if (!r.ok()) {
-            all_ok = false;
-            continue;
-        }
-        if (doc.back() != '[')
-            doc += ",";
-        doc += "\n" + pointJson(p.batch, p.qd, r, base_link_flits);
+        baseline.push_back({{p.run}, [&p, base_link_flits] {
+                                return pointJson(p.batch, p.qd,
+                                                 result(p.run),
+                                                 base_link_flits);
+                            }});
     }
-    doc += "\n]}\n";
-    // Operational note -> stderr: stdout stays byte-identical even
-    // when the destination path differs between runs.
-    if (all_ok) {
-        std::ofstream out(batching_json, std::ios::trunc);
-        out << doc;
-        std::fprintf(stderr, "Batching baseline written to %s\n",
-                     batching_json.c_str());
-    } else {
-        std::fprintf(stderr,
-                     "Batching baseline NOT written (failed points).\n");
-    }
+    peibench::writeBaseline(baseline);
     return peibench::benchFinish();
 }

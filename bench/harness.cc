@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <fstream>
+#include <map>
 #include <mutex>
 
 #include "common/logging.hh"
@@ -18,6 +20,7 @@ namespace
 
 std::string bench_name;        ///< set by benchInit
 std::string stats_json_path;   ///< "" = recording disabled
+std::string baseline_path;     ///< "" = no baseline document
 SweepOptions sweep_opts;
 
 Sweep sweep;                        ///< submitted jobs
@@ -64,10 +67,11 @@ flushAtExit()
 }
 
 RunHandle
-submitJob(const std::string &label, SimJob &&sim)
+submitJob(SimJob &&sim)
 {
     // The knob flags apply to every submitted simulation.
     sim.knobs = sweep_opts.knobs;
+    const std::string label = sim.label;
     return sweep.add(label, [sim = std::move(sim)](JobCtx &ctx) {
         const std::size_t idx = ctx.index();
         results[idx] = runSimJob(sim, ctx);
@@ -84,11 +88,14 @@ submitJob(const std::string &label, SimJob &&sim)
 
 void
 benchInit(int argc, char **argv, const std::string &name,
-          std::vector<OwnFlag> own)
+          std::vector<OwnFlag> own, Baseline baseline)
 {
     bench_name = name;
-    stats_json_path = statsJsonPathFromArgs(argc, argv);
-    own.push_back({"--stats-json", true});
+    own.push_back({"--stats-json", true, &stats_json_path});
+    if (baseline.flag) {
+        baseline_path = std::string(PEISIM_ROOT "/") + baseline.file;
+        own.push_back({baseline.flag, true, &baseline_path});
+    }
     sweep_opts = sweepOptionsFromArgs(argc, argv, own);
     if (!flush_registered) {
         std::atexit(flushAtExit);
@@ -100,14 +107,13 @@ RunHandle
 submit(WorkloadKind kind, InputSize size, ExecMode mode,
        const ConfigTweak &tweak)
 {
-    const std::string label = std::string(kindName(kind)) + "/" +
-                              sizeName(size) + "/" + execModeName(mode);
     SimJob sim;
-    sim.label = label;
+    sim.label = std::string(kindName(kind)) + "/" + sizeName(size) + "/" +
+                execModeName(mode);
     sim.factory = [kind, size] { return makeWorkload(kind, size); };
     sim.mode = mode;
     sim.tweak = tweak;
-    return submitJob(label, std::move(sim));
+    return submitJob(std::move(sim));
 }
 
 RunHandle
@@ -121,7 +127,7 @@ submitWorkload(const std::function<std::unique_ptr<Workload>()> &factory,
     sim.mode = mode;
     sim.tweak = tweak;
     sim.threads = threads;
-    return submitJob(label, std::move(sim));
+    return submitJob(std::move(sim));
 }
 
 RunHandle
@@ -131,7 +137,7 @@ submitCustom(const std::string &label,
     SimJob sim;
     sim.label = label;
     sim.custom = std::move(fn);
-    return submitJob(label, std::move(sim));
+    return submitJob(std::move(sim));
 }
 
 void
@@ -220,6 +226,66 @@ benchFinish()
                  report.ok, report.failed, report.timed_out,
                  report.skipped, report.wall_seconds);
     return report.clean() ? 0 : 1;
+}
+
+void
+writeBaseline(const std::vector<BaselinePoint> &points)
+{
+    panic_if(baseline_path.empty(), "%s declares no baseline",
+             bench_name.c_str());
+    bool all_ok = true;
+    std::string doc = "{\"bench\":\"" + bench_name + "\",\"points\":[";
+    for (const BaselinePoint &p : points) {
+        bool skipped = false, ok = true;
+        for (RunHandle h : p.runs) {
+            skipped = skipped || result(h).status == JobStatus::Skipped;
+            ok = ok && result(h).ok();
+        }
+        if (skipped)
+            continue;
+        if (!ok) {
+            all_ok = false;
+            continue;
+        }
+        if (doc.back() != '[')
+            doc += ",";
+        doc += "\n" + p.json();
+    }
+    doc += "\n]}\n";
+    if (!all_ok) {
+        std::fprintf(stderr, "%s: baseline NOT written (failed points)\n",
+                     bench_name.c_str());
+        return;
+    }
+    std::ofstream out(baseline_path, std::ios::trunc);
+    out << doc;
+    std::fprintf(stderr, "%s: baseline written to %s\n",
+                 bench_name.c_str(), baseline_path.c_str());
+}
+
+std::vector<LinkStats>
+linkStats(const RunResult &r)
+{
+    std::map<unsigned, LinkStats> links;
+    for (const auto &[name, value] : r.stats) {
+        // "link<N>.<field>" with a decimal link index N.
+        const std::size_t dot = name.find('.');
+        if (name.rfind("link", 0) != 0 || dot == std::string::npos ||
+            dot == 4 || name.find_first_not_of("0123456789", 4) != dot)
+            continue;
+        const std::string field = name.substr(dot + 1);
+        if (field != "flits" && field != "busy_ticks")
+            continue;
+        const unsigned index =
+            static_cast<unsigned>(std::stoul(name.substr(4, dot - 4)));
+        LinkStats &l = links[index];
+        l.index = index;
+        (field == "flits" ? l.flits : l.busy_ticks) = value;
+    }
+    std::vector<LinkStats> out;
+    for (const auto &[index, l] : links)
+        out.push_back(l);
+    return out;
 }
 
 void

@@ -35,14 +35,26 @@ using namespace pei;
 using RunHandle = std::size_t;
 
 /**
+ * A committed baseline document, e.g. BENCH_scaleout.json, that a
+ * bench writes next to its table (see writeBaseline()).
+ */
+struct Baseline
+{
+    /** The flag that overrides its path, e.g. "--scaleout-json". */
+    const char *flag = nullptr;
+    /** Its default file name at the repo root. */
+    const char *file = nullptr;
+};
+
+/**
  * Parse harness-level flags (`--stats-json`, `--jobs`, `--timeout-s`,
- * `--filter`, `--list`, `--no-progress`) and knob flags, name the
- * bench, and register the atexit stats flush.  @p own lists the
- * flags the bench parses itself; any other argument is fatal.  Call
- * first thing in main().
+ * `--filter`, `--list`, `--no-progress`), knob flags and the
+ * @p baseline flag, name the bench, and register the atexit stats
+ * flush.  @p own lists the flags the bench parses itself; any other
+ * argument is fatal.  Call first thing in main().
  */
 void benchInit(int argc, char **argv, const std::string &name,
-               std::vector<OwnFlag> own = {});
+               std::vector<OwnFlag> own = {}, Baseline baseline = {});
 
 /**
  * Queue one Table 3 workload run, labelled "<kind>/<size>/<mode>".
@@ -89,6 +101,34 @@ bool allOk(std::initializer_list<RunHandle> hs);
  * in main(): `return peibench::benchFinish();`.
  */
 int benchFinish();
+
+/** One baseline point: the runs it reports and its JSON text. */
+struct BaselinePoint
+{
+    std::vector<RunHandle> runs;
+    std::function<std::string()> json; ///< called once every run is Ok
+};
+
+/**
+ * Write `{"bench":"<name>","points":[...]}`, one point per line in
+ * submission order, to the path of the baseline named in benchInit().
+ * A point with a run that --filter skipped is omitted; a failed or
+ * timed-out point suppresses the write, so a broken sweep never
+ * refreshes the committed baseline.  The note about it goes to
+ * stderr, so stdout does not depend on the path.
+ */
+void writeBaseline(const std::vector<BaselinePoint> &points);
+
+/** One physical link's counters ("link<N>.flits", ".busy_ticks"). */
+struct LinkStats
+{
+    unsigned index = 0;
+    std::uint64_t flits = 0;
+    std::uint64_t busy_ticks = 0;
+};
+
+/** Every "link<N>" stat family of @p r, by ascending link index. */
+std::vector<LinkStats> linkStats(const RunResult &r);
 
 /** Print the standard bench header. */
 void printHeader(const std::string &figure, const std::string &what,

@@ -76,12 +76,6 @@ show(const char *title, const SystemConfig &cfg)
     std::printf("PIM directory    : %u entries, %llu-cycle access\n",
                 cfg.pim.directory_entries,
                 (unsigned long long)cfg.pim.directory_latency);
-    // Off-default only: the unsharded table stays byte-identical.
-    if (cfg.pim.pmu_shards > 1) {
-        std::printf("PMU banks        : %u address-interleaved "
-                    "directory+monitor bank pairs\n",
-                    cfg.pim.pmu_shards);
-    }
     // Off-default only: the unbatched table stays byte-identical.
     if (cfg.pim.pei_batch > 1) {
         std::printf("PEI batching     : per-vault windows, up to %u "

@@ -82,8 +82,8 @@ fuzzConfig(unsigned config_index, std::uint64_t master_seed, ExecMode mode)
     (void)rng.chance(0.5);
     (void)rng.chance(0.5);
 
-    // Interconnect and PMU-sharding draws appended after everything
-    // else (same replay-stability rule as the backend draw above).
+    // Interconnect draws appended after everything else (same
+    // replay-stability rule as the backend draw above).
     // Chain appears twice: it is the paper default and the
     // byte-identity baseline; cube counts stay small so the golden
     // cross-check stays fast.
@@ -94,8 +94,9 @@ fuzzConfig(unsigned config_index, std::uint64_t master_seed, ExecMode mode)
     fatal_if(!topo_ok, "fuzzConfig drew an unknown topology");
     const unsigned cube_counts[] = {1, 2, 4};
     cfg.hmc.num_cubes = cube_counts[rng.below(3)];
-    const unsigned bank_counts[] = {1, 2, 4};
-    cfg.pim.pmu_shards = bank_counts[rng.below(3)];
+    // A discarded draw, once the PMU bank count's, keeps the draws
+    // below where they were.
+    (void)rng.below(3);
 
     // Batched-dispatch draws appended last (same replay-stability
     // rule): PMU window size and vault-PCU issue-queue depth.
@@ -214,10 +215,7 @@ runOneMode(const FuzzProgram &prog, const GoldenResult &golden,
 
     switch (opt.inject) {
       case InjectBug::SkipUnlock:
-        // Every bank: the faulted case must trip whichever bank the
-        // program's first released block happens to live in.
-        for (unsigned s = 0; s < sys.pmu().pmuShards(); ++s)
-            sys.pmu().directoryBank(s).injectSkipRelease(1);
+        sys.pmu().directory().injectSkipRelease(1);
         break;
       case InjectBug::SkipBackInval:
         sys.caches().injectSkipBackInvalidate(1);

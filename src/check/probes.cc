@@ -58,21 +58,13 @@ checkOnce(System &sys, LinkWatermark *wm)
     if (!cache_v.empty())
         throw FuzzViolation("cache invariant: " + cache_v);
 
-    // PIM-directory holder bookkeeping, every PMU bank.
-    for (unsigned s = 0; s < sys.pmu().pmuShards(); ++s) {
-        const std::string dir_v =
-            sys.pmu().directoryBank(s).probeViolation();
-        if (!dir_v.empty()) {
-            throw FuzzViolation(
-                sys.pmu().pmuShards() == 1
-                    ? "pim directory: " + dir_v
-                    : "pim directory bank " + std::to_string(s) +
-                          ": " + dir_v);
-        }
-    }
+    // PIM-directory holder bookkeeping.
+    Pmu &pmu = sys.pmu();
+    const std::string dir_v = pmu.directory().probeViolation();
+    if (!dir_v.empty())
+        throw FuzzViolation("pim directory: " + dir_v);
 
     // Operand-buffer occupancy bounds.
-    Pmu &pmu = sys.pmu();
     for (unsigned c = 0; c < pmu.numHostPcus(); ++c) {
         const Pcu &pcu = pmu.hostPcu(c);
         if (pcu.entriesInUse() > pcu.bufferCapacity()) {

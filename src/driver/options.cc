@@ -49,15 +49,18 @@ knobFlag(int argc, char **argv, int &i, KnobSet &knobs)
     return false;
 }
 
-/** Skip argv[i] (and its value) if it is one of @p own. */
+/** Consume argv[i] (and its value) if it is one of @p own. */
 bool
 ownFlag(int argc, char **argv, int &i, const std::vector<OwnFlag> &own)
 {
     std::string value;
     for (const OwnFlag &f : own) {
         if (f.takes_value ? flagValue(argc, argv, i, f.name, value)
-                          : std::strcmp(argv[i], f.name) == 0)
+                          : std::strcmp(argv[i], f.name) == 0) {
+            if (f.value)
+                *f.value = value;
             return true;
+        }
     }
     return false;
 }

@@ -40,11 +40,13 @@ struct OwnFlag
 {
     const char *name; ///< e.g. "--stats-json"
     bool takes_value; ///< "--name v" / "--name=v", else a bare switch
+    std::string *value = nullptr; ///< receives the value, if set
 };
 
 /**
  * Parse the sweep flags out of @p argv.  Arguments named in @p own
- * are skipped; any other argument, or a malformed value, is fatal.
+ * are stored through their value pointer, if any, or skipped; any
+ * other argument, or a malformed value, is fatal.
  */
 SweepOptions sweepOptionsFromArgs(int argc, char **argv,
                                   const std::vector<OwnFlag> &own = {});

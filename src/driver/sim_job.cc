@@ -79,8 +79,7 @@ runSimJob(const SimJob &job, JobCtx &ctx)
                                  " validation failed: " + msg);
     }
 
-    collectRun(sys, r, wall,
-               std::string(w->name()) + "/" + execModeName(job.mode));
+    collectRun(sys, r, wall, job.label);
     r.status = JobStatus::Ok;
     return r;
 }

@@ -56,6 +56,13 @@ struct RunResult
 
     bool ok() const { return status == JobStatus::Ok; }
 
+    /** Counter @p name of the stats snapshot; 0 when absent. */
+    std::uint64_t stat(const std::string &name) const
+    {
+        const auto it = stats.find(name);
+        return it == stats.end() ? 0 : it->second;
+    }
+
     std::uint64_t offchipBytes() const
     {
         return offchip_req_bytes + offchip_res_bytes;

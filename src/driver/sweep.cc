@@ -3,6 +3,7 @@
 #include <chrono>
 #include <sstream>
 
+#include "common/logging.hh"
 #include "driver/progress.hh"
 #include "driver/worker_pool.hh"
 #include "runtime/report.hh"
@@ -36,6 +37,9 @@ failureRecordJson(const JobOutcome &outcome)
 std::size_t
 Sweep::add(std::string label, std::function<void(JobCtx &)> fn)
 {
+    for (const Job &job : jobs)
+        fatal_if(job.label == label, "duplicate job label '%s'",
+                 label.c_str());
     jobs.push_back(Job{std::move(label), std::move(fn)});
     return jobs.size() - 1;
 }

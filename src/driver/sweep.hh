@@ -47,7 +47,11 @@ std::string failureRecordJson(const JobOutcome &outcome);
 class Sweep
 {
   public:
-    /** Append a job; returns its submission index. */
+    /**
+     * Append a job; returns its submission index.  Labels name jobs
+     * in --filter, --list and stats-v2 records, so a duplicate label
+     * is fatal.
+     */
     std::size_t add(std::string label, std::function<void(JobCtx &)> fn);
 
     /** Labels of all added jobs, in submission order. */

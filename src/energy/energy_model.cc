@@ -23,7 +23,7 @@ computeEnergy(const StatRegistry &stats, const EnergyParams &p)
     };
     double acts = 0.0, reads = 0.0, writes = 0.0, tsv_blocks = 0.0;
     double host_ops = 0.0, mem_ops = 0.0;
-    double flits = 0.0, dir_ops = 0.0, mon_ops = 0.0;
+    double flits = 0.0;
     for (const auto &[name, value] : snap) {
         const auto v = static_cast<double>(value);
         // DRAM arrays live behind "vaultN." (hmc backend) or
@@ -56,16 +56,6 @@ computeEnergy(const StatRegistry &stats, const EnergyParams &p)
             // has.  (The injected "net.req/res.flits" counters count
             // packets once and are deliberately excluded.)
             flits += v;
-        } else if (name.find("pim_dir.") != std::string::npos &&
-                   endsWith(name, ".acquires")) {
-            // "pim_dir.acquires" unsharded, "pmuN.pim_dir.acquires"
-            // per bank — one array access per acquire either way.
-            dir_ops += v;
-        } else if (name.find("loc_mon.") != std::string::npos &&
-                   endsWith(name, ".lookups")) {
-            // Every PEI lookup reads the monitor array exactly once
-            // (hit, miss, and ignored hit alike).
-            mon_ops += v;
         }
     }
     e.dram = acts * p.dram_activate_pj +
@@ -78,6 +68,11 @@ computeEnergy(const StatRegistry &stats, const EnergyParams &p)
 
     e.pcu = host_ops * p.host_pcu_op_pj + mem_ops * p.mem_pcu_op_pj;
 
+    // One directory array access per acquire; every PEI lookup reads
+    // the monitor array exactly once (hit, miss, and ignored hit
+    // alike).
+    const double dir_ops = static_cast<double>(stats.get("pim_dir.acquires"));
+    const double mon_ops = static_cast<double>(stats.get("loc_mon.lookups"));
     e.pmu = dir_ops * p.pim_dir_access_pj + mon_ops * p.loc_mon_access_pj;
 
     return e;

@@ -16,9 +16,8 @@
  *  - IdealBackend (mem/ideal_mem.hh): fixed latency, infinite
  *    bandwidth.
  *
- * Backends are constructed through a string-keyed factory registry
- * (createMemoryBackend), which is what `--mem-backend=hmc|ddr|ideal`
- * selects at every entry point.
+ * createMemoryBackend constructs one by name, which is what
+ * `--mem-backend=hmc|ddr|ideal` selects at every entry point.
  */
 
 #ifndef PEISIM_MEM_BACKEND_HH
@@ -78,7 +77,7 @@ class MemoryBackend
 
     virtual ~MemoryBackend() = default;
 
-    /** Registry key this backend was created under ("hmc", ...). */
+    /** Name this backend was created under ("hmc", ...). */
     virtual const char *kind() const = 0;
 
     // --- timing block access -------------------------------------
@@ -157,29 +156,18 @@ class MemoryBackend
     virtual std::uint64_t memWrites() const = 0;
 };
 
-// --- string-keyed factory registry -------------------------------
+// --- backend selection by name -----------------------------------
 
 /** Aggregate of every backend's config (mem/backend_config.hh). */
 struct MemBackendConfig;
 
-using MemBackendFactory = std::unique_ptr<MemoryBackend> (*)(
-    EventQueue &eq, const MemBackendConfig &cfg, StatRegistry &stats);
-
-/**
- * Register @p factory under @p name (extension hook; the built-in
- * backends self-register on first createMemoryBackend call).
- * Re-registering a name replaces the previous factory.
- */
-void registerMemoryBackend(const std::string &name,
-                           MemBackendFactory factory);
-
-/** Sorted names of every registered backend (incl. built-ins). */
+/** Sorted names of the backends: ddr, hmc and ideal. */
 std::vector<std::string> memoryBackendNames();
 
 /**
- * Construct the backend registered under @p name; fatal on an
- * unknown name (the error lists the registered backends).  The
- * backend and everything it owns schedule on @p eq.
+ * Construct the backend named @p name; fatal on an unknown name (the
+ * error lists the known backends).  The backend and everything it
+ * owns schedule on @p eq.
  */
 std::unique_ptr<MemoryBackend> createMemoryBackend(
     const std::string &name, EventQueue &eq, const MemBackendConfig &cfg,

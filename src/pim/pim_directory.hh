@@ -70,9 +70,8 @@ class PimDirectory
     /**
      * Release a previously granted acquisition.  A writer PEI
      * holding several element locks passes count_writer = true on
-     * exactly one of its releases (the one on the bank that
-     * registerWriter()ed it); the extra releases must not retire the
-     * writer again.
+     * exactly one of its releases (its primary block's); the extra
+     * releases must not retire the writer again.
      */
     void release(Addr block, bool writer, bool count_writer = true);
 
@@ -80,8 +79,8 @@ class PimDirectory
      * Stable ordering/dedup key of the entry @p block folds to (the
      * block itself in ideal mode, the direct-mapped index
      * otherwise).  Multi-block PEIs acquire their element locks in
-     * ascending (bank, key) order — ordered acquisition over a
-     * globally consistent key order cannot form a wait cycle — and
+     * ascending key order — ordered acquisition over a globally
+     * consistent key order cannot form a wait cycle — and
      * acquire each distinct entry once (re-acquiring an aliased
      * entry as a writer would self-deadlock).
      */
@@ -103,7 +102,7 @@ class PimDirectory
     /** In-flight writer PEIs (granted or queued). */
     std::uint64_t inFlightWriters() const { return writers_in_flight; }
 
-    /** Granted acquisitions / releases (aggregate-invariant hooks). */
+    /** Granted acquisitions / releases. */
     std::uint64_t acquires() const { return stat_acquires.value(); }
     std::uint64_t releases() const { return stat_releases.value(); }
 

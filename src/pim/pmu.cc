@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/bitutil.hh"
 #include "common/logging.hh"
 
 namespace pei
@@ -23,57 +22,28 @@ execModeName(ExecMode mode)
 Pmu::Pmu(EventQueue &eq, const PimConfig &cfg, unsigned cores,
          unsigned l3_sets, unsigned l3_ways, CacheHierarchy &hierarchy,
          MemoryBackend &mem, VirtualMemory &vm, StatRegistry &stats)
-    : eq(eq), cfg(cfg), hierarchy(hierarchy), mem(mem), vm(vm)
+    : eq(eq), cfg(cfg), hierarchy(hierarchy), mem(mem), vm(vm),
+      // Ideal-Host idealizes the directory: exact tracking, zero
+      // latency, PEIs behave like host instructions (§7: "its PIM
+      // directory is infinitely large and can be accessed in zero
+      // cycles").
+      dir(eq, cfg.mode == ExecMode::IdealHost ? 0 : cfg.directory_entries,
+          cfg.mode == ExecMode::IdealHost ? 0 : cfg.directory_latency,
+          stats),
+      mon(cfg.monitor_sets ? cfg.monitor_sets : l3_sets,
+          cfg.monitor_ways ? cfg.monitor_ways : l3_ways, stats,
+          cfg.monitor_partial_tag_bits, cfg.monitor_ignore_flag)
 {
-    // Address-partitioned PMU banks: block-interleaved across
-    // pmu_shards directory/monitor pairs, splitting the capacity so
-    // total reach is unchanged.  One shard keeps the legacy stat
-    // names and is byte-identical to the unsharded PMU.
-    const unsigned nshards = cfg.pmu_shards;
-    fatal_if(!isPowerOf2(nshards),
-             "pmu_shards must be a power of two, got %u",
-             cfg.pmu_shards);
     fatal_if(cfg.pei_batch == 0 || cfg.pei_batch > 64,
              "pei_batch must be in [1, 64], got %u", cfg.pei_batch);
-    shard_bits = floorLog2(nshards);
-    shard_mask = nshards - 1;
-
-    // Ideal-Host idealizes the directory: exact tracking, zero
-    // latency, PEIs behave like host instructions (§7: "its PIM
-    // directory is infinitely large and can be accessed in zero
-    // cycles").  Entry count 0 also selects the ideal directory
-    // (§7.6 ablation), so it must not be divided per bank.
-    const bool ideal = cfg.mode == ExecMode::IdealHost;
-    const unsigned dir_entries =
-        (ideal || cfg.directory_entries == 0)
-            ? 0
-            : std::max(1u, cfg.directory_entries >> shard_bits);
-
-    const unsigned sets = cfg.monitor_sets ? cfg.monitor_sets : l3_sets;
-    const unsigned ways = cfg.monitor_ways ? cfg.monitor_ways : l3_ways;
-    const unsigned bank_sets = std::max(1u, sets >> shard_bits);
-
-    dirs.reserve(nshards);
-    mons.reserve(nshards);
-    for (unsigned s = 0; s < nshards; ++s) {
-        const std::string prefix =
-            nshards == 1 ? "" : "pmu" + std::to_string(s) + ".";
-        dirs.push_back(std::make_unique<PimDirectory>(
-            eq, dir_entries, ideal ? 0 : cfg.directory_latency, stats,
-            prefix + "pim_dir"));
-        mons.push_back(std::make_unique<LocalityMonitor>(
-            bank_sets, ways, stats, cfg.monitor_partial_tag_bits,
-            cfg.monitor_ignore_flag, prefix + "loc_mon"));
-        mons.back()->setAccessLatency(cfg.monitor_latency);
-    }
+    mon.setAccessLatency(cfg.monitor_latency);
 
     // The monitor mirrors every last-level cache access (§4.3), but
     // only when locality-aware execution is enabled; Host-Only and
     // PIM-Only "disable the locality monitor" (§7).
     if (cfg.mode == ExecMode::LocalityAware) {
-        hierarchy.setL3AccessListener([this](Addr block) {
-            monFor(block).onL3Access(bankBlock(block));
-        });
+        hierarchy.setL3AccessListener(
+            [this](Addr block) { mon.onL3Access(block); });
     }
 
     host_pcus.reserve(cores);
@@ -222,40 +192,6 @@ Pmu::Pmu(EventQueue &eq, const PimConfig &cfg, unsigned cores,
                 });
         }
     }
-    // Sharded PMU: the per-bank invariants (lookup partition,
-    // acquire/release balance, writer drain) register inside each
-    // bank; these aggregate views re-check the same identities across
-    // all banks so a packet routed to the wrong bank cannot balance
-    // out locally yet corrupt the total.
-    if (nshards > 1) {
-        stats.addInvariant(
-            "pmu.sharded directory acquires == releases in total",
-            [this] {
-                std::uint64_t acq = 0, rel = 0;
-                for (const auto &d : dirs) {
-                    acq += d->acquires();
-                    rel += d->releases();
-                }
-                if (acq == rel)
-                    return std::string();
-                return "total acquires=" + std::to_string(acq) +
-                       " != total releases=" + std::to_string(rel);
-            });
-        stats.addInvariant(
-            "pmu.sharded monitor lookups partition in total",
-            [this] {
-                std::uint64_t lookups = 0, split = 0;
-                for (const auto &m : mons) {
-                    lookups += m->lookups();
-                    split += m->hits() + m->misses() + m->ignoredHits();
-                }
-                if (lookups == split)
-                    return std::string();
-                return "total lookups=" + std::to_string(lookups) +
-                       " != hits+misses+ignored=" +
-                       std::to_string(split);
-            });
-    }
 }
 
 void
@@ -270,7 +206,7 @@ Pmu::executePei(unsigned core, PeiOpcode op, Addr paddr, const void *input,
     // in their TLB-penalty or crossbar window; the directory retires
     // the writer in Pmu::finish via release().
     if (pkt.is_writer)
-        dirFor(pkt.paddr >> block_shift).registerWriter();
+        dir.registerWriter();
 
     const std::uint32_t txn =
         txns.emplace(PeiTxn{std::move(pkt), std::move(done), core});
@@ -336,29 +272,22 @@ Pmu::buildLockList(PeiTxn &t)
     const unsigned nb = t.pkt.targetBlocks(paddrs, max_pei_target_blocks);
     struct Lock
     {
-        unsigned shard;
         Addr key;
         Addr block;
     };
     Lock locks[max_pei_target_blocks];
     for (unsigned i = 0; i < nb; ++i) {
         const Addr block = paddrs[i] >> block_shift;
-        const unsigned shard = shardOf(block);
-        locks[i] = {shard, dirs[shard]->entryKey(bankBlock(block)),
-                    block};
+        locks[i] = {dir.entryKey(block), block};
     }
-    // Ascending (bank, entry-key) acquisition order — globally
-    // consistent across all PEIs, so ordered multi-acquisition
-    // cannot form a wait cycle — with aliased entries acquired once.
-    // An insertion sort suits the <= 8 locks and keeps ties in
-    // element order.
+    // Ascending entry-key acquisition order — globally consistent
+    // across all PEIs, so ordered multi-acquisition cannot form a
+    // wait cycle — with aliased entries acquired once.  An insertion
+    // sort suits the <= 8 locks and keeps ties in element order.
     for (unsigned i = 1; i < nb; ++i) {
         const Lock l = locks[i];
         unsigned j = i;
-        for (; j > 0 && (locks[j - 1].shard != l.shard
-                             ? l.shard < locks[j - 1].shard
-                             : l.key < locks[j - 1].key);
-             --j)
+        for (; j > 0 && l.key < locks[j - 1].key; --j)
             locks[j] = locks[j - 1];
         locks[j] = l;
     }
@@ -367,12 +296,9 @@ Pmu::buildLockList(PeiTxn &t)
     while (i < nb) {
         Addr rep = locks[i].block;
         unsigned j = i;
-        while (j < nb && locks[j].shard == locks[i].shard &&
-               locks[j].key == locks[i].key)
-        {
-            // The primary represents its own entry, so the one
-            // writer-retiring release in finish() lands on the bank
-            // that registerWriter()ed this PEI.
+        while (j < nb && locks[j].key == locks[i].key) {
+            // The primary represents its own entry, so finish()
+            // retires the writer with that entry's release.
             if (locks[j].block == primary)
                 rep = primary;
             ++j;
@@ -394,12 +320,11 @@ Pmu::acquireNextLock(std::uint32_t txn)
         return;
     }
     const Addr block = t.lock_blocks[t.locks_held];
-    dirFor(block).acquire(bankBlock(block), t.pkt.is_writer,
-                          Callback([this, txn] {
-                              ++txns[txn].locks_held;
-                              acquireNextLock(txn);
-                          }),
-                          /*writer_registered=*/t.pkt.is_writer);
+    dir.acquire(block, t.pkt.is_writer, Callback([this, txn] {
+                    ++txns[txn].locks_held;
+                    acquireNextLock(txn);
+                }),
+                /*writer_registered=*/t.pkt.is_writer);
 }
 
 void
@@ -459,10 +384,9 @@ Pmu::decide(std::uint32_t txn)
     // The locality monitor is consulted in parallel with the
     // directory (Fig. 4 step ②); charge only the extra latency
     // beyond the directory lookup.
-    const Ticks extra =
-        mons[0]->accessLatency() > dirs[0]->accessLatency()
-            ? mons[0]->accessLatency() - dirs[0]->accessLatency()
-            : 0;
+    const Ticks extra = mon.accessLatency() > dir.accessLatency()
+                            ? mon.accessLatency() - dir.accessLatency()
+                            : 0;
     eq.schedule(extra, [this, txn] { decideLookup(txn); });
 }
 
@@ -470,9 +394,7 @@ void
 Pmu::decideLookup(std::uint32_t txn)
 {
     PeiTxn &t = txns[txn];
-    const Addr block = t.pkt.paddr >> block_shift;
-    const bool high_locality =
-        monFor(block).lookupForPei(bankBlock(block));
+    const bool high_locality = mon.lookupForPei(t.pkt.paddr >> block_shift);
     if (!mem.supportsPim()) {
         // The monitor still profiles, but there is nowhere to
         // offload to: degrade to host-side execution.
@@ -620,9 +542,8 @@ Pmu::memExecute(std::uint32_t txn)
         return;
     }
     PeiTxn &t = txns[txn];
-    const Addr block = t.pkt.paddr >> block_shift;
     if (cfg.mode == ExecMode::LocalityAware)
-        monFor(block).onPimIssue(bankBlock(block));
+        mon.onPimIssue(t.pkt.paddr >> block_shift);
     Addr blocks[max_pei_target_blocks];
     const unsigned nb = t.pkt.targetBlocks(blocks, max_pei_target_blocks);
     if (t.pkt.is_writer) {
@@ -871,9 +792,8 @@ Pmu::finish(std::uint32_t txn, bool executed_at_host)
     // element locks release without retiring the writer again.
     const Addr primary = t.pkt.paddr >> block_shift;
     for (unsigned i = 0; i < t.lock_count; ++i) {
-        const Addr block = t.lock_blocks[i];
-        dirFor(block).release(bankBlock(block), t.pkt.is_writer,
-                              /*count_writer=*/block == primary);
+        dir.release(t.lock_blocks[i], t.pkt.is_writer,
+                    /*count_writer=*/t.lock_blocks[i] == primary);
     }
     // Host-side execution held a host-PCU operand buffer entry;
     // memory-side execution used the vault PCU's buffer instead
@@ -905,24 +825,7 @@ Pmu::pfence(Callback done)
         for (unsigned gv = 0; gv < windows.size(); ++gv)
             flushWindow(gv);
     }
-    if (dirs.size() == 1) {
-        dirs[0]->pfence(std::move(done));
-        return;
-    }
-    // Sharded PMU: the fence fans out to every directory bank and
-    // completes only when the last bank reports its writers drained.
-    const std::uint32_t join = pfence_joins.emplace(PfenceJoin{
-        static_cast<unsigned>(dirs.size()), std::move(done)});
-    for (auto &d : dirs) {
-        d->pfence(Callback([this, join] {
-            PfenceJoin &j = pfence_joins[join];
-            if (--j.remaining > 0)
-                return;
-            Callback cb = std::move(j.done);
-            pfence_joins.erase(join);
-            cb();
-        }));
-    }
+    dir.pfence(std::move(done));
 }
 
 } // namespace pei

@@ -78,19 +78,6 @@ struct PimConfig
      */
     double balanced_saturation_flits = 0.0;
 
-    /**
-     * Address-partitioned PMU banks (power of two): PEI target blocks
-     * interleave across `pmu_shards` PimDirectory + LocalityMonitor
-     * bank pairs (shard = block mod shards, banks indexed by
-     * block / shards), splitting the directory entries and monitor
-     * sets evenly.  1 (the default) is the paper's single shared PMU
-     * and is byte-identical to the unsharded code; sharded runs
-     * register per-bank `pmuN.pim_dir.*` / `pmuN.loc_mon.*` stats and
-     * invariants plus aggregate cross-bank invariants.  pfence fans
-     * out to every bank and completes when the last one drains.
-     */
-    unsigned pmu_shards = 1;
-
     Ticks pmu_xbar_latency = 8;     ///< core→PMU crossbar hop
 
     /**
@@ -145,17 +132,8 @@ class Pmu
     /** pfence: @p done fires once all earlier writer PEIs complete. */
     void pfence(Callback done);
 
-    /** Bank 0 — the whole PMU when pmu_shards == 1. */
-    PimDirectory &directory() { return *dirs[0]; }
-    LocalityMonitor &monitor() { return *mons[0]; }
-
-    /** Address-partitioned PMU banks (probe/bench hooks). */
-    unsigned pmuShards() const
-    {
-        return static_cast<unsigned>(dirs.size());
-    }
-    PimDirectory &directoryBank(unsigned s) { return *dirs[s]; }
-    LocalityMonitor &monitorBank(unsigned s) { return *mons[s]; }
+    PimDirectory &directory() { return dir; }
+    LocalityMonitor &monitor() { return mon; }
 
     Pcu &hostPcu(unsigned core) { return *host_pcus[core]; }
 
@@ -224,8 +202,7 @@ class Pmu
         unsigned pending = 0;
         /**
          * Directory locks this PEI holds, one representative block
-         * per distinct (bank, entry), in ascending acquisition
-         * order.  Single-block PEIs hold exactly their target block;
+         * per distinct entry, in ascending acquisition order.  Single-block PEIs hold exactly their target block;
          * multi-block runs lock every element block so the paper's
          * per-block atomicity (and the probes' stale/dirty-copy
          * windows) extend to the whole run.
@@ -277,32 +254,14 @@ class Pmu
      *  true = offload to memory. */
     bool balancedChoice(const PimPacket &pkt);
 
-    /** PMU bank owning @p block (block-interleaved, power of two). */
-    unsigned shardOf(Addr block) const
-    {
-        return static_cast<unsigned>(block) & shard_mask;
-    }
-
-    /** @p block as seen inside its bank: the interleave bits drop out
-     *  so bank indexing stays injective (identity when unsharded). */
-    Addr bankBlock(Addr block) const { return block >> shard_bits; }
-
-    PimDirectory &dirFor(Addr block) { return *dirs[shardOf(block)]; }
-    LocalityMonitor &monFor(Addr block)
-    {
-        return *mons[shardOf(block)];
-    }
-
     EventQueue &eq;
     PimConfig cfg;
     CacheHierarchy &hierarchy;
     MemoryBackend &mem;
     VirtualMemory &vm;
 
-    unsigned shard_bits = 0;
-    unsigned shard_mask = 0;
-    std::vector<std::unique_ptr<PimDirectory>> dirs;
-    std::vector<std::unique_ptr<LocalityMonitor>> mons;
+    PimDirectory dir;
+    LocalityMonitor mon;
     std::vector<std::unique_ptr<Pcu>> host_pcus;
     std::vector<std::unique_ptr<MemSidePcu>> mem_pcus;
 
@@ -335,15 +294,6 @@ class Pmu
     std::vector<BatchWindow> windows;      ///< one per global vault
     std::vector<unsigned> vault_inflight;  ///< dispatched, unretired
     SlotPool<TrainTxn> train_txns;
-
-    /** One outstanding sharded pfence: completes when every bank's
-     *  fence callback has fired. */
-    struct PfenceJoin
-    {
-        unsigned remaining;
-        Callback done;
-    };
-    SlotPool<PfenceJoin> pfence_joins;
 
     /** In-flight memory-side PEI targets (see memWriterBlocks()). */
     std::vector<Addr> mem_writer_blocks;

@@ -116,10 +116,6 @@ knobTable()
             [](auto &c) -> auto & { return c.hmc.num_cubes; },
             "a positive power of two", 1, no_max, true),
         integerKnob(
-            "pmu_shards", "address-partitioned PMU banks (power of two)",
-            [](auto &c) -> auto & { return c.pim.pmu_shards; },
-            "a positive power of two", 1, no_max, true),
-        integerKnob(
             "pei_batch", "PMU batching window size (1 = per-op dispatch)",
             [](auto &c) -> auto & { return c.pim.pei_batch; },
             "an integer in [1, 64]", 1, 64),

@@ -189,9 +189,11 @@ TEST(FuzzReplay, FileRoundTrips)
     opt.inject = InjectBug::SkipUnlock;
     // Every knob pinned off its default.
     const std::map<std::string, std::string> off = {
-        {"mem_backend", "ddr"},       {"topology", "mesh"},
-        {"cubes", "8"},               {"pmu_shards", "4"},
-        {"pei_batch", "8"},           {"batch_window_ticks", "64"},
+        {"mem_backend", "ddr"},
+        {"topology", "mesh"},
+        {"cubes", "8"},
+        {"pei_batch", "8"},
+        {"batch_window_ticks", "64"},
         {"queue_depth", "4"},
     };
     ASSERT_EQ(off.size(), knobTable().size());

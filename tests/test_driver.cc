@@ -203,6 +203,14 @@ TEST(Sweep, FilterSkipsNonMatchingJobs)
     EXPECT_TRUE(report.clean());
 }
 
+TEST(SweepDeathTest, DuplicateLabelFatals)
+{
+    Sweep sweep;
+    sweep.add("PR/small/PIM-Only", [](JobCtx &) {});
+    EXPECT_DEATH(sweep.add("PR/small/PIM-Only", [](JobCtx &) {}),
+                 "duplicate job label 'PR/small/PIM-Only'");
+}
+
 TEST(InputCache, SharesOneInstancePerKey)
 {
     clearInputCache();
@@ -298,8 +306,14 @@ TEST(Sweep, RecordsIdenticalAcrossWorkerCounts)
         EXPECT_TRUE(report.clean());
 
         std::vector<std::string> records;
-        for (const RunResult &r : results) {
+        for (std::size_t i = 0; i < results.size(); ++i) {
+            const RunResult &r = results[i];
             EXPECT_TRUE(r.ok());
+            // The record carries its job's label.
+            EXPECT_EQ(r.stats_record.rfind(
+                          "{\"label\":\"" + sims[i].label + "\",", 0),
+                      0u)
+                << sims[i].label;
             records.push_back(stripWallClock(r.stats_record));
         }
         return records;
@@ -379,9 +393,11 @@ TEST(Knobs, FlagsAndReproducersRejectOutOfRangeValues)
     fuzz::FuzzOptions opt;
     ASSERT_TRUE(fuzz::parseReplayFile("seed=1\n", id, opt));
     const std::pair<const char *, const char *> bad[] = {
-        {"cubes", "3"},         {"pmu_shards", "0"},
-        {"pei_batch", "65"},    {"batch_window_ticks", "0"},
-        {"topology", "torus"},  {"mem_backend", "nvram"},
+        {"cubes", "3"},
+        {"pei_batch", "65"},
+        {"batch_window_ticks", "0"},
+        {"topology", "torus"},
+        {"mem_backend", "nvram"},
     };
     for (const auto &[key, value] : bad) {
         const Knob *knob = findKnob(key);
@@ -399,6 +415,9 @@ TEST(Knobs, FlagsAndReproducersRejectOutOfRangeValues)
     // are rejected rather than replayed on a different machine.
     EXPECT_FALSE(
         fuzz::parseReplayFile("seed=1\ncoherence=eager\n", id, opt));
+    // So is the PMU bank count, which every older reproducer pins.
+    EXPECT_FALSE(
+        fuzz::parseReplayFile("seed=1\npmu_shards=1\n", id, opt));
 }
 
 // A flag no binary owns is an error, not a silent default run: a
@@ -407,16 +426,21 @@ TEST(Knobs, UnknownFlagsAreRejected)
 {
     EXPECT_DEATH(parseFlags({"--coherence", "lazy"}),
                  "unknown argument '--coherence'");
+    EXPECT_DEATH(parseFlags({"--pmu-shards", "4"}),
+                 "unknown argument '--pmu-shards'");
     EXPECT_DEATH(parseFlags({"--jbos", "4"}), "unknown argument '--jbos'");
     EXPECT_DEATH(parseFlags({"--jobs", "4", "stray"}),
                  "unknown argument 'stray'");
 
-    // A binary's own flags pass through, values and all.
-    const std::vector<OwnFlag> own = {{"--stats-json", true},
+    // A binary's own flags pass through, values and all, and a value
+    // lands where the flag points.
+    std::string stats_json;
+    const std::vector<OwnFlag> own = {{"--stats-json", true, &stats_json},
                                       {"--backend-sweep", false}};
     const SweepOptions opts = parseFlags(
         {"--stats-json", "out.json", "--backend-sweep", "--jobs=2"}, own);
     EXPECT_EQ(opts.jobs, 2u);
+    EXPECT_EQ(stats_json, "out.json");
     EXPECT_DEATH(parseFlags({"--backend-sweep=1"}, own),
                  "unknown argument '--backend-sweep=1'");
 }

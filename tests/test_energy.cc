@@ -78,40 +78,37 @@ TEST(EnergyModel, AttributesComponentsIndependently)
                      7 * p.link_flit_pj);
 }
 
-TEST(EnergyModel, SumsEveryLinkAndPmuBank)
+TEST(EnergyModel, SumsEveryLinkAndPmuAccess)
 {
     // Topology-aware runs register one "link<N>.*" family per
-    // physical link and sharded PMUs one "pmuN.*" family per bank;
-    // the model must charge all of them, and only them.
+    // physical link, and the model must charge all of them.  The PMU
+    // is charged one directory access per acquire and one monitor
+    // access per lookup, and nothing else.
     StatRegistry stats;
     Counter c1, c2, c3, c4;
     stats.add("cache.l1_accesses", &c1);
     stats.add("cache.l2_accesses", &c2);
     stats.add("cache.l3_accesses", &c3);
     stats.add("cache.xbar_msgs", &c4);
-    Counter l0, l1, l2, d0, d1, m0, m1;
+    Counter l0, l1, l2, dir, mon;
     stats.add("link0.flits", &l0);
     stats.add("link1.flits", &l1);
     stats.add("link2.flits", &l2);
-    stats.add("pmu0.pim_dir.acquires", &d0);
-    stats.add("pmu1.pim_dir.acquires", &d1);
-    stats.add("pmu0.loc_mon.lookups", &m0);
-    stats.add("pmu1.loc_mon.lookups", &m1);
+    stats.add("pim_dir.acquires", &dir);
+    stats.add("loc_mon.lookups", &mon);
     // Decoys: the injected per-packet counters, link occupancy, and
     // the non-charged members of the PMU families must stay free.
     Counter net_req, busy, rel, hits;
     stats.add("net.req.flits", &net_req);
     stats.add("link0.busy_ticks", &busy);
-    stats.add("pmu0.pim_dir.releases", &rel);
-    stats.add("pmu0.loc_mon.hits", &hits);
+    stats.add("pim_dir.releases", &rel);
+    stats.add("loc_mon.hits", &hits);
 
     l0 += 3;
     l1 += 4;
     l2 += 5;
-    d0 += 7;
-    d1 += 11;
-    m0 += 13;
-    m1 += 17;
+    dir += 18;
+    mon += 30;
     net_req += 100;
     busy += 999;
     rel += 21;

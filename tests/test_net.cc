@@ -1,23 +1,16 @@
 /**
  * @file
- * Directed tests for the topology-aware interconnect (src/net/) and
- * the address-partitioned (sharded) PMU.
+ * Directed tests for the topology-aware interconnect (src/net/).
  *
- * The interconnect suite pins hand-computed hop counts and arrival
- * ticks at the default timing (40 GB/s per link = 10 B/tick,
- * 2 ns = 8-tick propagation, 1 ns = 4-tick hop) so any routing or
- * serialization change shows up as an exact-tick diff.  The sharding
- * suite checks that bank-partitioned PMUs preserve the architectural
- * results and aggregate counters of the single shared PMU.
+ * The suite pins hand-computed hop counts and arrival ticks at the
+ * default timing (40 GB/s per link = 10 B/tick, 2 ns = 8-tick
+ * propagation, 1 ns = 4-tick hop) so any routing or serialization
+ * change shows up as an exact-tick diff.
  */
 
 #include <gtest/gtest.h>
 
-#include <vector>
-
-#include "common/rng.hh"
 #include "net/interconnect.hh"
-#include "runtime/runtime.hh"
 
 namespace pei
 {
@@ -154,100 +147,6 @@ TEST(Interconnect, InjectedCountersCountPacketsOnce)
     EXPECT_EQ(per_link, 3u);
     // The per-link-vs-traversal conservation invariant holds.
     EXPECT_TRUE(stats.audit().empty());
-}
-
-// --------------------------------------------------- PMU sharding
-
-struct ShardOutcome
-{
-    std::vector<std::uint64_t> array;
-    std::uint64_t peis = 0;
-    std::uint64_t acquires = 0;
-    std::uint64_t releases = 0;
-    std::uint64_t lookups = 0;
-};
-
-/**
- * A deterministic PEI-heavy workload (random inc64 bursts with a
- * pfence between bursts) on @p pmu_shards PMU banks; returns the
- * architectural result plus the cross-bank counter totals.
- */
-ShardOutcome
-runSharded(unsigned pmu_shards)
-{
-    SystemConfig cfg = SystemConfig::scaled(ExecMode::LocalityAware);
-    cfg.cores = 4;
-    cfg.phys_bytes = 64ULL << 20;
-    cfg.hmc.vaults_per_cube = 4;
-    cfg.pim.pmu_shards = pmu_shards;
-    System sys(cfg);
-    Runtime rt(sys);
-    const unsigned n = 1 << 10;
-    const Addr a = rt.allocArray<std::uint64_t>(n);
-    // A named lambda: the coroutines read its captures through the
-    // lambda object, so it must outlive rt.run(), not the spawn call.
-    const auto kernel = [&](Ctx &ctx, unsigned tid, unsigned) -> Task {
-        Rng rng(tid + 1);
-        for (int burst = 0; burst < 4; ++burst) {
-            for (int i = 0; i < 400; ++i)
-                co_await ctx.inc64(a + 8 * rng.below(n));
-            co_await ctx.pfence();
-        }
-        co_await ctx.drain();
-    };
-    rt.spawnThreads(4, kernel);
-    rt.run();
-
-    EXPECT_TRUE(sys.stats().audit().empty())
-        << "stats audit failed at pmu_shards=" << pmu_shards;
-
-    ShardOutcome out;
-    out.array.resize(n);
-    sys.memory().readBytes(a, out.array.data(), 8ULL * n);
-    out.peis = sys.pmu().peisHost() + sys.pmu().peisMem();
-    EXPECT_EQ(sys.pmu().pmuShards(), pmu_shards);
-    for (unsigned s = 0; s < sys.pmu().pmuShards(); ++s) {
-        out.acquires += sys.pmu().directoryBank(s).acquires();
-        out.releases += sys.pmu().directoryBank(s).releases();
-        out.lookups += sys.pmu().monitorBank(s).lookups();
-    }
-    return out;
-}
-
-TEST(PmuSharding, BanksPreserveArchitecturalResults)
-{
-    const ShardOutcome base = runSharded(1);
-    EXPECT_EQ(base.peis, 4u * 4u * 400u);
-    EXPECT_EQ(base.acquires, base.releases);
-    for (const unsigned banks : {2u, 4u}) {
-        const ShardOutcome sharded = runSharded(banks);
-        EXPECT_EQ(sharded.array, base.array) << banks << " banks";
-        EXPECT_EQ(sharded.peis, base.peis) << banks << " banks";
-        // Partitioning moves lookups/acquires between banks but must
-        // not create or drop any.
-        EXPECT_EQ(sharded.acquires, base.acquires) << banks << " banks";
-        EXPECT_EQ(sharded.releases, base.releases) << banks << " banks";
-        EXPECT_EQ(sharded.lookups, base.lookups) << banks << " banks";
-    }
-}
-
-TEST(PmuSharding, ShardedStatsUseBankPrefixes)
-{
-    SystemConfig cfg = SystemConfig::scaled(ExecMode::LocalityAware);
-    cfg.cores = 2;
-    cfg.phys_bytes = 64ULL << 20;
-    cfg.pim.pmu_shards = 2;
-    System sys(cfg);
-    EXPECT_TRUE(sys.stats().has("pmu0.pim_dir.acquires"));
-    EXPECT_TRUE(sys.stats().has("pmu1.loc_mon.lookups"));
-    EXPECT_FALSE(sys.stats().has("pim_dir.acquires"));
-
-    SystemConfig one = SystemConfig::scaled(ExecMode::LocalityAware);
-    one.cores = 2;
-    one.phys_bytes = 64ULL << 20;
-    System legacy(one);
-    EXPECT_TRUE(legacy.stats().has("pim_dir.acquires"));
-    EXPECT_FALSE(legacy.stats().has("pmu0.pim_dir.acquires"));
 }
 
 } // namespace
