@@ -19,28 +19,22 @@ main(int argc, char **argv)
         "Table 1", "Summary of Supported PIM Operations",
         "seven operations, R/W flags, input 0-64 B, output 0-16 B");
 
-    std::printf("%-12s %2s %2s %6s %7s %3s  %s\n", "Operation", "R",
-                "W", "Input", "Output", "MB", "Applications");
+    std::printf("%-12s %2s %2s %6s %7s  %s\n", "Operation", "R", "W",
+                "Input", "Output", "Applications");
     const char *apps[] = {
         "ATF", "BFS, SP, WCC", "PR", "HJ", "HG, RP", "SC", "SVM",
-        "SpMV, copy (extension)", "HG, copy (extension)",
     };
     static_assert(sizeof(apps) / sizeof(apps[0]) ==
                   static_cast<std::size_t>(PeiOpcode::NumOpcodes));
     for (unsigned i = 0;
          i < static_cast<unsigned>(PeiOpcode::NumOpcodes); ++i) {
         const PeiOpInfo &info = peiOpInfo(static_cast<PeiOpcode>(i));
-        std::printf("%-12s %2s %2s %5uB %6uB %3s  %s\n", info.name,
+        std::printf("%-12s %2s %2s %5uB %6uB  %s\n", info.name,
                     info.reads ? "O" : "X", info.writes ? "O" : "X",
-                    info.input_bytes, info.output_bytes,
-                    info.multi_block ? "O" : "X", apps[i]);
+                    info.input_bytes, info.output_bytes, apps[i]);
     }
-    std::printf("\nSingle-block operations obey the single-cache-block "
-                "restriction (64 B); the multi-block\n"
-                "(MB) gather/scatter extension ops access up to 8 "
-                "strided elements whose blocks must\n"
-                "decode to one vault for memory-side execution.  All "
-                "operations are executable on\n"
+    std::printf("\nEvery operation obeys the single-cache-block "
+                "restriction (64 B) and is executable on\n"
                 "both host-side and memory-side PCUs.\n");
     return peibench::benchFinish();
 }

@@ -293,15 +293,11 @@ runOneMode(const FuzzProgram &prog, const GoldenResult &golden,
                             std::to_string(sys.pmu().peisMem()) +
                             " PEI(s) in memory");
     }
-    // PIM-Only tolerates exactly the vault-spanning multi-block runs
-    // the decision stage is required to force host-side.
     if (mode == ExecMode::PimOnly && sys.mem().supportsPim() &&
-        sys.pmu().peisHost() != sys.pmu().peisSpanHost()) {
+        sys.pmu().peisHost() != 0) {
         throw FuzzViolation("mode sanity: PIM-Only executed " +
                             std::to_string(sys.pmu().peisHost()) +
-                            " PEI(s) on the host, " +
-                            std::to_string(sys.pmu().peisSpanHost()) +
-                            " vault-spanning");
+                            " PEI(s) on the host");
     }
 
     // Differential check 1: final footprint bytes.

@@ -110,31 +110,6 @@ executeGoldenPei(std::vector<std::uint8_t> &image, std::size_t block_base,
         out.size = 8;
         break;
       }
-      case PeiOpcode::Gather: {
-        std::uint64_t stride, count;
-        std::memcpy(&stride, input, 8);
-        std::memcpy(&count, input + 8, 8);
-        for (std::uint64_t i = 0; i < count; ++i) {
-            const auto v =
-                loadAt<std::uint64_t>(image, target + i * stride);
-            std::memcpy(out.bytes.data() + 8 * i, &v, 8);
-        }
-        out.size = static_cast<unsigned>(count) * 8;
-        break;
-      }
-      case PeiOpcode::Scatter: {
-        std::uint64_t stride, count, addend;
-        std::memcpy(&stride, input, 8);
-        std::memcpy(&count, input + 8, 8);
-        std::memcpy(&addend, input + 16, 8);
-        for (std::uint64_t i = 0; i < count; ++i) {
-            const std::size_t a = target + i * stride;
-            storeAt<std::uint64_t>(image, a,
-                                   loadAt<std::uint64_t>(image, a) +
-                                       addend);
-        }
-        break;
-      }
       default:
         break;
     }

@@ -1,6 +1,5 @@
 #include "program.hh"
 
-#include <algorithm>
 #include <cstring>
 
 #include "common/rng.hh"
@@ -97,24 +96,6 @@ fillInput(PeiOpcode op, std::uint64_t value, std::uint8_t *out)
         }
         return 32;
       }
-      case PeiOpcode::Gather: {
-        // Multi-block params are packed into the op's value at
-        // generation time (bits 0..2 = count-1, bit 3 = in-block
-        // 8 B stride vs block stride), so the decode needs no
-        // program context.
-        const GatherIn in{(value & 8) ? 8 : block_size,
-                          (value & 7) + 1};
-        std::memcpy(out, &in, sizeof(in));
-        return sizeof(in);
-      }
-      case PeiOpcode::Scatter: {
-        // Wrapping u64 addend: scatter-adds commute with each other
-        // and with Inc64 increments, so any interleaving converges.
-        const ScatterIn in{(value & 8) ? 8 : block_size,
-                           (value & 7) + 1, mix64(value >> 4)};
-        std::memcpy(out, &in, sizeof(in));
-        return sizeof(in);
-      }
       default:
         return 0;
     }
@@ -206,64 +187,15 @@ generateProgram(std::uint64_t seed, std::size_t prefix,
             if (r < 45) {
                 o.kind = OpKind::Pei;
                 const bool writer = !writable.empty() && rng.chance(0.5);
-                // Multi-block upgrades are decided from bits of the
-                // already-drawn value — no extra rng draws, so every
-                // other op of every existing seed is unchanged.  The
-                // chosen count/stride are packed back into value
-                // (bits 0..2 = count-1, bit 3 = in-block stride) for
-                // fillInput to decode context-free.
                 if (writer) {
                     const std::uint32_t s = writable[static_cast<
                         std::size_t>(rng.below(writable.size()))];
                     o.op = p.shared_class[s];
                     o.block = p.sharedBlockIndex(s);
-                    // Scatter-add commutes only with Inc64-class
-                    // writers, so only Inc64 targets are eligible; a
-                    // block-strided run must stay inside consecutive
-                    // Inc64-class blocks this thread may write.
-                    if ((o.value >> 56) % 4 == 0 &&
-                        p.shared_class[s] == PeiOpcode::Inc64) {
-                        const bool in_block = (o.value >> 55) & 1;
-                        std::uint64_t limit = max_pei_target_blocks;
-                        if (!in_block) {
-                            limit = 0;
-                            for (std::uint32_t t = s;
-                                 t < p.shared_blocks &&
-                                 limit < max_pei_target_blocks &&
-                                 p.shared_class[t] == PeiOpcode::Inc64 &&
-                                 std::find(writable.begin(),
-                                           writable.end(),
-                                           t) != writable.end();
-                                 ++t)
-                            {
-                                ++limit;
-                            }
-                        }
-                        const std::uint64_t count =
-                            1 + (o.value >> 40) % limit;
-                        o.op = PeiOpcode::Scatter;
-                        o.value = (o.value & ~std::uint64_t{0xf}) |
-                                  (in_block ? 8 : 0) | (count - 1);
-                    }
                 } else {
                     o.op = reader_ops[rng.below(4)];
                     o.block =
                         static_cast<std::uint32_t>(rng.below(p.ro_blocks));
-                    // Gather runs over read-only blocks: always safe,
-                    // capped at the end of the RO region.
-                    if ((o.value >> 56) % 4 == 1) {
-                        const bool in_block = (o.value >> 55) & 1;
-                        const std::uint64_t limit =
-                            in_block ? max_pei_target_blocks
-                                     : std::min<std::uint64_t>(
-                                           max_pei_target_blocks,
-                                           p.ro_blocks - o.block);
-                        const std::uint64_t count =
-                            1 + (o.value >> 40) % limit;
-                        o.op = PeiOpcode::Gather;
-                        o.value = (o.value & ~std::uint64_t{0xf}) |
-                                  (in_block ? 8 : 0) | (count - 1);
-                    }
                 }
             } else if (r < 65) {
                 o.kind = OpKind::Load;

@@ -9,14 +9,11 @@
  *
  * The footprint is partitioned into three regions:
  *  - read-only blocks, targeted by reader PEIs (HashProbe,
- *    HistBinIdx, EuclidDist, DotProduct, multi-block Gather runs)
- *    and plain loads — never written, so reader outputs depend only
- *    on the initial image;
+ *    HistBinIdx, EuclidDist, DotProduct) and plain loads — never
+ *    written, so reader outputs depend only on the initial image;
  *  - shared writer blocks, each tagged with exactly one commutative
  *    op class (Inc64, Min64, or exact integral FaddDouble) and only
- *    ever targeted by writer PEIs of that class; multi-block
- *    Scatter runs (wrapping u64 adds, which commute with Inc64)
- *    additionally target consecutive Inc64-class blocks;
+ *    ever targeted by writer PEIs of that class;
  *  - private per-thread blocks, targeted by plain stores and loads
  *    of their owning thread only.
  *

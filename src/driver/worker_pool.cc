@@ -1,10 +1,9 @@
 #include "worker_pool.hh"
 
+#include <atomic>
 #include <chrono>
 #include <mutex>
 #include <thread>
-
-#include "driver/job_queue.hh"
 
 namespace pei
 {
@@ -79,19 +78,20 @@ WorkerPool::run(const std::vector<Job> &jobs, const JobDoneFn &on_done)
 {
     std::vector<JobOutcome> outcomes(jobs.size());
 
-    // Skipped jobs never enter the queue; their outcomes are
-    // emitted up front so `done/total` counts real work only.
-    std::size_t runnable = 0;
+    // Skipped jobs are never dispatched; their outcomes are emitted
+    // up front so `done/total` counts real work only.
+    std::vector<std::size_t> runnable;
     for (std::size_t i = 0; i < jobs.size(); ++i) {
         outcomes[i].label = jobs[i].label;
         if (jobs[i].fn)
-            ++runnable;
+            runnable.push_back(i);
         else
             outcomes[i].status = JobStatus::Skipped;
     }
 
-    JobQueue<std::size_t> queue(
-        std::max<std::size_t>(2 * this->workers, 16));
+    // Workers claim runnable jobs in ascending submission order, each
+    // exactly once, by advancing one shared cursor.
+    std::atomic<std::size_t> cursor{0};
     std::vector<Slot> slots(this->workers);
 
     std::mutex done_mutex;
@@ -99,8 +99,8 @@ WorkerPool::run(const std::vector<Job> &jobs, const JobDoneFn &on_done)
 
     auto worker_loop = [&](unsigned wid) {
         Slot &slot = slots[wid];
-        std::size_t idx;
-        while (queue.pop(idx)) {
+        for (std::size_t k = cursor++; k < runnable.size(); k = cursor++) {
+            const std::size_t idx = runnable[k];
             {
                 std::lock_guard<std::mutex> lock(slot.mutex);
                 slot.armed = timeout_s > 0.0;
@@ -141,7 +141,7 @@ WorkerPool::run(const std::vector<Job> &jobs, const JobDoneFn &on_done)
                 std::lock_guard<std::mutex> lock(done_mutex);
                 ++done;
                 if (on_done)
-                    on_done(out, done, runnable);
+                    on_done(out, done, runnable.size());
             }
         }
     };
@@ -173,12 +173,6 @@ WorkerPool::run(const std::vector<Job> &jobs, const JobDoneFn &on_done)
                 }
             }
         });
-
-        for (std::size_t i = 0; i < jobs.size(); ++i) {
-            if (jobs[i].fn)
-                queue.push(i);
-        }
-        queue.close();
 
         for (auto &t : threads)
             t.join();

@@ -26,9 +26,6 @@ namespace pei
  *  (paper §3.1's single-cache-block restriction). */
 constexpr unsigned max_operand_bytes = block_size;
 
-/** Maximum element count of a multi-block (gather/scatter) PEI. */
-constexpr unsigned max_pei_target_blocks = 8;
-
 /**
  * A PIM operation in flight between the PMU and a memory-side PCU.
  * Carries the opcode, the exact (physical) target address inside one
@@ -42,16 +39,6 @@ struct PimPacket
     Tick issue_tick = 0;       ///< PMU issue time (latency accounting)
     unsigned input_size = 0;
     unsigned output_size = 0;
-
-    /**
-     * Multi-block (gather/scatter) element descriptor.  Classic
-     * Table-1 ops leave mb_count at 0; multi-block ops access
-     * mb_count 8-byte elements at paddr + i*mb_stride.  Kept on the
-     * packet so the PMU's coherence step and the PCUs can enumerate
-     * the touched blocks without decoding op-specific input operands.
-     */
-    std::uint16_t mb_count = 0;
-    std::uint32_t mb_stride = 0;
 
     std::array<std::uint8_t, max_operand_bytes> input{};
     std::array<std::uint8_t, max_operand_bytes> output{};
@@ -71,34 +58,6 @@ struct PimPacket
     unsigned responseBytes() const
     {
         return output_size > 0 ? 16 + output_size : 0;
-    }
-
-    /**
-     * Enumerate the distinct cache blocks this packet touches into
-     * @p out (block-aligned addresses); returns the count.  Classic
-     * single-block ops yield one block; multi-block ops dedup
-     * elements that share a block.  @p max must be at least
-     * max_pei_target_blocks for multi-block packets.
-     */
-    unsigned targetBlocks(Addr *out, unsigned max) const
-    {
-        if (mb_count <= 1) {
-            if (max == 0)
-                return 0;
-            out[0] = blockAlign(paddr);
-            return 1;
-        }
-        unsigned n = 0;
-        for (unsigned i = 0; i < mb_count; ++i) {
-            const Addr b =
-                blockAlign(paddr + static_cast<Addr>(i) * mb_stride);
-            bool seen = false;
-            for (unsigned j = 0; j < n; ++j)
-                seen = seen || out[j] == b;
-            if (!seen && n < max)
-                out[n++] = b;
-        }
-        return n;
     }
 };
 

@@ -151,25 +151,10 @@ void
 MemSidePcu::entryGranted(std::uint32_t txn)
 {
     // The operand buffer issues the DRAM read immediately, even if
-    // the computation logic is busy (paper §4.2).  Multi-block
-    // packets read every element block; the reads overlap and the
-    // compute starts when the last one lands.
+    // the computation logic is busy (paper §4.2).
     OpTxn &t = ops[txn];
     t.read_start = eq.now();
-    if (t.pkt.mb_count <= 1) {
-        port.accessBlock(t.pkt.paddr, false,
-                         [this, txn] { readDone(txn); });
-        return;
-    }
-    Addr blocks[max_pei_target_blocks];
-    const unsigned nb = t.pkt.targetBlocks(blocks, max_pei_target_blocks);
-    t.pending = nb;
-    for (unsigned i = 0; i < nb; ++i) {
-        port.accessBlock(blocks[i], false, [this, txn] {
-            if (--ops[txn].pending == 0)
-                readDone(txn);
-        });
-    }
+    port.accessBlock(t.pkt.paddr, false, [this, txn] { readDone(txn); });
 }
 
 void
@@ -190,20 +175,7 @@ MemSidePcu::computed(std::uint32_t txn)
         respondNow(txn);
         return;
     }
-    if (t.pkt.mb_count <= 1) {
-        port.accessBlock(t.pkt.paddr, true,
-                         [this, txn] { respondNow(txn); });
-        return;
-    }
-    Addr blocks[max_pei_target_blocks];
-    const unsigned nb = t.pkt.targetBlocks(blocks, max_pei_target_blocks);
-    t.pending = nb;
-    for (unsigned i = 0; i < nb; ++i) {
-        port.accessBlock(blocks[i], true, [this, txn] {
-            if (--ops[txn].pending == 0)
-                respondNow(txn);
-        });
-    }
+    port.accessBlock(t.pkt.paddr, true, [this, txn] { respondNow(txn); });
 }
 
 void

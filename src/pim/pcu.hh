@@ -125,7 +125,6 @@ class MemSidePcu : public PimHandler
         PimPacket pkt;
         Respond respond;
         Tick read_start = 0;
-        unsigned pending = 0; ///< outstanding multi-block DRAM accesses
     };
 
     void pumpQueue();

@@ -14,7 +14,7 @@ namespace
 // single-issue computation logic (simple ALU ops take a cycle;
 // vector reductions a few more).
 const PeiOpInfo op_table[] = {
-    // name        R      W      in  out target cycles multi-block
+    // name        R      W      in  out target cycles
     {"inc64",      true,  true,  0,  0,  8,  1},
     {"min64",      true,  true,  8,  0,  8,  1},
     {"fadd",       true,  true,  8,  0,  8,  4},
@@ -22,8 +22,6 @@ const PeiOpInfo op_table[] = {
     {"hist_idx",   true,  false, 1,  16, 64, 16},
     {"euclid",     true,  false, 64, 4,  64, 16},
     {"dot",        true,  false, 32, 8,  32, 8},
-    {"gather",     true,  false, 16, 64, 8,  8,  true},
-    {"scatter",    true,  true,  24, 0,  8,  8,  true},
 };
 
 static_assert(sizeof(op_table) / sizeof(op_table[0]) ==
@@ -58,30 +56,10 @@ makePimPacket(PeiOpcode op, Addr paddr, const void *input,
     if (input_size > 0)
         std::memcpy(pkt.input.data(), input, input_size);
 
-    if (info.multi_block) {
-        // The input operand leads with {stride, count}; each element
-        // obeys the single-cache-block restriction individually.
-        std::uint64_t stride, count;
-        std::memcpy(&stride, pkt.input.data(), 8);
-        std::memcpy(&count, pkt.input.data() + 8, 8);
-        panic_if(count == 0 || count > max_pei_target_blocks,
-                 "PEI %s: element count %llu outside 1..%u", info.name,
-                 static_cast<unsigned long long>(count),
-                 max_pei_target_blocks);
-        panic_if(paddr % 8 != 0 || stride % 8 != 0,
-                 "PEI %s: target and stride must be 8-byte aligned so "
-                 "no element straddles a cache block",
-                 info.name);
-        pkt.mb_count = static_cast<std::uint16_t>(count);
-        pkt.mb_stride = static_cast<std::uint32_t>(stride);
-        if (op == PeiOpcode::Gather)
-            pkt.output_size = static_cast<unsigned>(count) * 8;
-    } else {
-        panic_if(!fitsInBlock(paddr, info.target_bytes),
-                 "PEI %s target 0x%llx violates the single-cache-block "
-                 "restriction",
-                 info.name, static_cast<unsigned long long>(paddr));
-    }
+    panic_if(!fitsInBlock(paddr, info.target_bytes),
+             "PEI %s target 0x%llx violates the single-cache-block "
+             "restriction",
+             info.name, static_cast<unsigned long long>(paddr));
     return pkt;
 }
 
@@ -161,25 +139,6 @@ executePeiFunctional(VirtualMemory &vm, PimPacket &pkt)
             sum += a * in[i];
         }
         std::memcpy(pkt.output.data(), &sum, 8);
-        break;
-      }
-      case PeiOpcode::Gather: {
-        for (unsigned i = 0; i < pkt.mb_count; ++i) {
-            const auto v = vm.readPhys<std::uint64_t>(
-                pkt.paddr + static_cast<Addr>(i) * pkt.mb_stride);
-            std::memcpy(pkt.output.data() + 8 * i, &v, 8);
-        }
-        break;
-      }
-      case PeiOpcode::Scatter: {
-        std::uint64_t addend;
-        std::memcpy(&addend, pkt.input.data() + 16, 8);
-        for (unsigned i = 0; i < pkt.mb_count; ++i) {
-            const Addr a =
-                pkt.paddr + static_cast<Addr>(i) * pkt.mb_stride;
-            const auto v = vm.readPhys<std::uint64_t>(a);
-            vm.writePhys<std::uint64_t>(a, v + addend);
-        }
         break;
       }
       default:

@@ -22,8 +22,7 @@
 namespace pei
 {
 
-/** Opcodes of the seven PIM operations of Table 1, plus the
- *  multi-block gather/scatter extension ops. */
+/** Opcodes of the seven PIM operations of Table 1. */
 enum class PeiOpcode : std::uint16_t
 {
     Inc64 = 0,     ///< 8-byte atomic integer increment (ATF)
@@ -33,8 +32,6 @@ enum class PeiOpcode : std::uint16_t
     HistBinIdx,    ///< histogram bin indexes of 16 ints (HG, RP)
     EuclidDist,    ///< 16-dim float distance accumulation (SC)
     DotProduct,    ///< 4-dim double dot product (SVM)
-    Gather,        ///< strided N-element u64 gather (SpMV, copy)
-    Scatter,       ///< strided N-element u64 scatter-add (HG, copy)
     NumOpcodes,
 };
 
@@ -45,10 +42,9 @@ struct PeiOpInfo
     bool reads;            ///< reads its target block ('R' column)
     bool writes;           ///< modifies its target block ('W' column)
     unsigned input_bytes;  ///< input operand size
-    unsigned output_bytes; ///< output operand size (max, for gather)
-    unsigned target_bytes; ///< bytes touched per target block
+    unsigned output_bytes; ///< output operand size
+    unsigned target_bytes; ///< bytes touched in the target block
     unsigned compute_cycles; ///< PCU-clock cycles of computation
-    bool multi_block = false; ///< strided multi-block element access
 };
 
 /** Metadata for @p op. */
@@ -80,30 +76,6 @@ struct HashProbeOut
 {
     std::uint64_t next; ///< overflow-chain virtual address (or 0)
     std::uint8_t match; ///< 1 if the key was found in this bucket
-};
-
-/**
- * Input operand of Gather: read count 8-byte elements at
- * paddr + i*stride (count <= max_pei_target_blocks, stride and the
- * target address 8-byte aligned so no element straddles a block).
- * The output operand holds the count gathered u64s.
- */
-struct GatherIn
-{
-    std::uint64_t stride;
-    std::uint64_t count;
-};
-
-/**
- * Input operand of Scatter: add @p addend to each of count 8-byte
- * elements at paddr + i*stride (a strided scatter-add; wrapping u64
- * addition keeps the op commutative with Inc64-class writers).
- */
-struct ScatterIn
-{
-    std::uint64_t stride;
-    std::uint64_t count;
-    std::uint64_t addend;
 };
 
 /**

@@ -133,7 +133,7 @@ PimDirectory::drainEntry(Entry &e)
 }
 
 void
-PimDirectory::release(Addr block, bool writer, bool count_writer)
+PimDirectory::release(Addr block, bool writer)
 {
     ++release_calls;
     if (release_calls == inject_skip_release)
@@ -163,7 +163,7 @@ PimDirectory::release(Addr block, bool writer, bool count_writer)
         ideal_map.erase(block);
     }
 
-    if (writer && count_writer)
+    if (writer)
         writerDone();
 }
 

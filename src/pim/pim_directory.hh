@@ -68,27 +68,10 @@ class PimDirectory
                  bool writer_registered = false);
 
     /**
-     * Release a previously granted acquisition.  A writer PEI
-     * holding several element locks passes count_writer = true on
-     * exactly one of its releases (its primary block's); the extra
-     * releases must not retire the writer again.
+     * Release a previously granted acquisition; a writer's release
+     * also retires it for pfence tracking.
      */
-    void release(Addr block, bool writer, bool count_writer = true);
-
-    /**
-     * Stable ordering/dedup key of the entry @p block folds to (the
-     * block itself in ideal mode, the direct-mapped index
-     * otherwise).  Multi-block PEIs acquire their element locks in
-     * ascending key order — ordered acquisition over a globally
-     * consistent key order cannot form a wait cycle — and
-     * acquire each distinct entry once (re-acquiring an aliased
-     * entry as a writer would self-deadlock).
-     */
-    Addr entryKey(Addr block) const
-    {
-        return num_entries == 0 ? block
-                                : static_cast<Addr>(indexOf(block));
-    }
+    void release(Addr block, bool writer);
 
     /**
      * pfence: @p done fires once every in-flight writer PEI issued

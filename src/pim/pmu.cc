@@ -78,11 +78,8 @@ Pmu::Pmu(EventQueue &eq, const PimConfig &cfg, unsigned cores,
     stats.add("pmu.peis_issued", &stat_peis_issued);
     stats.add("pmu.peis_host", &stat_peis_host);
     stats.add("pmu.peis_mem", &stat_peis_mem);
-    stats.add("pmu.mb_span_host", &stat_mb_span_host);
     stats.add("pmu.peis_mem_writers", &stat_peis_mem_writers);
     stats.add("pmu.peis_mem_readers", &stat_peis_mem_readers);
-    stats.add("pmu.mem_writer_blocks", &stat_mem_writer_blocks);
-    stats.add("pmu.mem_reader_blocks", &stat_mem_reader_blocks);
     stats.add("coh.actions", &stat_coh_actions);
     if (batch_on) {
         stats.add("pmu.batched_peis", &stat_batched_peis);
@@ -114,31 +111,29 @@ Pmu::Pmu(EventQueue &eq, const PimConfig &cfg, unsigned cores,
     // the only caller of the cache's back-ops, and the cache counts
     // each one once, when performed, so a skipped cleaning step (e.g.
     // simfuzz's --inject-bug skip-back-inval) breaks the balance.
-    // Per-op dispatch cleans every element block of a memory-side
-    // writer PEI with exactly one back-invalidation and every reader
-    // element block with exactly one back-writeback.  Classic ops
-    // have one element block, so these are per-PEI identities;
-    // gather/scatter contribute one action per element block.
+    // Per-op dispatch cleans the target block of every memory-side
+    // writer PEI with exactly one back-invalidation and that of every
+    // reader PEI with exactly one back-writeback.
     if (!batch_on) {
         stats.addInvariant(
-            "pmu.mem_writer_blocks == cache.back_invalidations",
+            "pmu.peis_mem_writers == cache.back_invalidations",
             [this, &stats] {
-                const std::uint64_t w = stat_mem_writer_blocks.value();
+                const std::uint64_t w = stat_peis_mem_writers.value();
                 const std::uint64_t bi =
                     stats.get("cache.back_invalidations");
                 if (w == bi)
                     return std::string();
-                return "mem-side writer blocks=" + std::to_string(w) +
+                return "mem-side writer PEIs=" + std::to_string(w) +
                        " != back-invalidations=" + std::to_string(bi);
             });
         stats.addInvariant(
-            "pmu.mem_reader_blocks == cache.back_writebacks",
+            "pmu.peis_mem_readers == cache.back_writebacks",
             [this, &stats] {
-                const std::uint64_t r = stat_mem_reader_blocks.value();
+                const std::uint64_t r = stat_peis_mem_readers.value();
                 const std::uint64_t bw = stats.get("cache.back_writebacks");
                 if (r == bw)
                     return std::string();
-                return "mem-side reader blocks=" + std::to_string(r) +
+                return "mem-side reader PEIs=" + std::to_string(r) +
                        " != back-writebacks=" + std::to_string(bw);
             });
     } else {
@@ -223,10 +218,7 @@ Pmu::startPei(std::uint32_t txn)
     if (cfg.mode == ExecMode::IdealHost) {
         // PEIs are ordinary host instructions: atomicity is free
         // (ideal zero-cycle directory) and no PCU resources exist.
-        PeiTxn &t = txns[txn];
-        t.asked = eq.now();
-        buildLockList(t);
-        acquireNextLock(txn);
+        acquireLock(txn);
         return;
     }
 
@@ -243,87 +235,12 @@ Pmu::startPei(std::uint32_t txn)
 }
 
 void
-Pmu::idealGranted(std::uint32_t txn)
-{
-    hist_dir_wait.record(eq.now() - txns[txn].asked);
-    hostExecute(txn);
-}
-
-void
 Pmu::acquireLock(std::uint32_t txn)
 {
     PeiTxn &t = txns[txn];
     t.asked = eq.now();
-    buildLockList(t);
-    acquireNextLock(txn);
-}
-
-void
-Pmu::buildLockList(PeiTxn &t)
-{
-    const Addr primary = t.pkt.paddr >> block_shift;
-    t.locks_held = 0;
-    if (t.pkt.mb_count <= 1) {
-        t.lock_blocks[0] = primary;
-        t.lock_count = 1;
-        return;
-    }
-    Addr paddrs[max_pei_target_blocks];
-    const unsigned nb = t.pkt.targetBlocks(paddrs, max_pei_target_blocks);
-    struct Lock
-    {
-        Addr key;
-        Addr block;
-    };
-    Lock locks[max_pei_target_blocks];
-    for (unsigned i = 0; i < nb; ++i) {
-        const Addr block = paddrs[i] >> block_shift;
-        locks[i] = {dir.entryKey(block), block};
-    }
-    // Ascending entry-key acquisition order — globally consistent
-    // across all PEIs, so ordered multi-acquisition cannot form a
-    // wait cycle — with aliased entries acquired once.  An insertion
-    // sort suits the <= 8 locks and keeps ties in element order.
-    for (unsigned i = 1; i < nb; ++i) {
-        const Lock l = locks[i];
-        unsigned j = i;
-        for (; j > 0 && l.key < locks[j - 1].key; --j)
-            locks[j] = locks[j - 1];
-        locks[j] = l;
-    }
-    t.lock_count = 0;
-    unsigned i = 0;
-    while (i < nb) {
-        Addr rep = locks[i].block;
-        unsigned j = i;
-        while (j < nb && locks[j].key == locks[i].key) {
-            // The primary represents its own entry, so finish()
-            // retires the writer with that entry's release.
-            if (locks[j].block == primary)
-                rep = primary;
-            ++j;
-        }
-        t.lock_blocks[t.lock_count++] = rep;
-        i = j;
-    }
-}
-
-void
-Pmu::acquireNextLock(std::uint32_t txn)
-{
-    PeiTxn &t = txns[txn];
-    if (t.locks_held == t.lock_count) {
-        if (cfg.mode == ExecMode::IdealHost)
-            idealGranted(txn);
-        else
-            lockGranted(txn);
-        return;
-    }
-    const Addr block = t.lock_blocks[t.locks_held];
-    dir.acquire(block, t.pkt.is_writer, Callback([this, txn] {
-                    ++txns[txn].locks_held;
-                    acquireNextLock(txn);
-                }),
+    dir.acquire(t.pkt.paddr >> block_shift, t.pkt.is_writer,
+                Callback([this, txn] { lockGranted(txn); }),
                 /*writer_registered=*/t.pkt.is_writer);
 }
 
@@ -334,48 +251,16 @@ Pmu::lockGranted(std::uint32_t txn)
     decide(txn);
 }
 
-bool
-Pmu::vaultSpanning(const PimPacket &pkt) const
-{
-    Addr blocks[max_pei_target_blocks];
-    const unsigned nb = pkt.targetBlocks(blocks, max_pei_target_blocks);
-    const unsigned gv = mem.addrMap().decode(blocks[0]).globalVault;
-    for (unsigned i = 1; i < nb; ++i) {
-        if (mem.addrMap().decode(blocks[i]).globalVault != gv)
-            return true;
-    }
-    return false;
-}
-
 void
 Pmu::decide(std::uint32_t txn)
 {
-    if (cfg.mode == ExecMode::HostOnly) {
-        hostExecute(txn);
-        return;
-    }
-    // A multi-block run executes on a single vault-side PCU, so a
-    // run whose element blocks decode to different vaults (block-
-    // interleaved address maps spread consecutive blocks across
-    // vaults) cannot go memory-side.  The decision stage forces such
-    // runs host-side — the host reaches any address through the
-    // cache hierarchy — generalizing the paper's single-cache-block
-    // restriction to single-vault in every mode, PIM-Only included.
-    if (txns[txn].pkt.mb_count > 1 && mem.supportsPim() &&
-        vaultSpanning(txns[txn].pkt)) {
-        ++stat_mb_span_host;
-        hostExecute(txn);
-        return;
-    }
     switch (cfg.mode) {
       case ExecMode::HostOnly:
+      case ExecMode::IdealHost:
         hostExecute(txn);
         return;
       case ExecMode::PimOnly:
         memExecute(txn);
-        return;
-      case ExecMode::IdealHost:
-        panic("Ideal-Host PEIs do not reach the PMU decision stage");
         return;
       case ExecMode::LocalityAware:
         break;
@@ -472,23 +357,8 @@ Pmu::hostExecuteBuffered(std::uint32_t txn)
     // L1, compute, store back if the PEI modifies the block.
     PeiTxn &t = txns[txn];
     t.load_start = eq.now();
-    if (t.pkt.mb_count <= 1) {
-        hierarchy.access(t.core, t.pkt.paddr, false,
-                         [this, txn] { hostLoaded(txn); });
-        return;
-    }
-    // Host-side gather/scatter: load every element block through the
-    // core's L1; the loads overlap and the compute starts when the
-    // last one lands.
-    Addr blocks[max_pei_target_blocks];
-    const unsigned nb = t.pkt.targetBlocks(blocks, max_pei_target_blocks);
-    t.pending = nb;
-    for (unsigned i = 0; i < nb; ++i) {
-        hierarchy.access(t.core, blocks[i], false, [this, txn] {
-            if (--txns[txn].pending == 0)
-                hostLoaded(txn);
-        });
-    }
+    hierarchy.access(t.core, t.pkt.paddr, false,
+                     [this, txn] { hostLoaded(txn); });
 }
 
 void
@@ -516,20 +386,8 @@ Pmu::hostComputed(std::uint32_t txn)
         finish(txn, true);
         return;
     }
-    if (t.pkt.mb_count <= 1) {
-        hierarchy.access(t.core, t.pkt.paddr, true,
-                         [this, txn] { finish(txn, true); });
-        return;
-    }
-    Addr blocks[max_pei_target_blocks];
-    const unsigned nb = t.pkt.targetBlocks(blocks, max_pei_target_blocks);
-    t.pending = nb;
-    for (unsigned i = 0; i < nb; ++i) {
-        hierarchy.access(t.core, blocks[i], true, [this, txn] {
-            if (--txns[txn].pending == 0)
-                finish(txn, true);
-        });
-    }
+    hierarchy.access(t.core, t.pkt.paddr, true,
+                     [this, txn] { finish(txn, true); });
 }
 
 void
@@ -544,15 +402,10 @@ Pmu::memExecute(std::uint32_t txn)
     PeiTxn &t = txns[txn];
     if (cfg.mode == ExecMode::LocalityAware)
         mon.onPimIssue(t.pkt.paddr >> block_shift);
-    Addr blocks[max_pei_target_blocks];
-    const unsigned nb = t.pkt.targetBlocks(blocks, max_pei_target_blocks);
-    if (t.pkt.is_writer) {
+    if (t.pkt.is_writer)
         ++stat_peis_mem_writers;
-        stat_mem_writer_blocks += nb;
-    } else {
+    else
         ++stat_peis_mem_readers;
-        stat_mem_reader_blocks += nb;
-    }
 
     // Batched dispatch: park the PEI in its vault's coalescing
     // window; the flush takes the coherence action and the
@@ -562,15 +415,10 @@ Pmu::memExecute(std::uint32_t txn)
         return;
     }
 
-    // Fig. 5 step ③: clean every on-chip copy of the target blocks
-    // before the packet leaves; it goes once the last one is clean.
-    t.pending = nb;
-    for (unsigned i = 0; i < nb; ++i) {
-        cleanBlock(blocks[i], t.pkt.is_writer, Callback([this, txn] {
-                       if (--txns[txn].pending == 0)
-                           offload(txn);
-                   }));
-    }
+    // Fig. 5 step ③: clean every on-chip copy of the target block
+    // before the packet leaves.
+    cleanBlock(blockAlign(t.pkt.paddr), t.pkt.is_writer,
+               Callback([this, txn] { offload(txn); }));
 }
 
 void
@@ -661,7 +509,7 @@ Pmu::dispatchTrain(unsigned gv, unsigned n)
     }
 
     // One merged coherence action covers the whole train (Fig. 5
-    // step ③ amortized): each distinct element block of the members
+    // step ③ amortized): each distinct target block of the members
     // is cleaned once — back-invalidated if any member writes it,
     // back-written-back otherwise — where per-op dispatch would clean
     // a hot block once per PEI.  The train leaves once the last block
@@ -671,21 +519,17 @@ Pmu::dispatchTrain(unsigned gv, unsigned n)
         Addr block;
         bool written;
     };
-    Action acts[64 * max_pei_target_blocks];
+    Action acts[64];
     unsigned nacts = 0;
     for (unsigned i = 0; i < n; ++i) {
         const PimPacket &pkt = txns[tr.txns[i]].pkt;
-        Addr blocks[max_pei_target_blocks];
-        const unsigned nb =
-            pkt.targetBlocks(blocks, max_pei_target_blocks);
-        for (unsigned b = 0; b < nb; ++b) {
-            unsigned k = 0;
-            while (k < nacts && acts[k].block != blocks[b])
-                ++k;
-            if (k == nacts)
-                acts[nacts++] = {blocks[b], false};
-            acts[k].written = acts[k].written || pkt.is_writer;
-        }
+        const Addr block = blockAlign(pkt.paddr);
+        unsigned k = 0;
+        while (k < nacts && acts[k].block != block)
+            ++k;
+        if (k == nacts)
+            acts[nacts++] = {block, false};
+        acts[k].written = acts[k].written || pkt.is_writer;
     }
     tr.pending = nacts;
     for (unsigned k = 0; k < nacts; ++k) {
@@ -709,7 +553,7 @@ Pmu::offloadTrain(std::uint32_t train)
     for (unsigned i = 0; i < n; ++i) {
         const std::uint32_t txn = tr.txns[i];
         PeiTxn &t = txns[txn];
-        pushInflightBlocks(t);
+        pushInflightBlock(t);
         pkts[i] = std::move(t.pkt);
         cbs[i] = [this, txn](PimPacket completed) {
             memFinish(txn, std::move(completed));
@@ -720,24 +564,21 @@ Pmu::offloadTrain(std::uint32_t train)
 }
 
 void
-Pmu::pushInflightBlocks(const PeiTxn &t)
+Pmu::pushInflightBlock(const PeiTxn &t)
 {
-    Addr blocks[max_pei_target_blocks];
-    const unsigned nb = t.pkt.targetBlocks(blocks, max_pei_target_blocks);
     auto &inflight =
         t.pkt.is_writer ? mem_writer_blocks : mem_reader_blocks;
-    for (unsigned i = 0; i < nb; ++i)
-        inflight.push_back(blocks[i] >> block_shift);
+    inflight.push_back(t.pkt.paddr >> block_shift);
 }
 
 void
 Pmu::offload(std::uint32_t txn)
 {
-    // The blocks are clean off-chip from here until retirement;
-    // probes verify no (writer) / no Modified (reader) cached copy
-    // exists in this window — one record per element block.
+    // The block is clean off-chip from here until retirement; probes
+    // verify no (writer) / no Modified (reader) cached copy exists in
+    // this window.
     PeiTxn &t = txns[txn];
-    pushInflightBlocks(t);
+    pushInflightBlock(t);
     mem.sendPim(std::move(t.pkt), [this, txn](PimPacket completed) {
         memFinish(txn, std::move(completed));
     });
@@ -762,18 +603,13 @@ Pmu::finish(std::uint32_t txn, bool executed_at_host)
     } else {
         ++stat_peis_mem;
         hist_pei_latency_mem.record(latency);
-        Addr blocks[max_pei_target_blocks];
-        const unsigned nb =
-            t.pkt.targetBlocks(blocks, max_pei_target_blocks);
         auto &inflight =
             t.pkt.is_writer ? mem_writer_blocks : mem_reader_blocks;
-        for (unsigned i = 0; i < nb; ++i) {
-            const auto it = std::find(inflight.begin(), inflight.end(),
-                                      blocks[i] >> block_shift);
-            panic_if(it == inflight.end(),
-                     "mem-side PEI retired without an in-flight record");
-            inflight.erase(it);
-        }
+        const auto it = std::find(inflight.begin(), inflight.end(),
+                                  t.pkt.paddr >> block_shift);
+        panic_if(it == inflight.end(),
+                 "mem-side PEI retired without an in-flight record");
+        inflight.erase(it);
         if (batch_on) {
             // Return the vault-PCU credit and retry a flush the
             // credit gate deferred.
@@ -786,15 +622,10 @@ Pmu::finish(std::uint32_t txn, bool executed_at_host)
         }
     }
 
-    // Releasing the primary's directory entry also retires the
-    // writer that executePei registered, waking pfence waiters when
-    // it was the last one in flight; a multi-block run's extra
-    // element locks release without retiring the writer again.
-    const Addr primary = t.pkt.paddr >> block_shift;
-    for (unsigned i = 0; i < t.lock_count; ++i) {
-        dir.release(t.lock_blocks[i], t.pkt.is_writer,
-                    /*count_writer=*/t.lock_blocks[i] == primary);
-    }
+    // Releasing the directory entry also retires the writer that
+    // executePei registered, waking pfence waiters when it was the
+    // last one in flight.
+    dir.release(t.pkt.paddr >> block_shift, t.pkt.is_writer);
     // Host-side execution held a host-PCU operand buffer entry;
     // memory-side execution used the vault PCU's buffer instead
     // (released inside MemSidePcu).

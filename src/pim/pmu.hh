@@ -151,12 +151,6 @@ class Pmu
     std::uint64_t peisHost() const { return stat_peis_host.value(); }
     std::uint64_t peisMem() const { return stat_peis_mem.value(); }
 
-    /** Vault-spanning multi-block PEIs forced to host execution. */
-    std::uint64_t peisSpanHost() const
-    {
-        return stat_mb_span_host.value();
-    }
-
     /** PEIs the saturation override diverted memory-side (§7.4). */
     std::uint64_t saturationToMem() const
     {
@@ -198,26 +192,11 @@ class Pmu
         unsigned core;
         Tick asked = 0;      ///< directory-wait start
         Tick load_start = 0; ///< host cache-load start
-        /** Outstanding element-block host accesses or step-③ cleans. */
-        unsigned pending = 0;
-        /**
-         * Directory locks this PEI holds, one representative block
-         * per distinct entry, in ascending acquisition order.  Single-block PEIs hold exactly their target block;
-         * multi-block runs lock every element block so the paper's
-         * per-block atomicity (and the probes' stale/dirty-copy
-         * windows) extend to the whole run.
-         */
-        Addr lock_blocks[max_pei_target_blocks] = {};
-        std::uint8_t lock_count = 0;
-        std::uint8_t locks_held = 0; ///< acquisition progress
     };
 
     // Pipeline stages, one per latency edge of the PEI's lifetime.
     void startPei(std::uint32_t txn);
-    void idealGranted(std::uint32_t txn);
     void acquireLock(std::uint32_t txn);
-    void buildLockList(PeiTxn &t);
-    void acquireNextLock(std::uint32_t txn);
     void lockGranted(std::uint32_t txn);
     void decide(std::uint32_t txn);
     void decideLookup(std::uint32_t txn);
@@ -244,11 +223,8 @@ class Pmu
      */
     void cleanBlock(Addr paddr, bool invalidate, Callback done);
 
-    /** Record one in-flight probe entry per element block. */
-    void pushInflightBlocks(const PeiTxn &t);
-
-    /** True when @p pkt's element blocks decode to multiple vaults. */
-    bool vaultSpanning(const PimPacket &pkt) const;
+    /** Record @p t's target block as in flight memory-side. */
+    void pushInflightBlock(const PeiTxn &t);
 
     /** Balanced-dispatch choice on a locality-monitor miss:
      *  true = offload to memory. */
@@ -304,19 +280,12 @@ class Pmu
     Counter stat_peis_mem;
     Counter stat_peis_mem_writers; ///< writer PEIs sent memory-side
     Counter stat_peis_mem_readers; ///< reader PEIs sent memory-side
-    /** Element blocks of memory-side writer/reader PEIs (one per
-     *  target block — equals the PEI counters for classic ops, more
-     *  for gather/scatter).  Basis of the per-op coherence-conservation
-     *  invariants, which count per-block actions. */
-    Counter stat_mem_writer_blocks;
-    Counter stat_mem_reader_blocks;
     /** Step-③ cleans issued: back-invalidations + back-writebacks. */
     Counter stat_coh_actions;
     Counter stat_batched_peis;      ///< PEIs dispatched in trains (>= 2)
     Counter stat_pei_trains;        ///< trains dispatched (>= 2 members)
     Counter stat_window_singletons; ///< windows that drained with 1 PEI
     Counter stat_batch_stalls;      ///< flushes deferred on vault credits
-    Counter stat_mb_span_host;      ///< vault-spanning runs forced host
     Counter stat_balanced_to_host;
     Counter stat_balanced_to_mem;
     Counter stat_saturation_to_mem; ///< monitor hits overridden (§7.4)

@@ -1,7 +1,7 @@
 /**
  * @file
- * Batched PEI dispatch: PMU coalescing windows, vault-side PCU issue
- * queues, and the multi-block gather/scatter ops.
+ * Batched PEI dispatch: PMU coalescing windows and vault-side PCU
+ * issue queues.
  *
  * Directed scenarios with hand-computed expectations:
  *  - a coalesced 4-PEI train shares one compound header (2 request
@@ -9,35 +9,23 @@
  *  - a partial window flushes on the window timer;
  *  - a depth-1 issue queue backpressures the window (batch stalls);
  *  - --pei-batch=1 is byte-identical to the default pipeline;
- *  - gather/scatter produce the same memory image on all three
- *    backends (hmc / ddr / ideal) and fall back to host execution
- *    when a block-strided run spans vaults;
  *  - the energy model charges a train by its actual link flits.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "energy/energy_model.hh"
 #include "fixture.hh"
-#include "pim/pei_op.hh"
 #include "runtime/runtime.hh"
 
 namespace pei
 {
 namespace
 {
-
-/** Byte address of word @p w inside block @p b of @p base. */
-Addr
-wordAddr(Addr base, unsigned b, unsigned w)
-{
-    return base + b * block_size + w * 8;
-}
 
 // ------------------------------------------------- coalescing window
 
@@ -168,109 +156,6 @@ TEST(BatchingWindow, BatchOneIsByteIdenticalToDefault)
     const auto batch1 = runMixed(1, 77, &end_batch1);
     EXPECT_EQ(end_default, end_batch1);
     EXPECT_EQ(def, batch1);
-}
-
-// ------------------------------------------- gather/scatter PEI ops
-
-/**
- * The directed gather/scatter scenario: an in-block scatter-add, an
- * in-block gather (checked against the seeded image), and a
- * block-strided scatter whose blocks span vaults on real geometry.
- */
-Task
-gatherScatterKernel(Ctx &ctx, Addr base, bool *gather_ok)
-{
-    // words 0..3 of block 0 += 7
-    const ScatterIn s1{8, 4, 7};
-    co_await ctx.pei(PeiOpcode::Scatter, base, &s1, sizeof(s1));
-
-    // gather words 0..7 of block 1 (untouched by the scatters)
-    const GatherIn g1{8, 8};
-    const PimPacket done =
-        co_await ctx.pei(PeiOpcode::Gather, base + block_size, &g1,
-                         sizeof(g1));
-    *gather_ok = done.output_size == 64;
-    for (unsigned w = 0; *gather_ok && w < 8; ++w) {
-        std::uint64_t v;
-        std::memcpy(&v, done.output.data() + w * 8, 8);
-        *gather_ok = v == 100 + w;
-    }
-
-    // word 0 of blocks 2 and 3 += 3 (block stride: spans vaults on
-    // the block-interleaved map -> host fallback on PIM backends)
-    const ScatterIn s2{block_size, 2, 3};
-    co_await ctx.pei(PeiOpcode::Scatter, base + 2 * block_size, &s2,
-                     sizeof(s2));
-    co_await ctx.pfence();
-}
-
-/** Runs the scenario on @p backend; returns the final memory words. */
-std::vector<std::uint64_t>
-runGatherScatter(const char *backend, ExecMode mode,
-                 std::uint64_t *span_host = nullptr)
-{
-    SystemConfig cfg = fixture::tinyConfig(mode);
-    cfg.mem_backend = backend;
-    System sys(cfg);
-    Runtime rt(sys);
-    const Addr base = rt.alloc(4 * block_size);
-    // block b, word w = 100*b + w (block 1 seeds the gather check)
-    for (unsigned b = 0; b < 4; ++b)
-        for (unsigned w = 0; w < 8; ++w)
-            sys.memory().write<std::uint64_t>(wordAddr(base, b, w),
-                                              b == 1 ? 100 + w
-                                                     : 100 * b + w);
-    bool gather_ok = false;
-    rt.spawn(0, [&](Ctx &ctx) {
-        return gatherScatterKernel(ctx, base, &gather_ok);
-    });
-    rt.run();
-    EXPECT_TRUE(gather_ok) << backend << ": gather output mismatch";
-    EXPECT_TRUE(sys.stats().audit().empty()) << backend;
-    if (span_host)
-        *span_host = sys.pmu().peisSpanHost();
-
-    std::vector<std::uint64_t> image;
-    for (unsigned b = 0; b < 4; ++b)
-        for (unsigned w = 0; w < 8; ++w)
-            image.push_back(
-                sys.memory().read<std::uint64_t>(wordAddr(base, b, w)));
-    return image;
-}
-
-TEST(GatherScatter, GoldenEquivalenceAcrossBackends)
-{
-    // Hand-computed golden image of the scenario.
-    std::vector<std::uint64_t> golden;
-    for (unsigned b = 0; b < 4; ++b) {
-        for (unsigned w = 0; w < 8; ++w) {
-            std::uint64_t v = b == 1 ? 100 + w : 100 * b + w;
-            if (b == 0 && w < 4)
-                v += 7; // in-block scatter
-            if ((b == 2 || b == 3) && w == 0)
-                v += 3; // block-strided scatter
-            golden.push_back(v);
-        }
-    }
-
-    const auto hmc = runGatherScatter("hmc", ExecMode::LocalityAware);
-    const auto ddr = runGatherScatter("ddr", ExecMode::LocalityAware);
-    const auto ideal = runGatherScatter("ideal", ExecMode::LocalityAware);
-    EXPECT_EQ(hmc, golden);
-    EXPECT_EQ(ddr, golden);
-    EXPECT_EQ(ideal, golden);
-}
-
-TEST(GatherScatter, VaultSpanningRunFallsBackToHost)
-{
-    // PIM-Only on hmc: the block-strided scatter's two element
-    // blocks decode to adjacent vaults, so it must execute host-side
-    // (counted by pmu.mb_span_host); the in-block ops stay mem-side.
-    std::uint64_t span_host = ~0ull;
-    const auto image =
-        runGatherScatter("hmc", ExecMode::PimOnly, &span_host);
-    EXPECT_EQ(span_host, 1u);
-    EXPECT_EQ(image[2 * 8], 100 * 2 + 0 + 3u); // scatter still landed
 }
 
 // -------------------------------------------------- energy charging

@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests of the experiment-sweep driver: JobQueue semantics,
- * WorkerPool submission-order aggregation, per-job failure isolation
+ * Tests of the experiment-sweep driver: WorkerPool exactly-once
+ * dispatch and submission-order aggregation, per-job failure isolation
  * and timeouts, input-cache sharing, the headline guarantee —
  * stats-v2 records are byte-identical (modulo wall-clock fields)
  * regardless of how many workers execute the sweep — and the knob
@@ -12,15 +12,13 @@
 
 #include <atomic>
 #include <chrono>
-#include <regex>
-#include <set>
+#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "check/fuzz_case.hh"
-#include "driver/job_queue.hh"
 #include "driver/options.hh"
 #include "driver/sim_job.hh"
 #include "driver/sweep.hh"
@@ -33,83 +31,22 @@ namespace pei
 namespace
 {
 
-TEST(JobQueue, FifoSingleThread)
-{
-    JobQueue<int> q(8);
-    for (int i = 0; i < 5; ++i)
-        EXPECT_TRUE(q.push(i));
-    q.close();
-    int v = -1;
-    for (int i = 0; i < 5; ++i) {
-        EXPECT_TRUE(q.pop(v));
-        EXPECT_EQ(v, i);
-    }
-    EXPECT_FALSE(q.pop(v));       // closed and drained
-    EXPECT_FALSE(q.push(99));     // closed
-}
-
-TEST(JobQueue, PushBlocksWhenFull)
-{
-    JobQueue<int> q(2);
-    EXPECT_TRUE(q.push(0));
-    EXPECT_TRUE(q.push(1));
-
-    std::atomic<bool> third_pushed{false};
-    std::thread producer([&] {
-        q.push(2);  // blocks until a slot frees up
-        third_pushed = true;
-    });
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    EXPECT_FALSE(third_pushed.load());
-
-    int v = -1;
-    EXPECT_TRUE(q.pop(v));
-    producer.join();
-    EXPECT_TRUE(third_pushed.load());
-}
-
-TEST(JobQueue, ManyProducersManyConsumers)
-{
-    constexpr int per_producer = 200;
-    JobQueue<int> q(4);
-    std::vector<std::thread> producers;
-    for (int p = 0; p < 3; ++p) {
-        producers.emplace_back([&q, p] {
-            for (int i = 0; i < per_producer; ++i)
-                q.push(p * per_producer + i);
-        });
-    }
-    std::mutex seen_mutex;
-    std::set<int> seen;
-    std::vector<std::thread> consumers;
-    for (int c = 0; c < 3; ++c) {
-        consumers.emplace_back([&] {
-            int v;
-            while (q.pop(v)) {
-                std::lock_guard<std::mutex> lock(seen_mutex);
-                EXPECT_TRUE(seen.insert(v).second);  // delivered once
-            }
-        });
-    }
-    for (auto &t : producers)
-        t.join();
-    q.close();
-    for (auto &t : consumers)
-        t.join();
-    EXPECT_EQ(seen.size(), 3u * per_producer);
-}
-
 TEST(WorkerPool, OutcomesInSubmissionOrder)
 {
     // Earlier jobs sleep longer, so with several workers they finish
-    // out of order — outcomes must still come back by submission.
+    // out of order — outcomes must still come back by submission, and
+    // every job must run exactly once (a job run twice would still
+    // report Ok, so each one counts its runs).
+    constexpr int n = 64;
+    std::vector<std::atomic<int>> runs(n);
     std::vector<Job> jobs;
-    for (int i = 0; i < 8; ++i) {
+    for (int i = 0; i < n; ++i) {
         jobs.push_back(Job{
-            "job" + std::to_string(i), [i](JobCtx &ctx) {
+            "job" + std::to_string(i), [i, &runs](JobCtx &ctx) {
                 EXPECT_EQ(ctx.index(), static_cast<std::size_t>(i));
+                ++runs[i];
                 std::this_thread::sleep_for(
-                    std::chrono::milliseconds(5 * (8 - i)));
+                    std::chrono::microseconds(100 * (n - i)));
             }});
     }
     WorkerPool pool(4, 0.0);
@@ -118,6 +55,7 @@ TEST(WorkerPool, OutcomesInSubmissionOrder)
     for (std::size_t i = 0; i < outcomes.size(); ++i) {
         EXPECT_EQ(outcomes[i].label, "job" + std::to_string(i));
         EXPECT_EQ(outcomes[i].status, JobStatus::Ok);
+        EXPECT_EQ(runs[i].load(), 1) << "job" << i;
     }
 }
 
@@ -261,13 +199,22 @@ TEST(InputCache, CountersRegisterInStatRegistry)
     clearInputCache();
 }
 
-/** Strip the host-timing fields that legitimately vary run to run. */
+/** Mask the host-timing fields that legitimately vary run to run. */
 std::string
-stripWallClock(const std::string &record)
+stripWallClock(std::string record)
 {
-    static const std::regex wall(
-        "\"(wall_seconds|events_per_sec)\":[-+0-9.eE]+");
-    return std::regex_replace(record, wall, "\"$1\":X");
+    for (const std::string key :
+         {"\"wall_seconds\":", "\"events_per_sec\":"}) {
+        for (std::size_t at = record.find(key); at != std::string::npos;
+             at = record.find(key, at)) {
+            at += key.size();
+            const std::size_t end =
+                record.find_first_not_of("-+0123456789.eE", at);
+            if (end != at)
+                record.replace(at, end - at, "X");
+        }
+    }
+    return record;
 }
 
 TEST(Sweep, RecordsIdenticalAcrossWorkerCounts)

@@ -43,17 +43,35 @@ struct PeiOpsFixture : public ::testing::Test
 
 TEST_F(PeiOpsFixture, TableOneMetadataMatchesPaper)
 {
-    EXPECT_TRUE(peiOpInfo(PeiOpcode::Inc64).writes);
-    EXPECT_EQ(peiOpInfo(PeiOpcode::Inc64).input_bytes, 0u);
-    EXPECT_EQ(peiOpInfo(PeiOpcode::Min64).input_bytes, 8u);
-    EXPECT_FALSE(peiOpInfo(PeiOpcode::HashProbe).writes);
-    EXPECT_EQ(peiOpInfo(PeiOpcode::HashProbe).output_bytes, 9u);
-    EXPECT_EQ(peiOpInfo(PeiOpcode::HistBinIdx).input_bytes, 1u);
-    EXPECT_EQ(peiOpInfo(PeiOpcode::HistBinIdx).output_bytes, 16u);
-    EXPECT_EQ(peiOpInfo(PeiOpcode::EuclidDist).input_bytes, 64u);
-    EXPECT_EQ(peiOpInfo(PeiOpcode::EuclidDist).output_bytes, 4u);
-    EXPECT_EQ(peiOpInfo(PeiOpcode::DotProduct).input_bytes, 32u);
-    EXPECT_EQ(peiOpInfo(PeiOpcode::DotProduct).output_bytes, 8u);
+    // Table 1 exactly: seven operations, each with its R/W flags and
+    // operand sizes; the first three are the writers.
+    struct Row
+    {
+        PeiOpcode op;
+        const char *name;
+        bool reads, writes;
+        unsigned input_bytes, output_bytes;
+    };
+    const Row table1[] = {
+        {PeiOpcode::Inc64, "inc64", true, true, 0, 0},
+        {PeiOpcode::Min64, "min64", true, true, 8, 0},
+        {PeiOpcode::FaddDouble, "fadd", true, true, 8, 0},
+        {PeiOpcode::HashProbe, "hash_probe", true, false, 8, 9},
+        {PeiOpcode::HistBinIdx, "hist_idx", true, false, 1, 16},
+        {PeiOpcode::EuclidDist, "euclid", true, false, 64, 4},
+        {PeiOpcode::DotProduct, "dot", true, false, 32, 8},
+    };
+    EXPECT_EQ(static_cast<unsigned>(PeiOpcode::NumOpcodes), 7u);
+    for (unsigned i = 0; i < 7; ++i) {
+        const Row &row = table1[i];
+        EXPECT_EQ(static_cast<unsigned>(row.op), i);
+        const PeiOpInfo &info = peiOpInfo(row.op);
+        EXPECT_STREQ(info.name, row.name);
+        EXPECT_EQ(info.reads, row.reads) << row.name;
+        EXPECT_EQ(info.writes, row.writes) << row.name;
+        EXPECT_EQ(info.input_bytes, row.input_bytes) << row.name;
+        EXPECT_EQ(info.output_bytes, row.output_bytes) << row.name;
+    }
 }
 
 TEST_F(PeiOpsFixture, Inc64)
