@@ -2,7 +2,8 @@
  * @file
  * google-benchmark microbenchmarks of the simulation substrate
  * itself: the event queue, cache arrays, TLB, PIM directory,
- * locality monitor, DRAM vault model, and hash utilities.  These
+ * locality monitor, DRAM vault model, hash utilities, and R-MAT
+ * graph generation, the largest share of a graph run's setup.  These
  * are the ablation hooks DESIGN.md calls out for simulator
  * performance (events/second govern how large an input every figure
  * can afford).
@@ -52,6 +53,7 @@
 #include "runtime/report.hh"
 #include "runtime/runtime.hh"
 #include "sim/event_queue.hh"
+#include "workloads/graph.hh"
 
 namespace
 {
@@ -323,6 +325,19 @@ BM_VirtualMemoryTranslate(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_VirtualMemoryTranslate);
+
+void
+BM_GenRmat(benchmark::State &state)
+{
+    // The medium graph input (131072 vertices, 655360 edges), seed 1.
+    constexpr std::uint64_t edges = 655360;
+    for (auto _ : state) {
+        const EdgeList el = genRmat(131072, edges, 1);
+        benchmark::DoNotOptimize(el.edges.data());
+    }
+    state.SetItemsProcessed(state.iterations() * edges);
+}
+BENCHMARK(BM_GenRmat);
 
 void
 BM_HistogramRecord(benchmark::State &state)

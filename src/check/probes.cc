@@ -97,14 +97,14 @@ checkOnce(System &sys, LinkWatermark *wm)
     // Offload coherence windows (Fig. 5 step ③): the target of an
     // offloaded writer PEI must stay uncached until it retires; the
     // target of an offloaded reader PEI may stay cached but clean.
-    for (const Addr block : pmu.memWriterBlocks()) {
+    pmu.forEachMemWriterBlock([&sys](Addr block) {
         if (sys.caches().contains(block << block_shift)) {
             throw FuzzViolation(
                 "stale copy: block of an in-flight memory-side writer "
                 "PEI is still cached (back-invalidation skipped?)");
         }
-    }
-    for (const Addr block : pmu.memReaderBlocks()) {
+    });
+    pmu.forEachMemReaderBlock([&sys](Addr block) {
         for (unsigned c = 0; c < sys.numCores(); ++c) {
             if (sys.caches().l1State(c, block << block_shift) ==
                     MesiState::Modified ||
@@ -116,7 +116,7 @@ checkOnce(System &sys, LinkWatermark *wm)
                     std::to_string(c) + " (back-writeback skipped?)");
             }
         }
-    }
+    });
 }
 
 } // namespace

@@ -26,8 +26,8 @@ VirtualMemory::alloc(std::uint64_t bytes, std::uint64_t align)
                  "out of simulated physical memory (%llu bytes)",
                  static_cast<unsigned long long>(phys_limit));
         page_table[p] = frames.size();
+        // make_unique value-initializes: the frame starts zeroed.
         frames.push_back(Frame{std::make_unique<std::byte[]>(page_size)});
-        std::memset(frames.back().data.get(), 0, page_size);
     }
     return base;
 }

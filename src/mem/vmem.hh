@@ -13,7 +13,9 @@
 #ifndef PEISIM_MEM_VMEM_HH
 #define PEISIM_MEM_VMEM_HH
 
+#include <algorithm>
 #include <cstring>
+#include <iterator>
 #include <memory>
 #include <vector>
 
@@ -80,6 +82,27 @@ class VirtualMemory
 
     /** Functional bulk write; may cross page boundaries. */
     void writeBytes(Addr vaddr, const void *src, std::uint64_t size);
+
+    /**
+     * Functional write of the array T[@p count] at @p vaddr whose
+     * element i is @p value(i).  Elements are staged a page at a
+     * time, so the copy costs one writeBytes per page, not one per
+     * element.
+     */
+    template <typename T, typename Fn>
+    void
+    writeArray(Addr vaddr, std::uint64_t count, Fn &&value)
+    {
+        T staged[page_size / sizeof(T)];
+        for (std::uint64_t i = 0; i < count;) {
+            const std::uint64_t n =
+                std::min<std::uint64_t>(std::size(staged), count - i);
+            for (std::uint64_t k = 0; k < n; ++k)
+                staged[k] = value(i + k);
+            writeBytes(vaddr + i * sizeof(T), staged, n * sizeof(T));
+            i += n;
+        }
+    }
 
     /**
      * Host pointer backing physical address @p paddr.  Memory-side

@@ -552,9 +552,8 @@ Pmu::offloadTrain(std::uint32_t train)
     PimHandler::Respond cbs[64];
     for (unsigned i = 0; i < n; ++i) {
         const std::uint32_t txn = tr.txns[i];
-        PeiTxn &t = txns[txn];
-        pushInflightBlock(t);
-        pkts[i] = std::move(t.pkt);
+        linkInflight(txn);
+        pkts[i] = txns[txn].pkt; // a copy: the probes read its block
         cbs[i] = [this, txn](PimPacket completed) {
             memFinish(txn, std::move(completed));
         };
@@ -564,11 +563,33 @@ Pmu::offloadTrain(std::uint32_t train)
 }
 
 void
-Pmu::pushInflightBlock(const PeiTxn &t)
+Pmu::linkInflight(std::uint32_t txn)
 {
-    auto &inflight =
-        t.pkt.is_writer ? mem_writer_blocks : mem_reader_blocks;
-    inflight.push_back(t.pkt.paddr >> block_shift);
+    PeiTxn &t = txns[txn];
+    InflightList &list = t.pkt.is_writer ? mem_writers : mem_readers;
+    t.inflight_prev = list.tail;
+    if (list.tail != no_txn)
+        txns[list.tail].inflight_next = txn;
+    else
+        list.head = txn;
+    list.tail = txn;
+}
+
+void
+Pmu::unlinkInflight(std::uint32_t txn)
+{
+    PeiTxn &t = txns[txn];
+    InflightList &list = t.pkt.is_writer ? mem_writers : mem_readers;
+    panic_if(t.inflight_prev == no_txn && list.head != txn,
+             "mem-side PEI retired without an in-flight record");
+    if (t.inflight_prev != no_txn)
+        txns[t.inflight_prev].inflight_next = t.inflight_next;
+    else
+        list.head = t.inflight_next;
+    if (t.inflight_next != no_txn)
+        txns[t.inflight_next].inflight_prev = t.inflight_prev;
+    else
+        list.tail = t.inflight_prev;
 }
 
 void
@@ -577,9 +598,9 @@ Pmu::offload(std::uint32_t txn)
     // The block is clean off-chip from here until retirement; probes
     // verify no (writer) / no Modified (reader) cached copy exists in
     // this window.
-    PeiTxn &t = txns[txn];
-    pushInflightBlock(t);
-    mem.sendPim(std::move(t.pkt), [this, txn](PimPacket completed) {
+    linkInflight(txn);
+    // A copy: the probes read the packet's block until retirement.
+    mem.sendPim(txns[txn].pkt, [this, txn](PimPacket completed) {
         memFinish(txn, std::move(completed));
     });
 }
@@ -603,13 +624,7 @@ Pmu::finish(std::uint32_t txn, bool executed_at_host)
     } else {
         ++stat_peis_mem;
         hist_pei_latency_mem.record(latency);
-        auto &inflight =
-            t.pkt.is_writer ? mem_writer_blocks : mem_reader_blocks;
-        const auto it = std::find(inflight.begin(), inflight.end(),
-                                  t.pkt.paddr >> block_shift);
-        panic_if(it == inflight.end(),
-                 "mem-side PEI retired without an in-flight record");
-        inflight.erase(it);
+        unlinkInflight(txn);
         if (batch_on) {
             // Return the vault-PCU credit and retry a flush the
             // credit gate deferred.

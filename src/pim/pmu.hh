@@ -158,26 +158,34 @@ class Pmu
     }
 
     /**
-     * Target blocks of memory-side *writer* PEIs between the end of
-     * their back-invalidation and their retirement: no cache level
-     * may hold a copy of these (probe hook; one entry per PEI).
+     * Call @p fn with the target block of every memory-side *writer*
+     * PEI between the end of its back-invalidation and its
+     * retirement, in offload order: no cache level may hold a copy
+     * of these (probe hook; one call per PEI).
      */
-    const std::vector<Addr> &memWriterBlocks() const
+    template <typename Fn>
+    void
+    forEachMemWriterBlock(Fn &&fn)
     {
-        return mem_writer_blocks;
+        forEachInflight(mem_writers, fn);
     }
 
     /**
-     * Target blocks of memory-side *reader* PEIs between the end of
-     * their back-writeback and their retirement: copies may stay
-     * cached but none may be Modified (probe hook).
+     * Call @p fn with the target block of every memory-side *reader*
+     * PEI between the end of its back-writeback and its retirement,
+     * in offload order: copies may stay cached but none may be
+     * Modified (probe hook).
      */
-    const std::vector<Addr> &memReaderBlocks() const
+    template <typename Fn>
+    void
+    forEachMemReaderBlock(Fn &&fn)
     {
-        return mem_reader_blocks;
+        forEachInflight(mem_readers, fn);
     }
 
   private:
+    static constexpr std::uint32_t no_txn = ~std::uint32_t{0};
+
     /**
      * One in-flight PEI from issue to retirement.  The packet and
      * the issuer's completion callback are parked here (pooled, slab
@@ -192,7 +200,30 @@ class Pmu
         unsigned core;
         Tick asked = 0;      ///< directory-wait start
         Tick load_start = 0; ///< host cache-load start
+        /** Neighbours in its in-flight list while memory-side. */
+        std::uint32_t inflight_prev = no_txn;
+        std::uint32_t inflight_next = no_txn;
     };
+
+    /**
+     * Memory-side PEIs in flight, oldest offload first, threaded
+     * through PeiTxn::inflight_prev/next so that a retirement unlinks
+     * its own record in O(1).  Only the probe hooks walk it.
+     */
+    struct InflightList
+    {
+        std::uint32_t head = no_txn;
+        std::uint32_t tail = no_txn;
+    };
+
+    template <typename Fn>
+    void
+    forEachInflight(const InflightList &list, Fn &fn)
+    {
+        for (std::uint32_t h = list.head; h != no_txn;
+             h = txns[h].inflight_next)
+            fn(txns[h].pkt.paddr >> block_shift);
+    }
 
     // Pipeline stages, one per latency edge of the PEI's lifetime.
     void startPei(std::uint32_t txn);
@@ -223,8 +254,11 @@ class Pmu
      */
     void cleanBlock(Addr paddr, bool invalidate, Callback done);
 
-    /** Record @p t's target block as in flight memory-side. */
-    void pushInflightBlock(const PeiTxn &t);
+    /** Append @p txn to its in-flight list as it goes memory-side. */
+    void linkInflight(std::uint32_t txn);
+
+    /** Remove retiring @p txn from its in-flight list. */
+    void unlinkInflight(std::uint32_t txn);
 
     /** Balanced-dispatch choice on a locality-monitor miss:
      *  true = offload to memory. */
@@ -271,9 +305,8 @@ class Pmu
     std::vector<unsigned> vault_inflight;  ///< dispatched, unretired
     SlotPool<TrainTxn> train_txns;
 
-    /** In-flight memory-side PEI targets (see memWriterBlocks()). */
-    std::vector<Addr> mem_writer_blocks;
-    std::vector<Addr> mem_reader_blocks;
+    InflightList mem_writers; ///< see forEachMemWriterBlock()
+    InflightList mem_readers; ///< see forEachMemReaderBlock()
 
     Counter stat_peis_issued;
     Counter stat_peis_host;

@@ -14,7 +14,7 @@ namespace pei
 struct ServeState::Image
 {
     HashTableImage table;
-    EdgeList edges;
+    HostCsr graph;
     std::vector<float> points;  ///< points * knn_dims floats
     std::vector<float> queries; ///< queries * knn_dims floats
 };
@@ -46,7 +46,8 @@ ServeState::setup(Runtime &rt)
         for (std::uint64_t i = 0; i < cfg.table_rows; ++i)
             build_keys[i] = probeKey(i);
         img.table = buildHashTable(build_keys);
-        img.edges = genRmat(cfg.vertices, cfg.edges, cfg.seed ^ 0x6A);
+        img.graph =
+            buildCsr(genRmat(cfg.vertices, cfg.edges, cfg.seed ^ 0x6A));
         Rng rng(cfg.seed ^ 0x6B);
         img.points.resize(cfg.points * ServeStateConfig::knn_dims);
         for (auto &f : img.points)
@@ -58,17 +59,14 @@ ServeState::setup(Runtime &rt)
     });
 
     table_addr_ = materializeHashTable(rt, image_->table);
-    graph_ = std::make_unique<CsrGraph>(rt, image_->edges);
-
-    VirtualMemory &vm = rt.system().memory();
+    graph_ = std::make_unique<CsrGraph>(rt, image_->graph);
+    // Fresh simulated memory is zeroed: every rank starts at 0.0.
     rank_addr_ = rt.allocArray<double>(cfg_.vertices);
-    for (std::uint64_t v = 0; v < cfg_.vertices; ++v)
-        vm.write<double>(rank_addr_ + 8 * v, 0.0);
 
     points_addr_ =
         rt.allocArray<float>(cfg_.points * ServeStateConfig::knn_dims);
-    for (std::size_t i = 0; i < image_->points.size(); ++i)
-        vm.write<float>(points_addr_ + 4 * i, image_->points[i]);
+    rt.system().memory().writeBytes(points_addr_, image_->points.data(),
+                                    4 * image_->points.size());
 }
 
 std::uint64_t

@@ -5,7 +5,7 @@
  * graph with a rank array (PageRankFragment requests), and one point
  * set plus precomputed query vectors (KnnQuery requests).
  *
- * The host-side images (table buckets, edge list, point/query
+ * The host-side images (table buckets, graph CSR, point/query
  * floats) are memoized process-wide through the input cache, so a
  * saturation sweep building dozens of Systems generates each input
  * once; only the copy into each System's simulated memory is

@@ -99,8 +99,7 @@ HashJoinWorkload::setup(Runtime &rt)
 
     probe_addr = rt.allocArray<std::uint64_t>(probe_rows);
     expected_matches = input->expected_matches;
-    for (std::uint64_t i = 0; i < probe_rows; ++i)
-        vm.write<std::uint64_t>(probe_addr + 8 * i, input->probe_keys[i]);
+    vm.writeBytes(probe_addr, input->probe_keys.data(), 8 * probe_rows);
 }
 
 Task
@@ -170,8 +169,7 @@ HistogramWorkload::setup(Runtime &rt)
     input_addr = rt.allocArray<std::uint32_t>(num_ints);
     VirtualMemory &vm = rt.system().memory();
     const auto &vals = cachedRandomU32(num_ints, seed ^ 0x47);
-    for (std::uint64_t i = 0; i < num_ints; ++i)
-        vm.write<std::uint32_t>(input_addr + 4 * i, vals[i]);
+    vm.writeBytes(input_addr, vals.data(), 4 * num_ints);
 }
 
 Task
@@ -241,8 +239,7 @@ RadixPartitionWorkload::setup(Runtime &rt)
     output_addr = rt.allocArray<std::uint32_t>(rows);
     VirtualMemory &vm = rt.system().memory();
     const auto &vals = cachedRandomU32(rows, seed ^ 0x52);
-    for (std::uint64_t i = 0; i < rows; ++i)
-        vm.write<std::uint32_t>(input_addr + 4 * i, vals[i]);
+    vm.writeBytes(input_addr, vals.data(), 4 * rows);
 }
 
 Task

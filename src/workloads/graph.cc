@@ -13,7 +13,6 @@ genRmat(std::uint64_t vertices, std::uint64_t edges, std::uint64_t seed)
 {
     fatal_if(vertices < 2, "R-MAT needs at least two vertices");
     const unsigned levels = ceilLog2(vertices);
-    const std::uint64_t n = 1ULL << levels;
     Rng rng(seed);
 
     EdgeList el;
@@ -39,16 +38,17 @@ genRmat(std::uint64_t vertices, std::uint64_t edges, std::uint64_t seed)
             b /= total;
             c /= total;
             const double u = rng.uniform();
-            if (u < a) {
-                // top-left quadrant
-            } else if (u < a + b) {
-                dst |= n >> (l + 1);
-            } else if (u < a + b + c) {
-                src |= n >> (l + 1);
-            } else {
-                src |= n >> (l + 1);
-                dst |= n >> (l + 1);
-            }
+            // Quadrant q in 0..3 (a: top-left, b: top-right, c:
+            // bottom-left, d: bottom-right) is the first partial sum
+            // above u.  Rounding is monotone, so a <= a + b <= a + b + c
+            // holds in doubles too and the comparisons below are
+            // nested: q is the number that hold, found with no
+            // data-dependent branch.  Its two bits are the level's src
+            // and dst bits.
+            const unsigned q = unsigned{u >= a} + unsigned{u >= a + b} +
+                               unsigned{u >= a + b + c};
+            src = (src << 1) | (q >> 1);
+            dst = (dst << 1) | (q & 1);
         }
         if (src >= vertices || dst >= vertices || src == dst)
             continue;
@@ -114,31 +114,42 @@ symmetrize(const EdgeList &el)
     return out;
 }
 
-CsrGraph::CsrGraph(Runtime &rt, const EdgeList &el)
-    : nv(el.num_vertices), ne(el.edges.size())
+HostCsr
+buildCsr(const EdgeList &el)
 {
-    // Counting sort by source vertex.
-    row.assign(nv + 1, 0);
+    HostCsr csr;
+    csr.num_vertices = el.num_vertices;
+    // Counting sort by source vertex.  Source s fills its slots
+    // through the cursor row[s + 1], which starts at s's first slot
+    // and ends one past its last: the value row[s + 1] must hold.
+    // The extra last entry only carries the edge total.
+    std::vector<std::uint64_t> &row = csr.row;
+    row.assign(el.num_vertices + 2, 0);
     for (const auto &[s, d] : el.edges) {
         (void)d;
-        ++row[s + 1];
+        ++row[s + 2];
     }
-    for (std::uint64_t v = 0; v < nv; ++v)
-        row[v + 1] += row[v];
-    col.resize(ne);
-    std::vector<std::uint64_t> cursor(row.begin(), row.end() - 1);
+    for (std::uint64_t v = 2; v < row.size(); ++v)
+        row[v] += row[v - 1];
+    csr.col.resize(el.edges.size());
     for (const auto &[s, d] : el.edges)
-        col[cursor[s]++] = d;
+        csr.col[row[s + 1]++] = d;
+    row.pop_back();
+    return csr;
+}
 
-    // Materialize in simulated memory as 8-byte entries (the layout
-    // the kernels' pointer arithmetic assumes).
+CsrGraph::CsrGraph(Runtime &rt, const HostCsr &csr) : csr(csr)
+{
+    // 8-byte entries: the layout the kernels' pointer arithmetic
+    // assumes, so col is widened on the way in.
+    const std::uint64_t nv = numVertices(), ne = numEdges();
     row_addr = rt.allocArray<std::uint64_t>(nv + 1);
     col_addr = rt.allocArray<std::uint64_t>(ne ? ne : 1);
     VirtualMemory &vm = rt.system().memory();
-    for (std::uint64_t v = 0; v <= nv; ++v)
-        vm.write<std::uint64_t>(row_addr + 8 * v, row[v]);
-    for (std::uint64_t e = 0; e < ne; ++e)
-        vm.write<std::uint64_t>(col_addr + 8 * e, col[e]);
+    vm.writeBytes(row_addr, csr.row.data(), 8 * (nv + 1));
+    vm.writeArray<std::uint64_t>(col_addr, ne, [&](std::uint64_t e) {
+        return std::uint64_t{csr.col[e]};
+    });
 }
 
 const std::vector<NamedGraphSpec> &

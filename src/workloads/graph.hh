@@ -6,8 +6,9 @@
  * R-MAT graphs (power-law degree distribution, the property §7.1
  * credits for Locality-Aware's wins on social networks) whose sizes
  * are the paper's inputs scaled by the same factor as the caches in
- * SystemConfig::scaled().  The graph lives both host-side (reference
- * algorithms, generation) and in simulated memory as CSR arrays.
+ * SystemConfig::scaled().  The graph lives both host-side, as one CSR
+ * that every run shares (reference algorithms), and in each run's
+ * simulated memory as CSR arrays.
  */
 
 #ifndef PEISIM_WORKLOADS_GRAPH_HH
@@ -49,26 +50,41 @@ EdgeList genUniform(std::uint64_t vertices, std::uint64_t edges,
 EdgeList symmetrize(const EdgeList &el);
 
 /**
- * CSR graph materialized both host-side (row/col vectors for
- * reference algorithms) and in simulated memory (row_ptr/col_idx
+ * Host-side CSR of a graph: the out-edges of vertex v are
+ * col[row[v]] .. col[row[v + 1] - 1], in edge-list order.  The input
+ * cache holds one per graph input, shared read-only by every run.
+ */
+struct HostCsr
+{
+    std::uint64_t num_vertices = 0;
+    std::vector<std::uint64_t> row; ///< num_vertices + 1 offsets
+    std::vector<std::uint32_t> col; ///< destination of each edge
+};
+
+/** Counting-sort @p el by source vertex into a CSR. */
+HostCsr buildCsr(const EdgeList &el);
+
+/**
+ * A HostCsr materialized in simulated memory as row_ptr/col_idx
  * arrays of 8-byte entries, as the paper's pointer-chasing kernels
- * traverse).
+ * traverse.  The view keeps no host copy: the reference algorithms
+ * read the HostCsr it was built from, which must outlive it.
  */
 class CsrGraph
 {
   public:
-    /** Build from an edge list and copy into simulated memory. */
-    CsrGraph(Runtime &rt, const EdgeList &el);
+    /** Copy @p csr into simulated memory. */
+    CsrGraph(Runtime &rt, const HostCsr &csr);
 
-    std::uint64_t numVertices() const { return nv; }
-    std::uint64_t numEdges() const { return ne; }
+    std::uint64_t numVertices() const { return csr.num_vertices; }
+    std::uint64_t numEdges() const { return csr.col.size(); }
 
     /** Host-side CSR. */
-    const std::vector<std::uint64_t> &rowPtr() const { return row; }
-    const std::vector<std::uint32_t> &colIdx() const { return col; }
+    const std::vector<std::uint64_t> &rowPtr() const { return csr.row; }
+    const std::vector<std::uint32_t> &colIdx() const { return csr.col; }
     std::uint64_t outDegree(std::uint64_t v) const
     {
-        return row[v + 1] - row[v];
+        return csr.row[v + 1] - csr.row[v];
     }
 
     /** Simulated-memory addresses of the CSR arrays. */
@@ -82,10 +98,7 @@ class CsrGraph
     Addr colIdxAddr(std::uint64_t e) const { return col_addr + 8 * e; }
 
   private:
-    std::uint64_t nv;
-    std::uint64_t ne;
-    std::vector<std::uint64_t> row;
-    std::vector<std::uint32_t> col;
+    const HostCsr &csr;
     Addr row_addr;
     Addr col_addr;
 };

@@ -35,8 +35,11 @@ class GraphWorkloadBase : public Workload
 
     std::uint64_t peiCount() const override { return peis_issued; }
 
+    /** The input graph (valid after setup()). */
+    const CsrGraph &csrGraph() const { return *graph; }
+
   protected:
-    /** Generate the R-MAT input and materialize the CSR. */
+    /** Build (or reuse) the R-MAT input's CSR and materialize it. */
     void setupGraph(Runtime &rt);
 
     /** [begin, end) vertex range of thread @p tid of @p n. */
@@ -52,8 +55,7 @@ class GraphWorkloadBase : public Workload
     std::uint64_t seed;
     bool undirected;
 
-    const EdgeList *edge_list = nullptr; ///< cached, shared read-only
-    std::unique_ptr<CsrGraph> graph;
+    std::unique_ptr<CsrGraph> graph; ///< view of the cached CSR
     std::unique_ptr<Barrier> barrier;
     std::uint64_t peis_issued = 0;
 };

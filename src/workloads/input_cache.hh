@@ -4,9 +4,9 @@
  *
  * Every figure bench runs the same workload under several execution
  * modes (and the sweep driver runs those simulations concurrently),
- * but the host-side input for a given (kind, size, seed) — the R-MAT
- * edge list, the hash-join table image, the random key/point arrays —
- * is identical across those runs.  This cache builds each input once
+ * but the host-side input for a given (kind, size, seed) — the graph's
+ * CSR, the hash-join table image, the random key/point arrays — is
+ * identical across those runs.  This cache builds each input once
  * and shares it read-only across simulations and host threads; only
  * the cheap copy into each System's simulated memory stays per-run.
  *

@@ -50,8 +50,8 @@ StreamclusterWorkload::setup(Runtime &rt)
             c = static_cast<float>(rng.uniform() * 10.0 - 5.0);
         return in;
     });
-    for (std::uint64_t i = 0; i < input->points.size(); ++i)
-        vm.write<float>(points_addr + 4 * i, input->points[i]);
+    vm.writeBytes(points_addr, input->points.data(),
+                  4 * input->points.size());
 
     assignment.assign(num_points, 0);
     best_dist.assign(num_points, 0.0f);
@@ -181,8 +181,7 @@ SvmWorkload::setup(Runtime &rt)
             v = rng.uniform() * 2.0 - 1.0;
         return in;
     });
-    for (std::uint64_t i = 0; i < input->x.size(); ++i)
-        vm.write<double>(x_addr + 8 * i, input->x[i]);
+    vm.writeBytes(x_addr, input->x.data(), 8 * input->x.size());
 
     dots.assign(num_instances, 0.0);
 }

@@ -13,6 +13,7 @@
 #include "fixture.hh"
 #include "workloads/analytics.hh"
 #include "workloads/graph_workloads.hh"
+#include "workloads/input_cache.hh"
 #include "workloads/ml.hh"
 #include "workloads/workload.hh"
 
@@ -158,26 +159,138 @@ TEST(GraphGen, CsrMatchesEdgeList)
     SystemConfig cfg = workloadConfig(ExecMode::LocalityAware);
     System sys(cfg);
     Runtime rt(sys);
-    EdgeList el = genRmat(512, 4096, 3);
-    CsrGraph g(rt, el);
-    EXPECT_EQ(g.numVertices(), 512u);
-    EXPECT_EQ(g.numEdges(), 4096u);
-    // Every edge appears exactly once in the CSR.
-    std::uint64_t count = 0;
+    const EdgeList el = genRmat(512, 4096, 3);
+    const HostCsr csr = buildCsr(el);
+    CsrGraph g(rt, csr);
+    ASSERT_EQ(g.numVertices(), 512u);
+    ASSERT_EQ(g.numEdges(), 4096u);
+    ASSERT_GE(8 * g.numEdges(), 3 * page_size); // col spans >= 3 pages
+    // Each row holds its source's edges in edge-list order.
+    std::vector<std::vector<std::uint32_t>> out(512);
+    for (const auto &[s, d] : el.edges)
+        out[s].push_back(d);
+    ASSERT_EQ(g.rowPtr().size(), 513u);
+    EXPECT_EQ(g.rowPtr()[0], 0u);
     for (std::uint64_t v = 0; v < g.numVertices(); ++v) {
-        for (std::uint64_t e = g.rowPtr()[v]; e < g.rowPtr()[v + 1]; ++e) {
-            ++count;
-            EXPECT_LT(g.colIdx()[e], 512u);
+        ASSERT_EQ(g.outDegree(v), out[v].size()) << "vertex " << v;
+        for (std::uint64_t k = 0; k < out[v].size(); ++k)
+            EXPECT_EQ(g.colIdx()[g.rowPtr()[v] + k], out[v][k]);
+    }
+    // The simulated-memory copy agrees with the host CSR, entry for
+    // entry.
+    for (std::uint64_t v = 0; v <= g.numVertices(); ++v)
+        EXPECT_EQ(sys.memory().read<std::uint64_t>(g.rowPtrAddr(v)),
+                  g.rowPtr()[v]) << "row " << v;
+    for (std::uint64_t e = 0; e < g.numEdges(); ++e)
+        EXPECT_EQ(sys.memory().read<std::uint64_t>(g.colIdxAddr(e)),
+                  g.colIdx()[e]) << "col " << e;
+}
+
+/** FNV-1a-64 over the little-endian bytes of 64-bit words. */
+struct Fnv1a
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+
+    void
+    add(std::uint64_t word)
+    {
+        for (unsigned i = 0; i < 8; ++i) {
+            h ^= (word >> (8 * i)) & 0xFF;
+            h *= 0x100000001b3ULL;
         }
     }
-    EXPECT_EQ(count, 4096u);
-    // Simulated-memory copy agrees with the host copy.
-    for (std::uint64_t v = 0; v <= g.numVertices(); v += 37)
-        EXPECT_EQ(sys.memory().read<std::uint64_t>(g.rowPtrAddr(v)),
-                  g.rowPtr()[v]);
-    for (std::uint64_t e = 0; e < g.numEdges(); e += 97)
-        EXPECT_EQ(sys.memory().read<std::uint64_t>(g.colIdxAddr(e)),
-                  g.colIdx()[e]);
+};
+
+std::uint64_t
+edgeFingerprint(const EdgeList &el)
+{
+    Fnv1a f;
+    for (const auto &[s, d] : el.edges) {
+        f.add(s);
+        f.add(d);
+    }
+    return f.h;
+}
+
+TEST(GraphGen, RmatMatchesPinnedFingerprint)
+{
+    // Every simulated result over a graph input rests on genRmat's
+    // exact edge sequence; these constants pin it bit for bit.
+    struct Pin
+    {
+        std::uint64_t vertices, edges, seed, fingerprint;
+    };
+    const Pin pins[] = {
+        {4096, 32768, 1, 0x6d5dd89ebb3bf5abULL},
+        {4096, 32768, 2, 0x9864a2caca6de059ULL},
+        {4096, 32768, 3, 0xd6640a8ba8c6fb46ULL},
+        // Not a power of two: out-of-range draws are rejected.
+        {3908, 9240, 1, 0xbd7877792b2233e8ULL},
+        {131072, 655360, 1, 0x9da20dfbfd48fc12ULL},
+    };
+    for (const Pin &p : pins) {
+        const EdgeList el = genRmat(p.vertices, p.edges, p.seed);
+        ASSERT_EQ(el.edges.size(), p.edges);
+        EXPECT_EQ(edgeFingerprint(el), p.fingerprint)
+            << p.vertices << " vertices, " << p.edges << " edges, seed "
+            << p.seed;
+    }
+}
+
+TEST(GraphGen, SymmetrizedCsrMatchesPinnedFingerprint)
+{
+    // WCC's input form: the CSR of a symmetrized R-MAT graph, row
+    // offsets then column indices.
+    const HostCsr csr = buildCsr(symmetrize(genRmat(3908, 9240, 1)));
+    ASSERT_EQ(csr.col.size(), 2 * 9240u);
+    Fnv1a f;
+    for (const std::uint64_t r : csr.row)
+        f.add(r);
+    for (const std::uint32_t c : csr.col)
+        f.add(c);
+    EXPECT_EQ(f.h, 0xfcb06848299ac799ULL);
+}
+
+TEST(InputCache, GraphRunsShareOneCsr)
+{
+    clearInputCache();
+    const std::uint64_t *rows[2];
+    for (const std::uint64_t *&row : rows) {
+        System sys(workloadConfig(ExecMode::PimOnly));
+        Runtime rt(sys);
+        const auto w = makeWorkload(WorkloadKind::BFS, InputSize::Small, 1);
+        w->setup(rt);
+        row = dynamic_cast<const GraphWorkloadBase &>(*w)
+                  .csrGraph()
+                  .rowPtr()
+                  .data();
+    }
+    EXPECT_EQ(rows[0], rows[1]);
+    const InputCacheCounters c = inputCacheCounters();
+    EXPECT_EQ(c.misses, 1u);
+    EXPECT_EQ(c.hits, 1u);
+    clearInputCache();
+}
+
+TEST(InputCache, WccValidatesAgainstSharedCsr)
+{
+    // WCC's union-find reference walks the cached CSR of the
+    // symmetrized input, which both runs share.
+    clearInputCache();
+    for (ExecMode mode : {ExecMode::HostOnly, ExecMode::PimOnly}) {
+        System sys(workloadConfig(mode));
+        Runtime rt(sys);
+        WccWorkload w(1024, 4096, 7);
+        w.setup(rt);
+        w.spawn(rt, sys.numCores(), 0);
+        rt.run();
+        std::string msg;
+        EXPECT_TRUE(w.validate(sys, msg)) << msg;
+    }
+    const InputCacheCounters c = inputCacheCounters();
+    EXPECT_EQ(c.misses, 1u);
+    EXPECT_EQ(c.hits, 1u);
+    clearInputCache();
 }
 
 TEST(GraphGen, FigureGraphsAreAscendingAndNine)
