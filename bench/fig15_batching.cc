@@ -1,9 +1,8 @@
 /**
  * @file
  * Batched-dispatch study (beyond the paper's per-operation PEI
- * dispatch): Average Teenage Follower under PIM-Only as the PMU batching window
- * (`--pei-batch`) and the memory-side PCU issue-queue depth
- * (`--queue-depth`) grow.
+ * dispatch): Average Teenage Follower under PIM-Only as the PMU
+ * batching window (`--pei-batch`) grows.
  *
  * Every memory-bound PEI normally crosses the off-chip link as its
  * own request packet (head flit + operand flits).  The batching
@@ -59,12 +58,10 @@ fmt(const char *format, double v)
 }
 
 std::string
-pointJson(unsigned batch, unsigned qd, const RunResult &r,
-          std::uint64_t base_link_flits)
+pointJson(unsigned batch, const RunResult &r, std::uint64_t base_link_flits)
 {
     const std::uint64_t flits = linkFlits(r);
     std::string s = "{\"batch\":" + std::to_string(batch);
-    s += ",\"queue_depth\":" + std::to_string(qd);
     s += ",\"ticks\":" + std::to_string(r.ticks);
     s += ",\"peis\":" + std::to_string(r.stat("pmu.peis_issued"));
     s += ",\"peis_per_s\":" + fmt("%.0f", peisPerSecond(r));
@@ -92,67 +89,59 @@ main(int argc, char **argv)
     std::printf("==================================================="
                 "===========================\n");
     std::printf("Batched dispatch study — ATF (PIM-Only) across "
-                "PMU batch limit x PCU queue depth\n");
+                "PMU batch limits\n");
     std::printf("Extension: per-op dispatch sends one request packet "
                 "per PEI; the batching window\n");
     std::printf("coalesces same-vault PEIs into trains sharing one "
                 "header flit and one coherence act\n");
-    std::printf("Config: SystemConfig::scaled() base; --pei-batch and "
-                "--queue-depth swept below\n");
+    std::printf("Config: SystemConfig::scaled() base; --pei-batch "
+                "swept below\n");
     std::printf("==================================================="
                 "===========================\n");
 
     const unsigned batches[] = {1, 4, 8};
-    const unsigned queue_depths[] = {0, 8};
 
     struct Point
     {
         unsigned batch;
-        unsigned qd;
         RunHandle run;
     };
     std::vector<Point> points;
     for (const unsigned batch : batches) {
-        for (const unsigned qd : queue_depths) {
-            const auto tweak = [batch, qd](SystemConfig &cfg) {
-                cfg.pim.pei_batch = batch;
-                cfg.pim.pcu.issue_queue_depth = qd;
-            };
-            // PIM-Only sends every PEI to the memory side, so the
-            // window sees the densest same-vault arrival stream the
-            // workload can produce — the regime batching targets.
-            const auto factory = [] {
-                return makeWorkload(WorkloadKind::ATF, InputSize::Medium);
-            };
-            const std::string label = "atf/batch" + std::to_string(batch) +
-                                      "/qd" + std::to_string(qd);
-            points.push_back(
-                {batch, qd,
-                 submitWorkload(factory, label, ExecMode::PimOnly,
-                                tweak)});
-        }
+        const auto tweak = [batch](SystemConfig &cfg) {
+            cfg.pim.pei_batch = batch;
+        };
+        // PIM-Only sends every PEI to the memory side, so the window
+        // sees the densest same-vault arrival stream the workload can
+        // produce — the regime batching targets.
+        const auto factory = [] {
+            return makeWorkload(WorkloadKind::ATF, InputSize::Medium);
+        };
+        const std::string label = "atf/batch" + std::to_string(batch);
+        points.push_back({batch, submitWorkload(factory, label,
+                                                ExecMode::PimOnly, tweak)});
     }
     peibench::sweepRun();
 
-    // The batch=1/qd=0 point is the per-op dispatch baseline every
+    // The batch=1 point is the per-op dispatch baseline every
     // reduction figure is computed against.
     std::uint64_t base_link_flits = 0;
     for (const Point &p : points) {
-        if (p.batch == 1 && p.qd == 0 && result(p.run).ok())
+        if (p.batch == 1 && result(p.run).ok())
             base_link_flits = linkFlits(result(p.run));
     }
 
-    std::printf("\n%5s %3s %14s %12s %8s %8s %10s %10s %7s\n", "batch",
-                "qd", "ticks", "PEIs/s", "trains", "batched",
-                "req flits", "link flits", "reduc");
+    std::printf("\n%5s %14s %12s %8s %8s %10s %10s %7s\n", "batch",
+                "ticks", "PEIs/s", "trains", "batched", "req flits",
+                "link flits", "reduc");
     for (const Point &p : points) {
         if (!peibench::allOk({p.run}))
             continue;
         const RunResult &r = result(p.run);
         const std::uint64_t flits = linkFlits(r);
         std::printf(
-            "%5u %3u %14llu %12.3e %8llu %8llu %10llu %10llu %6.1f%%\n",
-            p.batch, p.qd, static_cast<unsigned long long>(r.ticks),
+            "%5u %14llu %12.3e %8llu %8llu %10llu %10llu %6.1f%%\n",
+            p.batch, static_cast<unsigned long long>(r.ticks),
             peisPerSecond(r),
             static_cast<unsigned long long>(r.stat("pmu.pei_trains")),
             static_cast<unsigned long long>(r.stat("pmu.batched_peis")),
@@ -167,8 +156,7 @@ main(int argc, char **argv)
     std::vector<peibench::BaselinePoint> baseline;
     for (const Point &p : points) {
         baseline.push_back({{p.run}, [&p, base_link_flits] {
-                                return pointJson(p.batch, p.qd,
-                                                 result(p.run),
+                                return pointJson(p.batch, result(p.run),
                                                  base_link_flits);
                             }});
     }

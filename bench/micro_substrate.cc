@@ -37,7 +37,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <functional> // stdfunction-allowed: naive reference queue baseline
 #include <sstream>
 #include <vector>
 
@@ -74,79 +73,6 @@ BM_EventQueueScheduleRun(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * 64);
 }
 BENCHMARK(BM_EventQueueScheduleRun);
-
-/**
- * The pre-refactor queue, naively: fat heap nodes each owning a
- * std::function.  Benchmarked side by side with the slab-arena queue
- * so the win from inline continuations stays visible in the output.
- */
-class NaiveReferenceQueue
-{
-  public:
-    void
-    schedule(Ticks delay, std::function<void()> fn)
-    {
-        events.push_back(Ev{cur_tick + delay, next_seq++, std::move(fn)});
-        std::push_heap(events.begin(), events.end(), Later{});
-    }
-
-    bool
-    runOne()
-    {
-        if (events.empty())
-            return false;
-        std::pop_heap(events.begin(), events.end(), Later{});
-        Ev ev = std::move(events.back());
-        events.pop_back();
-        cur_tick = ev.when;
-        ev.fn();
-        return true;
-    }
-
-    void
-    run()
-    {
-        while (runOne()) {}
-    }
-
-  private:
-    struct Ev
-    {
-        Tick when;
-        std::uint64_t seq;
-        std::function<void()> fn;
-    };
-
-    struct Later
-    {
-        bool
-        operator()(const Ev &a, const Ev &b) const
-        {
-            if (a.when != b.when)
-                return a.when > b.when;
-            return a.seq > b.seq;
-        }
-    };
-
-    std::vector<Ev> events;
-    Tick cur_tick = 0;
-    std::uint64_t next_seq = 0;
-};
-
-void
-BM_NaiveQueueScheduleRun(benchmark::State &state)
-{
-    NaiveReferenceQueue q;
-    std::uint64_t sink = 0;
-    for (auto _ : state) {
-        for (int i = 0; i < 64; ++i)
-            q.schedule(static_cast<Ticks>(i % 7), [&sink] { ++sink; });
-        q.run();
-    }
-    benchmark::DoNotOptimize(sink);
-    state.SetItemsProcessed(state.iterations() * 64);
-}
-BENCHMARK(BM_NaiveQueueScheduleRun);
 
 void
 BM_EventQueueSchedulingChurn(benchmark::State &state)
@@ -402,30 +328,6 @@ hotpathStorm(std::uint64_t total)
     return static_cast<double>(eq.executedCount()) / dt;
 }
 
-/** The same storm through the naive fat-node std::function queue. */
-double
-hotpathNaiveStorm(std::uint64_t total)
-{
-    NaiveReferenceQueue q;
-    std::uint64_t sink = 0;
-    std::uint64_t executed = 0;
-    const auto t0 = std::chrono::steady_clock::now();
-    std::uint64_t scheduled = 0;
-    while (scheduled < total) {
-        for (int i = 0; i < 256; ++i) {
-            q.schedule(static_cast<Ticks>(i & 7),
-                       [&sink] { ++sink; });
-            ++scheduled;
-        }
-        q.run();
-    }
-    executed = sink;
-    const double dt =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    return static_cast<double>(executed) / dt;
-}
-
 /** Schedule/partial-drain churn cycles; returns events/sec. */
 double
 hotpathChurn(std::uint64_t total)
@@ -492,10 +394,9 @@ void
 writeHotpathJson(const std::string &path)
 {
     hotpathStorm(1 << 20); // warm up
-    double storm = 0, naive = 0, churn = 0, e2e = 0;
+    double storm = 0, churn = 0, e2e = 0;
     for (int i = 0; i < 3; ++i) {
         storm = std::max(storm, hotpathStorm(4 << 20));
-        naive = std::max(naive, hotpathNaiveStorm(4 << 20));
         churn = std::max(churn, hotpathChurn(4 << 20));
         e2e = std::max(e2e, hotpathEndToEnd());
     }
@@ -504,12 +405,10 @@ writeHotpathJson(const std::string &path)
     os << "{\"tool\":\"micro_substrate_hotpath\",\"hotpath\":{"
        << "\"storm_events_per_sec\":" << storm << ","
        << "\"churn_events_per_sec\":" << churn << ","
-       << "\"naive_queue_storm_events_per_sec\":" << naive << ","
        << "\"end_to_end_events_per_sec\":" << e2e << "}}";
     writeStatsJson(path, os.str());
     std::printf("hotpath: storm %.0f ev/s, churn %.0f ev/s, "
-                "naive-queue storm %.0f ev/s, end-to-end %.0f ev/s\n",
-                storm, churn, naive, e2e);
+                "end-to-end %.0f ev/s\n", storm, churn, e2e);
     std::printf("stats-v2: wrote %s\n", path.c_str());
 }
 

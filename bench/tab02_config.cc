@@ -81,12 +81,7 @@ show(const char *title, const SystemConfig &cfg)
         std::printf("PEI batching     : per-vault windows, up to %u "
                     "PEIs/train, %llu-tick flush timeout\n",
                     cfg.pim.pei_batch,
-                    (unsigned long long)cfg.pim.batch_window_ticks);
-    }
-    if (cfg.pim.pcu.issue_queue_depth > 0) {
-        std::printf("PCU issue queues : %u-entry bounded decode queue "
-                    "per memory PCU, 1 decode/PCU clock\n",
-                    cfg.pim.pcu.issue_queue_depth);
+                    (unsigned long long)batch_window_ticks);
     }
     std::printf("Locality monitor : mirrors L3 tag array (%llu sets x "
                 "%u ways), %u-bit partial tags, %llu-cycle access\n\n",

@@ -94,20 +94,13 @@ fuzzConfig(unsigned config_index, std::uint64_t master_seed, ExecMode mode)
     fatal_if(!topo_ok, "fuzzConfig drew an unknown topology");
     const unsigned cube_counts[] = {1, 2, 4};
     cfg.hmc.num_cubes = cube_counts[rng.below(3)];
-    // A discarded draw, once the PMU bank count's, keeps the draws
-    // below where they were.
+    // A discarded draw, once the PMU bank count's, keeps the draw
+    // below where it was.
     (void)rng.below(3);
 
-    // Batched-dispatch draws appended last (same replay-stability
-    // rule): PMU window size and vault-PCU issue-queue depth.
-    // Window 1 / depth 0 keep the per-op dispatch path dominant in
-    // the rotation; short window timeouts crank up flush pressure.
+    // Batching window size, drawn last (same replay-stability rule).
     const unsigned batches[] = {1, 4, 8};
     cfg.pim.pei_batch = batches[rng.below(3)];
-    const unsigned depths[] = {0, 4, 8};
-    cfg.pim.pcu.issue_queue_depth = depths[rng.below(3)];
-    if (cfg.pim.pei_batch > 1)
-        cfg.pim.batch_window_ticks = rng.chance(0.5) ? 64 : 256;
     return cfg;
 }
 

@@ -229,7 +229,7 @@ HmcBackend::trainMemberDone(std::uint32_t txn)
     if (bytes > 0) {
         bytes += 16;
         ema_res.add(flitsOf(bytes), eq.now());
-        back = net.sendResponseTrain(bytes, t.n, t.loc.cube);
+        back = net.sendResponseTrain(bytes, t.loc.cube);
     } else {
         back = eq.now() + net.ackLatency(t.loc.cube);
     }

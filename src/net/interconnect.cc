@@ -325,10 +325,8 @@ Interconnect::sendRequestTrain(unsigned bytes, unsigned peis,
 }
 
 Tick
-Interconnect::sendResponseTrain(unsigned bytes, unsigned peis,
-                                unsigned cube)
+Interconnect::sendResponseTrain(unsigned bytes, unsigned cube)
 {
-    (void)peis;
     ++stat_train_res;
     return sendResponse(bytes, cube);
 }

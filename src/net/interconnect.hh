@@ -103,7 +103,7 @@ class Interconnect
     Tick sendRequestTrain(unsigned bytes, unsigned peis, unsigned cube);
 
     /** Response counterpart of sendRequestTrain. */
-    Tick sendResponseTrain(unsigned bytes, unsigned peis, unsigned cube);
+    Tick sendResponseTrain(unsigned bytes, unsigned cube);
 
     /**
      * Latency of a posted (zero-payload) acknowledgement from

@@ -90,25 +90,11 @@ MemSidePcu::MemSidePcu(EventQueue &eq, const PcuConfig &cfg, MemPort &port,
       logic(eq, "mem_pcu" + std::to_string(port.globalId()),
             cfg.operand_buffer_entries, cfg.issue_width, cfg.mem_mhz,
             stats),
-      queue_depth(cfg.issue_queue_depth), mem_mhz(cfg.mem_mhz),
       stat_ops()
 {
     const std::string name = "mem_pcu" + std::to_string(port.globalId());
     stats.add(name + ".ops", &stat_ops);
     stats.add(name + ".dram_ticks", &hist_dram_ticks);
-    if (queue_depth > 0) {
-        stats.add(name + ".queue_overflows", &stat_queue_overflows);
-        stats.add(name + ".queue_depth", &hist_queue_depth);
-        stats.addInvariant(
-            name + ".issue queue drains by end of sim",
-            [this] {
-                if (iq.empty() && !decode_busy)
-                    return std::string();
-                return std::to_string(iq.size()) +
-                       " packet(s) still queued" +
-                       std::string(decode_busy ? ", decode busy" : "");
-            });
-    }
 }
 
 void
@@ -117,34 +103,7 @@ MemSidePcu::handle(PimPacket pkt, Respond respond)
     ++stat_ops;
     const std::uint32_t txn =
         ops.emplace(OpTxn{std::move(pkt), std::move(respond)});
-    if (queue_depth == 0) {
-        logic.acquireEntry([this, txn] { entryGranted(txn); });
-        return;
-    }
-    // Bounded issue queue ahead of the operand buffer: arrivals
-    // decode serially, one per PCU clock.  The PMU window's credit
-    // gate keeps the queue within depth; uncredited (unbatched)
-    // dispatch may run past it, which is counted, not dropped.
-    hist_queue_depth.record(iq.size());
-    if (iq.size() >= queue_depth)
-        ++stat_queue_overflows;
-    iq.push_back(txn);
-    pumpQueue();
-}
-
-void
-MemSidePcu::pumpQueue()
-{
-    if (decode_busy || iq.empty())
-        return;
-    decode_busy = true;
-    const std::uint32_t txn = iq.front();
-    iq.pop_front();
-    eq.schedule(cyclesToTicks(1, mem_mhz), [this, txn] {
-        decode_busy = false;
-        logic.acquireEntry([this, txn] { entryGranted(txn); });
-        pumpQueue();
-    });
+    logic.acquireEntry([this, txn] { entryGranted(txn); });
 }
 
 void

@@ -39,15 +39,6 @@ struct PcuConfig
     unsigned issue_width = 1;
     std::uint64_t host_mhz = 4000; ///< host-side PCU clock
     std::uint64_t mem_mhz = 2000;  ///< memory-side PCU clock
-
-    /**
-     * Memory-side PCU issue/decode queue depth (0 = issue straight
-     * into the operand buffer, byte-identical to the unqueued PCU).
-     * When set, arriving PIM packets decode serially — one per PCU
-     * clock — out of a bounded queue; the PMU batching window treats
-     * the depth as its per-vault credit pool (backpressure).
-     */
-    unsigned issue_queue_depth = 0;
 };
 
 /**
@@ -127,7 +118,6 @@ class MemSidePcu : public PimHandler
         Tick read_start = 0;
     };
 
-    void pumpQueue();
     void entryGranted(std::uint32_t txn);
     void readDone(std::uint32_t txn);
     void computed(std::uint32_t txn);
@@ -139,15 +129,8 @@ class MemSidePcu : public PimHandler
     Pcu logic;
     SlotPool<OpTxn> ops;
 
-    unsigned queue_depth;   ///< cfg.issue_queue_depth (0 = unqueued)
-    std::uint64_t mem_mhz;  ///< decode rate: one packet per PCU clock
-    std::deque<std::uint32_t> iq; ///< issue queue ahead of the buffer
-    bool decode_busy = false;
-
     Counter stat_ops;
-    Counter stat_queue_overflows; ///< arrivals past depth (uncredited)
-    Histogram hist_dram_ticks;   ///< target-block DRAM read latency
-    Histogram hist_queue_depth;  ///< issue-queue depth at arrival
+    Histogram hist_dram_ticks; ///< target-block DRAM read latency
 };
 
 } // namespace pei

@@ -1,7 +1,5 @@
 #include "pmu.hh"
 
-#include <algorithm>
-
 #include "common/logging.hh"
 
 namespace pei
@@ -70,10 +68,8 @@ Pmu::Pmu(EventQueue &eq, const PimConfig &cfg, unsigned cores,
     // offloaded.  pei_batch == 1 leaves every window field untouched
     // and the whole dispatch path byte-identical to per-op dispatch.
     batch_on = cfg.pei_batch > 1 && mem.supportsPim();
-    if (batch_on) {
+    if (batch_on)
         windows.resize(mem.pimUnits());
-        vault_inflight.assign(mem.pimUnits(), 0);
-    }
 
     stats.add("pmu.peis_issued", &stat_peis_issued);
     stats.add("pmu.peis_host", &stat_peis_host);
@@ -85,12 +81,10 @@ Pmu::Pmu(EventQueue &eq, const PimConfig &cfg, unsigned cores,
         stats.add("pmu.batched_peis", &stat_batched_peis);
         stats.add("pmu.pei_trains", &stat_pei_trains);
         stats.add("pmu.window_singletons", &stat_window_singletons);
-        stats.add("pmu.batch_stalls", &stat_batch_stalls);
         stats.add("pmu.window_peis", &hist_window_peis);
     }
     stats.add("pmu.balanced_to_host", &stat_balanced_to_host);
     stats.add("pmu.balanced_to_mem", &stat_balanced_to_mem);
-    stats.add("pmu.saturation_to_mem", &stat_saturation_to_mem);
     stats.add("pmu.pei_latency_ticks", &hist_pei_latency);
     stats.add("pmu.pei_latency_host_ticks", &hist_pei_latency_host);
     stats.add("pmu.pei_latency_mem_ticks", &hist_pei_latency_mem);
@@ -160,15 +154,10 @@ Pmu::Pmu(EventQueue &eq, const PimConfig &cfg, unsigned cores,
                 std::size_t parked = 0;
                 for (const auto &w : windows)
                     parked += w.txns.size();
-                std::uint64_t credits = 0;
-                for (unsigned c : vault_inflight)
-                    credits += c;
-                if (parked == 0 && credits == 0)
+                if (parked == 0)
                     return std::string();
                 return std::to_string(parked) +
-                       " PEI(s) still parked in batch windows, " +
-                       std::to_string(credits) +
-                       " vault credit(s) still held";
+                       " PEI(s) still parked in batch windows";
             });
         // Train conservation: every PEI the window dispatched in a
         // multi-member train rode exactly one interconnect train
@@ -287,17 +276,6 @@ Pmu::decideLookup(std::uint32_t txn)
         return;
     }
     if (high_locality) {
-        // §7.4 saturation override: a saturated off-chip link can
-        // make memory-side execution cheaper even for a
-        // high-locality PEI.  The EMA decays with a 10 µs half-life,
-        // so the override releases once pressure subsides.
-        if (cfg.balanced_dispatch && cfg.balanced_saturation_flits > 0.0 &&
-            std::max(mem.emaRequestFlits(), mem.emaResponseFlits()) >=
-                cfg.balanced_saturation_flits) {
-            ++stat_saturation_to_mem;
-            memExecute(txn);
-            return;
-        }
         hostExecute(txn);
         return;
     }
@@ -455,7 +433,7 @@ Pmu::armWindowTimer(unsigned gv)
     // Generation-checked timeout: a flush bumps timer_gen, voiding
     // any timer armed for the previous fill.
     const std::uint64_t gen = windows[gv].timer_gen;
-    eq.schedule(cfg.batch_window_ticks, [this, gv, gen] {
+    eq.schedule(batch_window_ticks, [this, gv, gen] {
         BatchWindow &w = windows[gv];
         if (w.timer_gen != gen || w.txns.empty())
             return;
@@ -470,35 +448,20 @@ Pmu::flushWindow(unsigned gv)
     if (w.txns.empty())
         return;
     ++w.timer_gen; // draining now; void any pending timeout
-    w.flush_pending = false;
-    const unsigned depth = cfg.pcu.issue_queue_depth;
-    while (!w.txns.empty()) {
-        unsigned n = static_cast<unsigned>(
-            std::min<std::size_t>(w.txns.size(), cfg.pei_batch));
-        if (depth > 0) {
-            // Vault-PCU credit gate: never put more packets in flight
-            // than the vault's issue queue can absorb.  A stalled
-            // flush is retried as in-flight members retire (finish).
-            if (vault_inflight[gv] >= depth) {
-                w.flush_pending = true;
-                ++stat_batch_stalls;
-                return;
-            }
-            n = std::min(n, depth - vault_inflight[gv]);
-        }
-        dispatchTrain(gv, n);
-    }
+    dispatchTrain(gv);
 }
 
 void
-Pmu::dispatchTrain(unsigned gv, unsigned n)
+Pmu::dispatchTrain(unsigned gv)
 {
+    // A window flushes the moment it fills, so it never holds more
+    // than cfg.pei_batch members: the whole window is one train.
     BatchWindow &w = windows[gv];
     const std::uint32_t train = train_txns.emplace(TrainTxn{});
     TrainTxn &tr = train_txns[train];
-    tr.txns.assign(w.txns.begin(), w.txns.begin() + n);
-    w.txns.erase(w.txns.begin(), w.txns.begin() + n);
-    vault_inflight[gv] += n;
+    tr.txns.assign(w.txns.begin(), w.txns.end());
+    w.txns.clear();
+    const unsigned n = static_cast<unsigned>(tr.txns.size());
 
     hist_window_peis.record(n);
     if (n >= 2) {
@@ -625,16 +588,6 @@ Pmu::finish(std::uint32_t txn, bool executed_at_host)
         ++stat_peis_mem;
         hist_pei_latency_mem.record(latency);
         unlinkInflight(txn);
-        if (batch_on) {
-            // Return the vault-PCU credit and retry a flush the
-            // credit gate deferred.
-            const unsigned gv =
-                mem.addrMap().decode(t.pkt.paddr).globalVault;
-            panic_if(vault_inflight[gv] == 0, "vault credit underflow");
-            --vault_inflight[gv];
-            if (windows[gv].flush_pending)
-                flushWindow(gv);
-        }
     }
 
     // Releasing the directory entry also retires the writer that
@@ -664,9 +617,7 @@ Pmu::pfence(Callback done)
     // which covers the whole PEI pipeline and subsumes the "all
     // entries readable" condition.  Open batching windows flush
     // first so parked writers head to memory immediately instead of
-    // waiting out their window timers (a credit-stalled window drains
-    // as its in-flight members retire; the directory keeps tracking
-    // its parked writers either way).
+    // waiting out their window timers.
     if (batch_on) {
         for (unsigned gv = 0; gv < windows.size(); ++gv)
             flushWindow(gv);

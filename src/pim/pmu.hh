@@ -67,17 +67,6 @@ struct PimConfig
 
     bool balanced_dispatch = false; ///< §7.4 extension
 
-    /**
-     * Saturation half of balanced dispatch (§7.4): when the busier
-     * off-chip link's EMA flit count reaches this threshold, even
-     * monitor-*hit* PEIs are offloaded to memory until the pressure
-     * decays (the EMA halves every 10 µs).  0 disables the override,
-     * leaving the monitor's host decision absolute on hits (the
-     * default, so baseline figures are unchanged).  Only consulted
-     * when balanced_dispatch is on.
-     */
-    double balanced_saturation_flits = 0.0;
-
     Ticks pmu_xbar_latency = 8;     ///< core→PMU crossbar hop
 
     /**
@@ -91,15 +80,11 @@ struct PimConfig
      */
     unsigned pei_batch = 1;
 
-    /**
-     * Max ticks a non-full window waits before flushing
-     * (`--batch-window-ticks`; 256 ticks = 64 ns).  Only consulted
-     * when pei_batch > 1.
-     */
-    Ticks batch_window_ticks = 256;
-
     PcuConfig pcu;
 };
+
+/** Max ticks a non-full batching window waits before flushing (64 ns). */
+constexpr Ticks batch_window_ticks = 256;
 
 /** The PEI management unit plus all PCUs. */
 class Pmu
@@ -150,12 +135,6 @@ class Pmu
 
     std::uint64_t peisHost() const { return stat_peis_host.value(); }
     std::uint64_t peisMem() const { return stat_peis_mem.value(); }
-
-    /** PEIs the saturation override diverted memory-side (§7.4). */
-    std::uint64_t saturationToMem() const
-    {
-        return stat_saturation_to_mem.value();
-    }
 
     /**
      * Call @p fn with the target block of every memory-side *writer*
@@ -244,7 +223,7 @@ class Pmu
     void windowInsert(std::uint32_t txn);
     void armWindowTimer(unsigned gv);
     void flushWindow(unsigned gv);
-    void dispatchTrain(unsigned gv, unsigned n);
+    void dispatchTrain(unsigned gv);
     void offloadTrain(std::uint32_t train);
 
     /**
@@ -278,19 +257,18 @@ class Pmu
     SlotPool<PeiTxn> txns; ///< in-flight PEI transaction records
 
     /**
-     * Per-vault coalescing window (tentpole of the batched-dispatch
-     * pipeline).  Memory-side PEIs park here until the window fills
-     * (cfg.pei_batch), its timer expires (cfg.batch_window_ticks) or a
-     * pfence flushes it; a flush takes one merged coherence action and
-     * one interconnect train for the whole batch.  Parked PEIs hold their
-     * directory locks, so the timer is always armed while a window is
-     * non-empty — a window can never strand its members.
+     * Per-vault coalescing window.  Memory-side PEIs park here until
+     * the window fills (cfg.pei_batch), its timer expires
+     * (batch_window_ticks) or a pfence flushes it; a flush takes one
+     * merged coherence action and one interconnect train for the
+     * whole batch.  Parked PEIs hold their directory locks, so the
+     * timer is always armed while a window is non-empty — a window
+     * can never strand its members.
      */
     struct BatchWindow
     {
         std::vector<std::uint32_t> txns; ///< parked PeiTxn handles
         std::uint64_t timer_gen = 0;     ///< voids stale timer events
-        bool flush_pending = false;      ///< stalled on vault credits
     };
 
     /** One dispatched train between coherence grant and offload. */
@@ -301,8 +279,7 @@ class Pmu
     };
 
     bool batch_on = false;   ///< pei_batch > 1 on a PIM backend
-    std::vector<BatchWindow> windows;      ///< one per global vault
-    std::vector<unsigned> vault_inflight;  ///< dispatched, unretired
+    std::vector<BatchWindow> windows; ///< one per global vault
     SlotPool<TrainTxn> train_txns;
 
     InflightList mem_writers; ///< see forEachMemWriterBlock()
@@ -318,10 +295,8 @@ class Pmu
     Counter stat_batched_peis;      ///< PEIs dispatched in trains (>= 2)
     Counter stat_pei_trains;        ///< trains dispatched (>= 2 members)
     Counter stat_window_singletons; ///< windows that drained with 1 PEI
-    Counter stat_batch_stalls;      ///< flushes deferred on vault credits
     Counter stat_balanced_to_host;
     Counter stat_balanced_to_mem;
-    Counter stat_saturation_to_mem; ///< monitor hits overridden (§7.4)
 
     /** End-to-end PEI latency (issue → retire), all PEIs. */
     Histogram hist_pei_latency;

@@ -119,14 +119,6 @@ knobTable()
             "pei_batch", "PMU batching window size (1 = per-op dispatch)",
             [](auto &c) -> auto & { return c.pim.pei_batch; },
             "an integer in [1, 64]", 1, 64),
-        integerKnob(
-            "batch_window_ticks", "max ticks a non-full batching window waits",
-            [](auto &c) -> auto & { return c.pim.batch_window_ticks; },
-            "a positive integer", 1, no_max),
-        integerKnob(
-            "queue_depth", "vault-PCU issue-queue depth (0 = unqueued)",
-            [](auto &c) -> auto & { return c.pim.pcu.issue_queue_depth; },
-            "a non-negative integer", 0, no_max),
     };
     return table;
 }

@@ -153,8 +153,6 @@ TEST(FuzzReplay, FileRoundTrips)
         {"topology", "mesh"},
         {"cubes", "8"},
         {"pei_batch", "8"},
-        {"batch_window_ticks", "64"},
-        {"queue_depth", "4"},
     };
     ASSERT_EQ(off.size(), knobTable().size());
     for (const Knob &k : knobTable()) {

@@ -1,13 +1,12 @@
 /**
  * @file
- * Batched PEI dispatch: PMU coalescing windows and vault-side PCU
- * issue queues.
+ * Batched PEI dispatch: PMU coalescing windows.
  *
  * Directed scenarios with hand-computed expectations:
  *  - a coalesced 4-PEI train shares one compound header (2 request
- *    flits) where 4 singleton dispatches pay 4;
+ *    flits) where 4 singleton dispatches pay 4, and a window flushes
+ *    as one train the moment it fills;
  *  - a partial window flushes on the window timer;
- *  - a depth-1 issue queue backpressures the window (batch stalls);
  *  - --pei-batch=1 is byte-identical to the default pipeline;
  *  - the energy model charges a train by its actual link flits.
  */
@@ -43,18 +42,16 @@ sameVaultIncKernel(Ctx &ctx, Addr base, unsigned n)
     co_await ctx.drain();
 }
 
-/** Run @p n same-vault inc64s under the given batch/queue config. */
+/** Run @p n same-vault inc64s under the given batch size. */
 std::map<std::string, std::uint64_t>
-runSameVaultIncs(unsigned n, unsigned pei_batch, unsigned queue_depth,
-                 Tick *end_ticks = nullptr)
+runSameVaultIncs(unsigned n, unsigned pei_batch, Tick *end_ticks = nullptr)
 {
     SystemConfig cfg = fixture::tinyConfig(ExecMode::PimOnly);
     cfg.pim.pei_batch = pei_batch;
-    cfg.pim.pcu.issue_queue_depth = queue_depth;
     System sys(cfg);
     Runtime rt(sys);
-    const Addr base = rt.alloc(16 * block_size);
-    for (unsigned i = 0; i < 16; ++i)
+    const Addr base = rt.alloc(4 * n * block_size);
+    for (unsigned i = 0; i < 4 * n; ++i)
         sys.memory().write<std::uint64_t>(base + i * block_size, 0);
 
     rt.spawn(0, [&](Ctx &ctx) { return sameVaultIncKernel(ctx, base, n); });
@@ -74,8 +71,8 @@ runSameVaultIncs(unsigned n, unsigned pei_batch, unsigned queue_depth,
 
 TEST(BatchingWindow, CoalescedTrainSharesOneHeader)
 {
-    const auto single = runSameVaultIncs(4, 1, 0);
-    const auto batched = runSameVaultIncs(4, 4, 0);
+    const auto single = runSameVaultIncs(4, 1);
+    const auto batched = runSameVaultIncs(4, 4);
 
     // The whole window drains as one train carrying all 4 PEIs.
     EXPECT_EQ(batched.at("pmu.pei_trains"), 1u);
@@ -92,6 +89,13 @@ TEST(BatchingWindow, CoalescedTrainSharesOneHeader)
     // isolates the PEI dispatch cost.
     EXPECT_EQ(single.at("net.req.flits") - batched.at("net.req.flits"),
               2u);
+
+    // A window flushes the moment it fills: 8 PEIs at batch 4 leave
+    // as exactly two full trains.
+    const auto two = runSameVaultIncs(8, 4);
+    EXPECT_EQ(two.at("pmu.pei_trains"), 2u);
+    EXPECT_EQ(two.at("pmu.batched_peis"), 8u);
+    EXPECT_EQ(two.at("pmu.window_singletons"), 0u);
 }
 
 TEST(BatchingWindow, PartialWindowFlushesOnTimer)
@@ -99,18 +103,10 @@ TEST(BatchingWindow, PartialWindowFlushesOnTimer)
     // 3 PEIs never fill a batch-8 window: only the 256-tick window
     // timer can flush them.
     Tick end = 0;
-    const auto stats = runSameVaultIncs(3, 8, 0, &end);
+    const auto stats = runSameVaultIncs(3, 8, &end);
     EXPECT_EQ(stats.at("pmu.pei_trains"), 1u);
     EXPECT_EQ(stats.at("pmu.batched_peis"), 3u);
     EXPECT_GE(end, 256u); // the run waited for the timer
-}
-
-TEST(BatchingWindow, IssueQueueBackpressuresWindow)
-{
-    // Depth-1 vault credit: the first flush puts one packet in
-    // flight, the rest of the window must stall until it retires.
-    const auto stats = runSameVaultIncs(6, 2, 1);
-    EXPECT_GE(stats.at("pmu.batch_stalls"), 1u);
 }
 
 // ---------------------------------------------- batch=1 byte-identity
@@ -128,11 +124,10 @@ mixedKernel(Ctx &ctx, Addr base)
 }
 
 std::map<std::string, std::uint64_t>
-runMixed(unsigned pei_batch, Ticks window_ticks, Tick *end_ticks)
+runMixed(unsigned pei_batch, Tick *end_ticks)
 {
     SystemConfig cfg = fixture::tinyConfig(ExecMode::LocalityAware);
     cfg.pim.pei_batch = pei_batch;
-    cfg.pim.batch_window_ticks = window_ticks;
     System sys(cfg);
     Runtime rt(sys);
     const Addr base = rt.alloc(4 * block_size);
@@ -148,12 +143,10 @@ runMixed(unsigned pei_batch, Ticks window_ticks, Tick *end_ticks)
 TEST(BatchingWindow, BatchOneIsByteIdenticalToDefault)
 {
     // pei_batch=1 bypasses the window entirely: every counter and
-    // the final tick must match the default pipeline exactly, even
-    // with a non-default window timeout configured.
+    // the final tick must match the default pipeline exactly.
     Tick end_default = 0, end_batch1 = 0;
-    const auto def =
-        runMixed(1, PimConfig{}.batch_window_ticks, &end_default);
-    const auto batch1 = runMixed(1, 77, &end_batch1);
+    const auto def = runMixed(PimConfig{}.pei_batch, &end_default);
+    const auto batch1 = runMixed(1, &end_batch1);
     EXPECT_EQ(end_default, end_batch1);
     EXPECT_EQ(def, batch1);
 }
@@ -165,8 +158,8 @@ TEST(BatchingEnergy, TrainChargedByActualFlits)
     // The energy model sums physical "link<N>.flits"; a coalesced
     // train therefore pays for 2 request flits where 4 singletons
     // pay 4 (single-cube chain: one request hop).
-    const auto single = runSameVaultIncs(4, 1, 0);
-    const auto batched = runSameVaultIncs(4, 4, 0);
+    const auto single = runSameVaultIncs(4, 1);
+    const auto batched = runSameVaultIncs(4, 4);
 
     StatRegistry single_reg, batched_reg;
     std::vector<Counter> keep(single.size() + batched.size());

@@ -342,7 +342,6 @@ TEST(Knobs, FlagsAndReproducersRejectOutOfRangeValues)
     const std::pair<const char *, const char *> bad[] = {
         {"cubes", "3"},
         {"pei_batch", "65"},
-        {"batch_window_ticks", "0"},
         {"topology", "torus"},
         {"mem_backend", "nvram"},
     };
@@ -365,6 +364,11 @@ TEST(Knobs, FlagsAndReproducersRejectOutOfRangeValues)
     // So is the PMU bank count, which every older reproducer pins.
     EXPECT_FALSE(
         fuzz::parseReplayFile("seed=1\npmu_shards=1\n", id, opt));
+    // So are the vault-PCU queue depth and the window timeout.
+    EXPECT_FALSE(
+        fuzz::parseReplayFile("seed=1\nqueue_depth=0\n", id, opt));
+    EXPECT_FALSE(fuzz::parseReplayFile("seed=1\nbatch_window_ticks=256\n",
+                                       id, opt));
 }
 
 // A flag no binary owns is an error, not a silent default run: a
@@ -375,6 +379,10 @@ TEST(Knobs, UnknownFlagsAreRejected)
                  "unknown argument '--coherence'");
     EXPECT_DEATH(parseFlags({"--pmu-shards", "4"}),
                  "unknown argument '--pmu-shards'");
+    EXPECT_DEATH(parseFlags({"--queue-depth", "8"}),
+                 "unknown argument '--queue-depth'");
+    EXPECT_DEATH(parseFlags({"--batch-window-ticks", "64"}),
+                 "unknown argument '--batch-window-ticks'");
     EXPECT_DEATH(parseFlags({"--jbos", "4"}), "unknown argument '--jbos'");
     EXPECT_DEATH(parseFlags({"--jobs", "4", "stray"}),
                  "unknown argument 'stray'");
@@ -397,14 +405,14 @@ TEST(Knobs, UnknownFlagsAreRejected)
 TEST(Knobs, RecordConfigNamesOffDefaultKnobs)
 {
     const SweepOptions opts = parseFlags(
-        {"--topology", "ring", "--pei-batch", "4", "--queue-depth", "8"});
+        {"--topology", "ring", "--cubes", "2", "--pei-batch", "4"});
     const std::string record = prSmallRecord(opts.knobs);
     const std::size_t begin = record.find("\"config\":{");
     ASSERT_NE(begin, std::string::npos);
     const std::string config =
         record.substr(begin, record.find('}', begin) - begin);
-    EXPECT_NE(config.find(",\"topology\":\"ring\",\"pei_batch\":4,"
-                          "\"queue_depth\":8,\"hmc_cubes\":"),
+    EXPECT_NE(config.find(",\"topology\":\"ring\",\"cubes\":2,"
+                          "\"pei_batch\":4,\"hmc_cubes\":"),
               std::string::npos)
         << config;
 }

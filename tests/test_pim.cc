@@ -474,22 +474,22 @@ TEST(LocalityMonitorTest, AliasedPimTouchSharesOneIgnoreFlag)
  * 256 cold streaming loads (off-chip flit pressure), one PEI on
  * target, a long compute (EMA decay), one more PEI.  A free
  * coroutine function: reference parameters outlive the run (they
- * live in runSaturationScenario's frame), unlike a temporary
+ * live in runPressureScenario's frame), unlike a temporary
  * closure's captures.
  */
 Task
-saturationKernel(Ctx &ctx, System &sys, Addr target, Addr stream,
-                 std::uint64_t &sat_hot, std::uint64_t &host_hot)
+pressureKernel(Ctx &ctx, System &sys, Addr target, Addr stream,
+               std::uint64_t &mem_hot, std::uint64_t &host_hot)
 {
     // Demand access: target becomes a locality-monitor hit.
     co_await ctx.load(target);
-    // Saturate the off-chip links with cold-block fetches.
+    // Load the off-chip links with cold-block fetches.
     for (unsigned i = 0; i < 256; ++i)
         co_await ctx.loadAsync(stream + i * block_size);
     co_await ctx.drain();
-    // Monitor says "host"; the saturation override may disagree.
+    // A monitor hit under link pressure.
     co_await ctx.pei(PeiOpcode::Inc64, target, nullptr, 0);
-    sat_hot = sys.pmu().saturationToMem();
+    mem_hot = sys.pmu().peisMem();
     host_hot = sys.pmu().peisHost();
     // ~50 EMA half-periods of pure compute: pressure decays.
     co_await ctx.compute(2000000);
@@ -497,8 +497,8 @@ saturationKernel(Ctx &ctx, System &sys, Addr target, Addr stream,
 }
 
 void
-runSaturationScenario(System &sys, std::uint64_t &sat_hot,
-                      std::uint64_t &host_hot)
+runPressureScenario(System &sys, std::uint64_t &mem_hot,
+                    std::uint64_t &host_hot)
 {
     Runtime rt(sys);
     const Addr target = rt.alloc(block_size);
@@ -506,49 +506,27 @@ runSaturationScenario(System &sys, std::uint64_t &sat_hot,
     sys.memory().write<std::uint64_t>(target, 0);
 
     rt.spawn(0, [&](Ctx &ctx) {
-        return saturationKernel(ctx, sys, target, stream, sat_hot,
-                                host_hot);
+        return pressureKernel(ctx, sys, target, stream, mem_hot,
+                              host_hot);
     });
     rt.run();
     EXPECT_EQ(sys.memory().read<std::uint64_t>(target), 2u);
 }
 
-TEST(BalancedDispatchTest, SaturationOverridesMonitorHostDecision)
+TEST(BalancedDispatchTest, MonitorHitStaysHostUnderLinkPressure)
 {
-    SystemConfig cfg = fixture::smallConfig(ExecMode::LocalityAware);
-    cfg.pim.balanced_dispatch = true;
-    cfg.pim.balanced_saturation_flits = 4.0;
-    System sys(cfg);
-
-    std::uint64_t sat_hot = 0, host_hot = 0;
-    runSaturationScenario(sys, sat_hot, host_hot);
-
-    // While the link EMA was saturated, the monitor-hit PEI was
-    // forced to memory...
-    EXPECT_EQ(sat_hot, 1u);
-    EXPECT_EQ(host_hot, 0u);
-    // ...and once the pressure decayed, the monitor's host decision
-    // was back in force: no further overrides, host execution again.
-    EXPECT_EQ(sys.pmu().saturationToMem(), sat_hot);
-    EXPECT_EQ(sys.pmu().peisHost(), 1u);
-    EXPECT_TRUE(sys.stats().audit().empty());
-}
-
-TEST(BalancedDispatchTest, ZeroThresholdKeepsMonitorDecisionAbsolute)
-{
-    // The default threshold (0) disables the override entirely, so
-    // baseline balanced-dispatch behaviour — and every regenerated
-    // figure — is unchanged.
+    // Balanced dispatch only chooses for monitor misses (§7.4): a
+    // monitor hit executes host-side however loaded the links are.
     SystemConfig cfg = fixture::smallConfig(ExecMode::LocalityAware);
     cfg.pim.balanced_dispatch = true;
     System sys(cfg);
 
-    std::uint64_t sat_hot = 0, host_hot = 0;
-    runSaturationScenario(sys, sat_hot, host_hot);
+    std::uint64_t mem_hot = 0, host_hot = 0;
+    runPressureScenario(sys, mem_hot, host_hot);
 
-    EXPECT_EQ(sat_hot, 0u);
+    EXPECT_EQ(mem_hot, 0u);
     EXPECT_EQ(host_hot, 1u); // monitor hit executed host-side
-    EXPECT_EQ(sys.pmu().saturationToMem(), 0u);
+    EXPECT_EQ(sys.pmu().peisMem(), 0u);
     EXPECT_EQ(sys.pmu().peisHost(), 2u);
     EXPECT_TRUE(sys.stats().audit().empty());
 }
