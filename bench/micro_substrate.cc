@@ -13,14 +13,6 @@
  * locality-aware simulation) to BENCH_substrate.json at the repo
  * root; `--stats-json <path>` overrides the destination.
  *
- * It also measures the allocation-free hot path directly — a bare
- * schedule/run storm, a scheduling-churn mix, and an end-to-end
- * locality-aware PEI run — and writes the events/second trajectory
- * to BENCH_hotpath.json (`--hotpath-json <path>` overrides;
- * `--hotpath-only` skips the google-benchmark section so CI's
- * perf-smoke job stays fast).  The committed BENCH_hotpath.json at
- * the repo root is the baseline that job diffs against.
- *
  * Finally it probes every registered memory backend (hmc, ddr,
  * ideal) with the same deterministic block-access stream and writes
  * the per-backend idle and loaded latencies — in simulated ticks, so
@@ -32,7 +24,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -305,113 +296,6 @@ class CollectingReporter : public benchmark::ConsoleReporter
     }
 };
 
-// ---- hot-path trajectory (BENCH_hotpath.json) ----
-
-/** Bare schedule/run storm on the arena queue; returns events/sec. */
-double
-hotpathStorm(std::uint64_t total)
-{
-    EventQueue eq;
-    std::uint64_t sink = 0;
-    const auto t0 = std::chrono::steady_clock::now();
-    std::uint64_t scheduled = 0;
-    while (scheduled < total) {
-        for (int i = 0; i < 256; ++i) {
-            eq.schedule(static_cast<Ticks>(i & 7), [&sink] { ++sink; });
-            ++scheduled;
-        }
-        eq.run();
-    }
-    const double dt =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    return static_cast<double>(eq.executedCount()) / dt;
-}
-
-/** Schedule/partial-drain churn cycles; returns events/sec. */
-double
-hotpathChurn(std::uint64_t total)
-{
-    EventQueue eq;
-    Rng rng(11);
-    std::uint64_t sink = 0;
-    const auto t0 = std::chrono::steady_clock::now();
-    std::uint64_t scheduled = 0;
-    while (scheduled < total) {
-        for (int i = 0; i < 512; ++i)
-            eq.schedule(static_cast<Ticks>(rng.below(16)),
-                        [&sink] { ++sink; });
-        for (int i = 0; i < 256; ++i)
-            eq.runOne();
-        for (int i = 0; i < 256; ++i)
-            eq.schedule(static_cast<Ticks>(rng.below(16)),
-                        [&sink] { ++sink; });
-        eq.run();
-        scheduled += 768;
-    }
-    const double dt =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    return static_cast<double>(eq.executedCount()) / dt;
-}
-
-/**
- * Free-function kernel (value-captured args, so no lambda frame can
- * dangle): random async Inc64 PEIs, the fig06 inner loop.
- */
-Task
-hotpathKernel(Ctx &ctx, Addr array, std::uint64_t n, unsigned tid)
-{
-    Rng rng(tid);
-    for (int i = 0; i < 8000; ++i)
-        co_await ctx.inc64(array + 8 * rng.below(n));
-    co_await ctx.pfence();
-    co_await ctx.drain();
-}
-
-/** Full-stack locality-aware PEI run; returns simulated events/sec. */
-double
-hotpathEndToEnd()
-{
-    System sys(SystemConfig::scaled(ExecMode::LocalityAware));
-    Runtime rt(sys);
-    const std::uint64_t n = 1 << 15;
-    const Addr array = rt.allocArray<std::uint64_t>(n);
-    rt.spawnThreads(sys.numCores(),
-                    [&](Ctx &ctx, unsigned tid, unsigned) {
-                        return hotpathKernel(ctx, array, n, tid);
-                    });
-    const auto t0 = std::chrono::steady_clock::now();
-    rt.run();
-    const double dt =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    return static_cast<double>(sys.eventQueue().executedCount()) / dt;
-}
-
-/** Measure the hot-path trajectory and write it as stats-v2 JSON. */
-void
-writeHotpathJson(const std::string &path)
-{
-    hotpathStorm(1 << 20); // warm up
-    double storm = 0, churn = 0, e2e = 0;
-    for (int i = 0; i < 3; ++i) {
-        storm = std::max(storm, hotpathStorm(4 << 20));
-        churn = std::max(churn, hotpathChurn(4 << 20));
-        e2e = std::max(e2e, hotpathEndToEnd());
-    }
-
-    std::ostringstream os;
-    os << "{\"tool\":\"micro_substrate_hotpath\",\"hotpath\":{"
-       << "\"storm_events_per_sec\":" << storm << ","
-       << "\"churn_events_per_sec\":" << churn << ","
-       << "\"end_to_end_events_per_sec\":" << e2e << "}}";
-    writeStatsJson(path, os.str());
-    std::printf("hotpath: storm %.0f ev/s, churn %.0f ev/s, "
-                "end-to-end %.0f ev/s\n", storm, churn, e2e);
-    std::printf("stats-v2: wrote %s\n", path.c_str());
-}
-
 // ---- per-backend access latency (BENCH_membackend.json) ----
 
 /** Tick-deterministic latency profile of one memory backend. */
@@ -544,9 +428,7 @@ main(int argc, char **argv)
 {
     // Peel off our own flags before google-benchmark sees the args.
     std::string out_path = PEISIM_ROOT "/BENCH_substrate.json";
-    std::string hotpath_path = PEISIM_ROOT "/BENCH_hotpath.json";
     std::string membackend_path = PEISIM_ROOT "/BENCH_membackend.json";
-    bool hotpath_only = false;
     bool membackend_only = false;
     std::vector<char *> bm_argv;
     for (int i = 0; i < argc; ++i) {
@@ -556,18 +438,6 @@ main(int argc, char **argv)
         }
         if (std::strncmp(argv[i], "--stats-json=", 13) == 0) {
             out_path = argv[i] + 13;
-            continue;
-        }
-        if (std::strcmp(argv[i], "--hotpath-json") == 0 && i + 1 < argc) {
-            hotpath_path = argv[++i];
-            continue;
-        }
-        if (std::strncmp(argv[i], "--hotpath-json=", 15) == 0) {
-            hotpath_path = argv[i] + 15;
-            continue;
-        }
-        if (std::strcmp(argv[i], "--hotpath-only") == 0) {
-            hotpath_only = true;
             continue;
         }
         if (std::strcmp(argv[i], "--membackend-json") == 0 &&
@@ -587,10 +457,6 @@ main(int argc, char **argv)
     }
     if (membackend_only) {
         writeMemBackendJson(membackend_path);
-        return 0;
-    }
-    if (hotpath_only) {
-        writeHotpathJson(hotpath_path);
         return 0;
     }
     int bm_argc = static_cast<int>(bm_argv.size());
@@ -616,7 +482,6 @@ main(int argc, char **argv)
     writeStatsJson(out_path, os.str());
     std::printf("stats-v2: wrote %s\n", out_path.c_str());
 
-    writeHotpathJson(hotpath_path);
     writeMemBackendJson(membackend_path);
     return 0;
 }

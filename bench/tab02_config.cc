@@ -6,36 +6,13 @@
  */
 
 #include <cstdio>
-#include <string>
 
 #include "bench/harness.hh"
-#include "net/topology.hh"
 
 using namespace pei;
 
 namespace
 {
-
-/** Table descriptor of the off-chip interconnect ("daisy-chained"
- *  for chain, byte-identical to the pre-topology table). */
-std::string
-linkArrangement(const HmcConfig &hmc)
-{
-    switch (hmc.topology) {
-      case Topology::Chain:
-        return "daisy-chained";
-      case Topology::Ring:
-        return "bidirectional ring";
-      case Topology::Mesh: {
-        const unsigned cols = meshCols(hmc.num_cubes);
-        const unsigned rows =
-            hmc.num_cubes ? (hmc.num_cubes + cols - 1) / cols : 1;
-        return std::to_string(cols) + "x" + std::to_string(rows) +
-               " mesh";
-      }
-    }
-    return "daisy-chained";
-}
 
 void
 show(const char *title, const SystemConfig &cfg)
@@ -63,9 +40,9 @@ show(const char *title, const SystemConfig &cfg)
     std::printf("Vertical links   : %.0f GB/s per vault (64 TSVs x "
                 "2 Gb/s)\n",
                 cfg.hmc.dram.tsv_gbps);
-    std::printf("Off-chip links   : %.1f GB/s per direction, %s\n",
-                cfg.hmc.link.gbps,
-                linkArrangement(cfg.hmc).c_str());
+    std::printf("Off-chip links   : %.1f GB/s per direction, "
+                "daisy-chained\n",
+                cfg.hmc.link.gbps);
     std::printf("Host PCUs        : %u (one per core), %u-entry operand "
                 "buffer, width %u, 4 GHz\n",
                 cfg.cores, cfg.pim.pcu.operand_buffer_entries,

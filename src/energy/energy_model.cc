@@ -52,9 +52,9 @@ computeEnergy(const StatRegistry &stats, const EnergyParams &p)
                    endsWith(name, ".flits")) {
             // Every physical interconnect link registers
             // "link<N>.flits"; summing the prefix family charges each
-            // hop a flit traversed, however many links the topology
-            // has.  (The injected "net.req/res.flits" counters count
-            // packets once and are deliberately excluded.)
+            // link a flit crossed.  (The injected "net.req/res.flits"
+            // counters count packets once and are deliberately
+            // excluded.)
             flits += v;
         }
     }

@@ -1,37 +1,16 @@
 #include "hmc.hh"
 
-#include <algorithm>
-#include <cmath>
-
 #include "common/logging.hh"
 
 namespace pei
 {
 
-namespace
-{
-
-NetConfig
-netConfigOf(const HmcConfig &cfg)
-{
-    NetConfig net;
-    net.topology = cfg.topology;
-    net.cubes = cfg.num_cubes;
-    net.gbps = cfg.link.gbps;
-    net.latency_ns = cfg.link.latency_ns;
-    net.hop_ns = cfg.link.hop_ns;
-    net.flit_bytes = cfg.link.flit_bytes;
-    return net;
-}
-
-} // namespace
-
 HmcBackend::HmcBackend(EventQueue &eq, const HmcConfig &cfg,
                        StatRegistry &stats, std::uint64_t phys_bytes)
-    : eq(eq), cfg(cfg),
+    : eq(eq),
       map(cfg.num_cubes, cfg.vaults_per_cube, cfg.dram.banks_per_vault,
           cfg.dram.row_bytes, phys_bytes),
-      net(eq, netConfigOf(cfg), stats)
+      net(eq, cfg.link, stats)
 {
     const unsigned total = cfg.num_cubes * cfg.vaults_per_cube;
     vaults.reserve(total);
@@ -59,18 +38,11 @@ HmcBackend::HmcBackend(EventQueue &eq, const HmcConfig &cfg,
         });
 }
 
-unsigned
-HmcBackend::flitsOf(unsigned bytes) const
-{
-    return (bytes + cfg.link.flit_bytes - 1) / cfg.link.flit_bytes;
-}
-
 void
 HmcBackend::readBlock(Addr paddr, Callback cb)
 {
     ++stat_reads;
     const MemLoc loc = map.decode(paddr);
-    ema_req.add(flitsOf(16), eq.now());
 
     const Tick issued = eq.now();
     const Tick arrive = net.sendRequest(16, loc.cube);
@@ -87,7 +59,6 @@ void
 HmcBackend::readDone(std::uint32_t txn)
 {
     ReadTxn &t = read_txns[txn];
-    ema_res.add(flitsOf(16 + block_size), eq.now());
     const Tick back = net.sendResponse(16 + block_size, t.loc.cube);
     hist_read_ticks.record(back - t.issued);
     Callback cb = std::move(t.cb);
@@ -100,7 +71,6 @@ HmcBackend::writeBlock(Addr paddr, Callback cb)
 {
     ++stat_writes;
     const MemLoc loc = map.decode(paddr);
-    ema_req.add(flitsOf(16 + block_size), eq.now());
 
     const Tick arrive = net.sendRequest(16 + block_size, loc.cube);
     const std::uint32_t txn = write_txns.emplace(WriteTxn{std::move(cb)});
@@ -140,7 +110,6 @@ HmcBackend::sendPim(PimPacket pkt, PimHandler::Respond cb)
              "PIM operation sent to vault %u with no PCU attached",
              loc.globalVault);
 
-    ema_req.add(flitsOf(pkt.requestBytes()), eq.now());
     const Tick issued = eq.now();
     const Tick arrive = net.sendRequest(pkt.requestBytes(), loc.cube);
     const std::uint32_t txn =
@@ -183,7 +152,6 @@ HmcBackend::sendPimTrain(PimPacket *pkts, unsigned n,
                  map.decode(pkts[i].paddr).globalVault, loc.globalVault);
         bytes += 4 + pkts[i].input_size;
     }
-    ema_req.add(flitsOf(bytes), eq.now());
     const Tick issued = eq.now();
     const Tick arrive = net.sendRequestTrain(bytes, n, loc.cube);
 
@@ -228,7 +196,6 @@ HmcBackend::trainMemberDone(std::uint32_t txn)
     Tick back;
     if (bytes > 0) {
         bytes += 16;
-        ema_res.add(flitsOf(bytes), eq.now());
         back = net.sendResponseTrain(bytes, t.loc.cube);
     } else {
         back = eq.now() + net.ackLatency(t.loc.cube);
@@ -257,7 +224,6 @@ HmcBackend::pimDone(std::uint32_t txn)
     const unsigned bytes = t.pkt.responseBytes();
     Tick back;
     if (bytes > 0) {
-        ema_res.add(flitsOf(bytes), eq.now());
         back = net.sendResponse(bytes, t.loc.cube);
     } else {
         // Posted ack: the response route's propagation + per-hop

@@ -2,9 +2,8 @@
  * @file
  * HMC main memory: cubes of vaults behind a packetized off-chip
  * interconnect (net/interconnect.hh) with separate request and
- * response channels.  The default chain topology is the paper's
- * Table 2 daisy chain (8 HMCs, 80 GB/s full-duplex); ring and mesh
- * route packets over a real multi-hop cube network.
+ * response channels, the paper's Table 2 daisy chain (8 HMCs,
+ * 80 GB/s full-duplex).
  *
  * Link cost model follows the paper's footnote 7: a memory read
  * consumes 16 B of request and 80 B of response bandwidth; a write
@@ -16,7 +15,6 @@
 #ifndef PEISIM_MEM_HMC_HH
 #define PEISIM_MEM_HMC_HH
 
-#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -35,77 +33,13 @@
 namespace pei
 {
 
-/** Off-chip interconnect configuration. */
-struct HmcLinkConfig
-{
-    double gbps = 40.0;      ///< per-direction bandwidth
-    double latency_ns = 2.0; ///< propagation latency per direction
-    double hop_ns = 1.0;     ///< extra latency per daisy-chain hop
-    unsigned flit_bytes = 16;
-};
-
 /** Main memory geometry. */
 struct HmcConfig
 {
     unsigned num_cubes = 8;
     unsigned vaults_per_cube = 16;
-    /** How the cubes are wired to the host (net/topology.hh); chain
-     *  is the paper's daisy chain and the byte-identical default. */
-    Topology topology = Topology::Chain;
     DramConfig dram;
     HmcLinkConfig link;
-};
-
-/**
- * Exponential-moving-average flit counter used by balanced dispatch
- * (paper §7.4): accumulates flits and is halved every 10 µs.  Decay
- * is applied lazily to keep the event queue clean.
- */
-class EmaCounter
-{
-  public:
-    explicit EmaCounter(Ticks half_period = 40000) // 10 us at 4 GHz
-        : half_period(half_period)
-    {}
-
-    void
-    add(std::uint64_t n, Tick now)
-    {
-        decayTo(now);
-        value_ += static_cast<double>(n);
-    }
-
-    double
-    value(Tick now)
-    {
-        decayTo(now);
-        return value_;
-    }
-
-  private:
-    void
-    decayTo(Tick now)
-    {
-        if (now <= last)
-            return;
-        const std::uint64_t periods = (now - last) / half_period;
-        last += periods * half_period;
-        if (periods == 0)
-            return;
-        // Closed-form halving: value * 2^-periods.  Doubles underflow
-        // to zero well before 2^-2048, so any gap past that many
-        // half-periods clamps straight to zero in O(1).
-        if (periods >= 2048)
-            value_ = 0.0;
-        else
-            value_ = std::ldexp(value_, -static_cast<int>(periods));
-        if (value_ <= 1e-12)
-            value_ = 0.0;
-    }
-
-    Ticks half_period;
-    Tick last = 0;
-    double value_ = 0.0;
 };
 
 /**
@@ -165,22 +99,19 @@ class HmcBackend : public MemoryBackend
     std::uint64_t memWrites() const override;
 
     /** EMA of request-link flits (balanced dispatch input). */
-    double emaRequestFlits() override { return ema_req.value(eq.now()); }
+    double emaRequestFlits() override { return net.emaRequestFlits(); }
 
     /** EMA of response-link flits (balanced dispatch input). */
-    double emaResponseFlits() override { return ema_res.value(eq.now()); }
+    double emaResponseFlits() override { return net.emaResponseFlits(); }
 
     /** Raw per-direction off-chip byte counters (injected traffic,
-     *  counted once per packet on every topology). */
+     *  counted once per packet). */
     std::uint64_t requestBytes() const override { return net.requestBytes(); }
     std::uint64_t responseBytes() const override { return net.responseBytes(); }
 
     /** Raw per-direction off-chip flit counters (probe hooks). */
     std::uint64_t requestFlits() const override { return net.requestFlits(); }
     std::uint64_t responseFlits() const override { return net.responseFlits(); }
-
-    /** The off-chip network (routing/link stats, scale-out probes). */
-    const Interconnect &interconnect() const { return net; }
 
   private:
     /**
@@ -220,8 +151,6 @@ class HmcBackend : public MemoryBackend
         std::vector<PimHandler::Respond> cbs;
     };
 
-    unsigned flitsOf(unsigned bytes) const;
-
     // Stage handlers, one per latency edge of the old closure chain.
     void readDone(std::uint32_t txn);
     void writeDone(std::uint32_t txn);
@@ -231,11 +160,8 @@ class HmcBackend : public MemoryBackend
     void trainRespond(std::uint32_t txn);
 
     EventQueue &eq;
-    HmcConfig cfg;
     AddrMap map;
     Interconnect net;
-    EmaCounter ema_req;
-    EmaCounter ema_res;
     std::vector<std::unique_ptr<Vault>> vaults;
     std::vector<PimHandler *> pim_handlers;
     SlotPool<ReadTxn> read_txns;

@@ -1,55 +1,95 @@
 /**
  * @file
- * Topology-aware off-chip interconnect between the host and N memory
- * cubes.
+ * The off-chip interconnect between the host and N memory cubes: the
+ * paper's Table 2 daisy chain.
  *
- * The network is built once from a static topology (net/topology.hh)
- * into per-destination routing tables; every packet walks its route
- * store-and-forward, serializing over each link it crosses.  A link
- * is a unidirectional serialized channel with `linkN.flits`,
- * `linkN.bytes` and `linkN.busy_ticks` counters (utilization =
- * busy_ticks / sim ticks), so asymmetric saturation of a routed
- * network is observable per hop.
- *
- * The chain topology reproduces the paper's daisy chain exactly: one
- * whole-chain channel per direction (link0 = requests, link1 =
- * responses), each destination charged the propagation latency plus
- * one hop latency per cube it sits down the chain — tick-for-tick the
- * old single-link HmcLink behavior.
+ * One full-duplex link pair spans every cube: link0 carries requests,
+ * link1 responses.  A link is a unidirectional serialized channel
+ * with `linkN.flits`, `linkN.bytes` and `linkN.busy_ticks` counters
+ * (utilization = busy_ticks / sim ticks).  A packet to or from cube c
+ * serializes on its link, then pays the propagation latency plus one
+ * hop latency per cube it passes down the chain.
  *
  * Injected-traffic counters (`net.req.*` / `net.res.*`) count each
- * packet once, independent of how many links it traverses, so
- * conservation probes over the backend's request/response totals stay
- * exact on every topology; `net.req_hops` / `net.res_hops` account
- * network hops per packet (coherence traffic rides read/write/PIM
- * packets and is therefore covered).
+ * packet once, and `net.req_hops` / `net.res_hops` sum the chain hops
+ * per packet (coherence traffic rides read/write/PIM packets and is
+ * therefore covered).  The same sends feed the moving averages of
+ * request and response flits that balanced dispatch reads.
  */
 
 #ifndef PEISIM_NET_INTERCONNECT_HH
 #define PEISIM_NET_INTERCONNECT_HH
 
+#include <cmath>
 #include <cstdint>
-#include <memory>
 #include <string>
-#include <vector>
 
 #include "common/stats.hh"
 #include "common/types.hh"
-#include "net/topology.hh"
 #include "sim/event_queue.hh"
 
 namespace pei
 {
 
-/** Off-chip network configuration. */
-struct NetConfig
+/** Off-chip interconnect configuration. */
+struct HmcLinkConfig
 {
-    Topology topology = Topology::Chain;
-    unsigned cubes = 1;
-    double gbps = 40.0;       ///< per-link bandwidth, per direction
-    double latency_ns = 2.0;  ///< host<->network propagation latency
-    double hop_ns = 1.0;      ///< extra latency per network hop
+    double gbps = 40.0;      ///< per-direction bandwidth
+    double latency_ns = 2.0; ///< propagation latency per direction
+    double hop_ns = 1.0;     ///< extra latency per daisy-chain hop
     unsigned flit_bytes = 16;
+};
+
+/**
+ * Exponential-moving-average flit counter used by balanced dispatch
+ * (paper §7.4): accumulates flits and is halved every 10 µs.  Decay
+ * is applied lazily to keep the event queue clean.
+ */
+class EmaCounter
+{
+  public:
+    explicit EmaCounter(Ticks half_period = 40000) // 10 us at 4 GHz
+        : half_period(half_period)
+    {}
+
+    void
+    add(std::uint64_t n, Tick now)
+    {
+        decayTo(now);
+        value_ += static_cast<double>(n);
+    }
+
+    double
+    value(Tick now)
+    {
+        decayTo(now);
+        return value_;
+    }
+
+  private:
+    void
+    decayTo(Tick now)
+    {
+        if (now <= last)
+            return;
+        const std::uint64_t periods = (now - last) / half_period;
+        last += periods * half_period;
+        if (periods == 0)
+            return;
+        // Closed-form halving: value * 2^-periods.  Doubles underflow
+        // to zero well before 2^-2048, so any gap past that many
+        // half-periods clamps straight to zero in O(1).
+        if (periods >= 2048)
+            value_ = 0.0;
+        else
+            value_ = std::ldexp(value_, -static_cast<int>(periods));
+        if (value_ <= 1e-12)
+            value_ = 0.0;
+    }
+
+    Ticks half_period;
+    Tick last = 0;
+    double value_ = 0.0;
 };
 
 /**
@@ -66,13 +106,9 @@ class NetLink
 
     Tick transmit(unsigned flits, unsigned wire_bytes, Tick earliest);
 
-    const std::string &name() const { return name_; }
     std::uint64_t flits() const { return stat_flits.value(); }
-    std::uint64_t bytes() const { return stat_bytes.value(); }
-    std::uint64_t busyTicks() const { return stat_busy.value(); }
 
   private:
-    std::string name_;
     double bytes_per_tick;
     Tick free_at = 0;
 
@@ -81,11 +117,11 @@ class NetLink
     Counter stat_busy; ///< ticks the wire was occupied (utilization)
 };
 
-/** The host-to-cubes network: routing tables over NetLinks. */
+/** The host-to-cubes daisy chain: one serialized link per direction. */
 class Interconnect
 {
   public:
-    Interconnect(EventQueue &eq, const NetConfig &cfg,
+    Interconnect(EventQueue &eq, const HmcLinkConfig &cfg,
                  StatRegistry &stats);
 
     /** Send @p bytes host -> cube @p cube; returns arrival tick. */
@@ -107,82 +143,48 @@ class Interconnect
 
     /**
      * Latency of a posted (zero-payload) acknowledgement from
-     * @p cube: the response route's propagation + per-hop latency
-     * with no link occupancy (acks aggregate into idle flits).
+     * @p cube: propagation + per-hop latency with no link occupancy
+     * (acks aggregate into idle flits).
      */
     Ticks ackLatency(unsigned cube) const;
 
-    /** Network hops between the host port and @p cube. */
-    unsigned hopCount(unsigned cube) const;
+    /** EMA of request flits (balanced dispatch input). */
+    double emaRequestFlits() { return ema_req.value(eq.now()); }
 
-    unsigned flitsOf(unsigned bytes) const;
+    /** EMA of response flits (balanced dispatch input). */
+    double emaResponseFlits() { return ema_res.value(eq.now()); }
 
-    unsigned numLinks() const
-    {
-        return static_cast<unsigned>(links.size());
-    }
-    const NetLink &link(unsigned i) const { return *links[i]; }
-
-    /** Injected traffic totals (once per packet, any topology). */
+    /** Injected traffic totals (once per packet). */
     std::uint64_t requestFlits() const { return stat_req_flits.value(); }
     std::uint64_t requestBytes() const { return stat_req_bytes.value(); }
     std::uint64_t responseFlits() const { return stat_res_flits.value(); }
     std::uint64_t responseBytes() const { return stat_res_bytes.value(); }
 
-    /** PEI-train totals (each train is one injected packet). */
-    std::uint64_t requestTrains() const
-    {
-        return stat_train_req.value();
-    }
-    std::uint64_t responseTrains() const
-    {
-        return stat_train_res.value();
-    }
-    std::uint64_t trainPeis() const { return stat_train_peis.value(); }
-
   private:
-    /** One link traversal of a route, plus its exit latency. */
-    struct Hop
-    {
-        unsigned link;
-        Ticks latency;
-    };
+    unsigned flitsOf(unsigned bytes) const;
 
-    /** Static route to (or from) one cube. */
-    struct Route
-    {
-        std::vector<Hop> path;
-        unsigned hops = 0; ///< network hops (chain: cubes passed)
-    };
-
-    void buildChain();
-    void buildRing();
-    void buildMesh();
-    unsigned addLink(const std::string &name);
-
-    Tick send(const Route &route, unsigned bytes);
+    /** Serialize @p flits on @p link, then travel to/from @p cube. */
+    Tick send(NetLink &link, unsigned flits, unsigned cube);
 
     EventQueue &eq;
-    NetConfig cfg;
-    double bytes_per_tick;
+    unsigned flit_bytes;
     Ticks prop_latency;
     Ticks hop_latency;
 
-    std::vector<std::unique_ptr<NetLink>> links;
-    std::vector<Route> req_routes; ///< host -> cube, per cube
-    std::vector<Route> res_routes; ///< cube -> host, per cube
-    StatRegistry &stats;
+    NetLink link0; ///< requests, host -> cubes
+    NetLink link1; ///< responses, cubes -> host
+    EmaCounter ema_req;
+    EmaCounter ema_res;
 
     Counter stat_req_flits;
     Counter stat_req_bytes;
     Counter stat_res_flits;
     Counter stat_res_bytes;
-    Counter stat_req_hops; ///< network hops, summed per packet
+    Counter stat_req_hops; ///< chain hops, summed per packet
     Counter stat_res_hops;
     Counter stat_train_req;  ///< coalesced PEI request trains sent
     Counter stat_train_res;  ///< train response packets sent
     Counter stat_train_peis; ///< PEIs carried by request trains
-    std::uint64_t traversal_flits = 0; ///< flits x links crossed
 };
 
 } // namespace pei

@@ -9,7 +9,6 @@
 #include "common/bitutil.hh"
 #include "common/logging.hh"
 #include "mem/backend.hh"
-#include "net/topology.hh"
 
 namespace pei
 {
@@ -101,16 +100,6 @@ knobTable()
             "mem_backend", "main-memory backend (hmc | ddr | ideal)",
             [](auto &c) -> auto & { return c.mem_backend; },
             memoryBackendNames),
-        {"topology", "off-chip interconnect (chain | ring | mesh)",
-         [](SystemConfig &c, const std::string &v) {
-             if (parseTopology(v, c.hmc.topology))
-                 return std::string();
-             return oneOf(v, topologyNames(), "is not a topology");
-         },
-         [](const SystemConfig &c) {
-             return std::string(topologyName(c.hmc.topology));
-         },
-         true},
         integerKnob(
             "cubes", "memory cubes on the interconnect (power of two)",
             [](auto &c) -> auto & { return c.hmc.num_cubes; },

@@ -150,7 +150,6 @@ TEST(FuzzReplay, FileRoundTrips)
     // Every knob pinned off its default.
     const std::map<std::string, std::string> off = {
         {"mem_backend", "ddr"},
-        {"topology", "mesh"},
         {"cubes", "8"},
         {"pei_batch", "8"},
     };

@@ -342,7 +342,6 @@ TEST(Knobs, FlagsAndReproducersRejectOutOfRangeValues)
     const std::pair<const char *, const char *> bad[] = {
         {"cubes", "3"},
         {"pei_batch", "65"},
-        {"topology", "torus"},
         {"mem_backend", "nvram"},
     };
     for (const auto &[key, value] : bad) {
@@ -369,6 +368,9 @@ TEST(Knobs, FlagsAndReproducersRejectOutOfRangeValues)
         fuzz::parseReplayFile("seed=1\nqueue_depth=0\n", id, opt));
     EXPECT_FALSE(fuzz::parseReplayFile("seed=1\nbatch_window_ticks=256\n",
                                        id, opt));
+    // So is the interconnect topology, even at its old default.
+    EXPECT_FALSE(
+        fuzz::parseReplayFile("seed=1\ntopology=chain\n", id, opt));
 }
 
 // A flag no binary owns is an error, not a silent default run: a
@@ -383,6 +385,8 @@ TEST(Knobs, UnknownFlagsAreRejected)
                  "unknown argument '--queue-depth'");
     EXPECT_DEATH(parseFlags({"--batch-window-ticks", "64"}),
                  "unknown argument '--batch-window-ticks'");
+    EXPECT_DEATH(parseFlags({"--topology", "ring"}),
+                 "unknown argument '--topology'");
     EXPECT_DEATH(parseFlags({"--jbos", "4"}), "unknown argument '--jbos'");
     EXPECT_DEATH(parseFlags({"--jobs", "4", "stray"}),
                  "unknown argument 'stray'");
@@ -404,15 +408,14 @@ TEST(Knobs, UnknownFlagsAreRejected)
 // table order, ahead of hmc_cubes.
 TEST(Knobs, RecordConfigNamesOffDefaultKnobs)
 {
-    const SweepOptions opts = parseFlags(
-        {"--topology", "ring", "--cubes", "2", "--pei-batch", "4"});
+    const SweepOptions opts =
+        parseFlags({"--cubes", "2", "--pei-batch", "4"});
     const std::string record = prSmallRecord(opts.knobs);
     const std::size_t begin = record.find("\"config\":{");
     ASSERT_NE(begin, std::string::npos);
     const std::string config =
         record.substr(begin, record.find('}', begin) - begin);
-    EXPECT_NE(config.find(",\"topology\":\"ring\",\"cubes\":2,"
-                          "\"pei_batch\":4,\"hmc_cubes\":"),
+    EXPECT_NE(config.find(",\"cubes\":2,\"pei_batch\":4,\"hmc_cubes\":"),
               std::string::npos)
         << config;
 }

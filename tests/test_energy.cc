@@ -80,8 +80,8 @@ TEST(EnergyModel, AttributesComponentsIndependently)
 
 TEST(EnergyModel, SumsEveryLinkAndPmuAccess)
 {
-    // Topology-aware runs register one "link<N>.*" family per
-    // physical link, and the model must charge all of them.  The PMU
+    // Every physical link registers one "link<N>.*" family, and the
+    // model must charge all of them.  The PMU
     // is charged one directory access per acquire and one monitor
     // access per lookup, and nothing else.
     StatRegistry stats;
