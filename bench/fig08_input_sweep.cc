@@ -11,7 +11,6 @@
  */
 
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -26,28 +25,16 @@ using peibench::submitWorkload;
 int
 main(int argc, char **argv)
 {
-    peibench::benchInit(argc, argv, "fig08_input_sweep",
-                        {{"--backend-sweep", false}});
+    peibench::benchInit(argc, argv, "fig08_input_sweep");
     peibench::printHeader(
         "Figure 8", "PageRank with different graph sizes",
         "Locality-Aware PIM%% grows 0.3%% -> 87%% with graph size and "
         "its speedup tracks max(Host-Only, PIM-Only)");
 
-    // --backend-sweep adds a memory-backend axis: Locality-Aware
-    // re-run per graph on every alternative backend.  Opt-in so the
-    // default figure (and its --list labels) stay unchanged.
-    bool backend_sweep = false;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--backend-sweep") == 0)
-            backend_sweep = true;
-    }
-    static const char *const kAltBackends[] = {"ddr", "ideal"};
-
     struct Row
     {
         const NamedGraphSpec *spec;
         RunHandle host, pim, la;
-        std::vector<RunHandle> la_alt; ///< per kAltBackends entry
     };
     std::vector<Row> rows;
     for (const NamedGraphSpec &spec : figureGraphs()) {
@@ -61,20 +48,7 @@ main(int argc, char **argv)
                         submitWorkload(factory, base + "PIM-Only",
                                        ExecMode::PimOnly),
                         submitWorkload(factory, base + "Locality-Aware",
-                                       ExecMode::LocalityAware),
-                        {}});
-        if (backend_sweep) {
-            for (const char *b : kAltBackends) {
-                rows.back().la_alt.push_back(submitWorkload(
-                    factory, base + "Locality-Aware@" + b,
-                    ExecMode::LocalityAware, [b](SystemConfig &cfg) {
-                        cfg.mem_backend = b;
-                        cfg.ddr.channels = cfg.hmc.vaults_per_cube;
-                        cfg.ideal_mem.pim_units =
-                            cfg.hmc.vaults_per_cube;
-                    }));
-            }
-        }
+                                       ExecMode::LocalityAware)});
     }
     peibench::sweepRun();
 
@@ -97,31 +71,5 @@ main(int argc, char **argv)
     }
     std::printf("\n(speedups normalized to Host-Only.)\n");
 
-    if (backend_sweep) {
-        std::printf("\nLocality-Aware across memory backends "
-                    "(speedup vs Host-Only on hmc)\n");
-        std::printf("%-18s | %9s %9s %9s\n", "graph", "hmc", "ddr",
-                    "ideal");
-        for (const Row &row : rows) {
-            if (!peibench::allOk({row.host, row.la}))
-                continue;
-            const auto &host = result(row.host);
-            const auto speed = [&](const peibench::RunResult &r) {
-                return static_cast<double>(host.ticks) /
-                       static_cast<double>(r.ticks);
-            };
-            std::printf("%-18s | %9.3f", row.spec->name,
-                        speed(result(row.la)));
-            for (RunHandle h : row.la_alt) {
-                if (result(h).ok())
-                    std::printf(" %9.3f", speed(result(h)));
-                else
-                    std::printf(" %9s", "-");
-            }
-            std::printf("\n");
-        }
-        std::printf("(ddr has no PIM units: Locality-Aware degrades "
-                    "to host-side execution.)\n");
-    }
     return peibench::benchFinish();
 }

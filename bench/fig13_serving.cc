@@ -119,7 +119,7 @@ jsonNumber(const std::string &json, const std::string &key)
 int
 main(int argc, char **argv)
 {
-    peibench::benchInit(argc, argv, "fig13_serving", {},
+    peibench::benchInit(argc, argv, "fig13_serving",
                         {"--serving-json", "BENCH_serving.json"});
 
     peibench::printHeader(

@@ -82,7 +82,7 @@ pointJson(unsigned cubes, unsigned cores, const RunResult &host,
 int
 main(int argc, char **argv)
 {
-    peibench::benchInit(argc, argv, "fig14_scaleout", {},
+    peibench::benchInit(argc, argv, "fig14_scaleout",
                         {"--scaleout-json", "BENCH_scaleout.json"});
 
     std::printf("==================================================="

@@ -30,14 +30,11 @@ using peibench::submitWorkload;
 namespace
 {
 
-/** Sum of every physical "link<N>.flits" counter in @p r. */
+/** Flits over both links of the chain. */
 std::uint64_t
 linkFlits(const RunResult &r)
 {
-    std::uint64_t flits = 0;
-    for (const peibench::LinkStats &l : peibench::linkStats(r))
-        flits += l.flits;
-    return flits;
+    return r.stat("link0.flits") + r.stat("link1.flits");
 }
 
 double
@@ -83,7 +80,7 @@ pointJson(unsigned batch, const RunResult &r, std::uint64_t base_link_flits)
 int
 main(int argc, char **argv)
 {
-    peibench::benchInit(argc, argv, "fig15_batching", {},
+    peibench::benchInit(argc, argv, "fig15_batching",
                         {"--batching-json", "BENCH_batching.json"});
 
     std::printf("==================================================="

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
-#include <map>
 #include <mutex>
 
 #include "common/logging.hh"
@@ -88,10 +87,10 @@ submitJob(SimJob &&sim)
 
 void
 benchInit(int argc, char **argv, const std::string &name,
-          std::vector<OwnFlag> own, Baseline baseline)
+          Baseline baseline)
 {
     bench_name = name;
-    own.push_back({"--stats-json", true, &stats_json_path});
+    std::vector<OwnFlag> own = {{"--stats-json", true, &stats_json_path}};
     if (baseline.flag) {
         baseline_path = std::string(PEISIM_ROOT "/") + baseline.file;
         own.push_back({baseline.flag, true, &baseline_path});
@@ -266,26 +265,10 @@ writeBaseline(const std::vector<BaselinePoint> &points)
 std::vector<LinkStats>
 linkStats(const RunResult &r)
 {
-    std::map<unsigned, LinkStats> links;
-    for (const auto &[name, value] : r.stats) {
-        // "link<N>.<field>" with a decimal link index N.
-        const std::size_t dot = name.find('.');
-        if (name.rfind("link", 0) != 0 || dot == std::string::npos ||
-            dot == 4 || name.find_first_not_of("0123456789", 4) != dot)
-            continue;
-        const std::string field = name.substr(dot + 1);
-        if (field != "flits" && field != "busy_ticks")
-            continue;
-        const unsigned index =
-            static_cast<unsigned>(std::stoul(name.substr(4, dot - 4)));
-        LinkStats &l = links[index];
-        l.index = index;
-        (field == "flits" ? l.flits : l.busy_ticks) = value;
-    }
-    std::vector<LinkStats> out;
-    for (const auto &[index, l] : links)
-        out.push_back(l);
-    return out;
+    if (!r.stats.count("link0.flits"))
+        return {};
+    return {{0, r.stat("link0.flits"), r.stat("link0.busy_ticks")},
+            {1, r.stat("link1.flits"), r.stat("link1.busy_ticks")}};
 }
 
 void

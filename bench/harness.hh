@@ -50,11 +50,10 @@ struct Baseline
  * Parse harness-level flags (`--stats-json`, `--jobs`, `--timeout-s`,
  * `--filter`, `--list`, `--no-progress`), knob flags and the
  * @p baseline flag, name the bench, and register the atexit stats
- * flush.  @p own lists the flags the bench parses itself; any other
- * argument is fatal.  Call first thing in main().
+ * flush.  Any other argument is fatal.  Call first thing in main().
  */
 void benchInit(int argc, char **argv, const std::string &name,
-               std::vector<OwnFlag> own = {}, Baseline baseline = {});
+               Baseline baseline = {});
 
 /**
  * Queue one Table 3 workload run, labelled "<kind>/<size>/<mode>".
@@ -119,7 +118,7 @@ struct BaselinePoint
  */
 void writeBaseline(const std::vector<BaselinePoint> &points);
 
-/** One physical link's counters ("link<N>.flits", ".busy_ticks"). */
+/** One chain link's counters ("link<N>.flits", ".busy_ticks"). */
 struct LinkStats
 {
     unsigned index = 0;
@@ -127,7 +126,10 @@ struct LinkStats
     std::uint64_t busy_ticks = 0;
 };
 
-/** Every "link<N>" stat family of @p r, by ascending link index. */
+/**
+ * The daisy chain's request link (link0) and response link (link1)
+ * of @p r; empty for a run without them, e.g. on a non-HMC backend.
+ */
 std::vector<LinkStats> linkStats(const RunResult &r);
 
 /** Print the standard bench header. */

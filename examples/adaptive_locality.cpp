@@ -35,15 +35,14 @@ main(int argc, char **argv)
             ratio * static_cast<double>(l3_bytes) / 8.0);
         const Addr array = rt.allocArray<std::uint64_t>(counters);
 
-        rt.spawnThreads(sys.numCores(),
-                        [&](Ctx &ctx, unsigned tid, unsigned) -> Task {
-                            Rng rng(tid * 7919 + 13);
-                            for (int i = 0; i < 15000; ++i) {
-                                co_await ctx.inc64(
-                                    array + 8 * rng.below(counters));
-                            }
-                            co_await ctx.drain();
-                        });
+        const auto kernel = [&](Ctx &ctx, unsigned tid,
+                                unsigned) -> Task {
+            Rng rng(tid * 7919 + 13);
+            for (int i = 0; i < 15000; ++i)
+                co_await ctx.inc64(array + 8 * rng.below(counters));
+            co_await ctx.drain();
+        };
+        rt.spawnThreads(sys.numCores(), kernel);
         const auto wall_start = std::chrono::steady_clock::now();
         const Tick ticks = rt.run();
         const double wall =

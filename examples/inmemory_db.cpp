@@ -74,7 +74,7 @@ main(int argc, char **argv)
     // Probe with 8 interleaved lookup streams (the software
     // unrolling §5.2 uses so probes overlap in the operand buffer).
     std::uint64_t found = 0, probes = 0;
-    rt.spawnThreads(8, [&](Ctx &ctx, unsigned tid, unsigned n) -> Task {
+    const auto prober = [&](Ctx &ctx, unsigned tid, unsigned n) -> Task {
         Rng rng(tid);
         for (int i = 0; i < 4000 / static_cast<int>(n) * 8; ++i) {
             // Half the probes hit, half miss.
@@ -101,7 +101,8 @@ main(int argc, char **argv)
             }
         }
         co_await ctx.drain();
-    });
+    };
+    rt.spawnThreads(8, prober);
 
     const auto wall_start = std::chrono::steady_clock::now();
     const Tick ticks = rt.run();

@@ -38,17 +38,18 @@ main(int argc, char **argv)
     // Every thread increments pseudo-random counters with PEIs.
     // peiAsync returns once the operation is issued; the PMU
     // guarantees atomicity between PEIs, so no locks are needed.
-    rt.spawnThreads(sys.numCores(),
-                    [&](Ctx &ctx, unsigned tid, unsigned) -> Task {
-                        Rng rng(tid);
-                        for (int i = 0; i < 20000; ++i) {
-                            const Addr target =
-                                array + 8 * rng.below(counters);
-                            co_await ctx.inc64(target);
-                        }
-                        co_await ctx.pfence(); // all increments visible
-                        co_await ctx.drain();
-                    });
+    // The coroutine reads its captures through the lambda, so the
+    // lambda is named and outlives run().
+    const auto kernel = [&](Ctx &ctx, unsigned tid, unsigned) -> Task {
+        Rng rng(tid);
+        for (int i = 0; i < 20000; ++i) {
+            const Addr target = array + 8 * rng.below(counters);
+            co_await ctx.inc64(target);
+        }
+        co_await ctx.pfence(); // all increments visible
+        co_await ctx.drain();
+    };
+    rt.spawnThreads(sys.numCores(), kernel);
 
     const auto wall_start = std::chrono::steady_clock::now();
     const Tick ticks = rt.run();

@@ -16,14 +16,8 @@ computeEnergy(const StatRegistry &stats, const EnergyParams &p)
                l3 * p.l3_access_pj + xbar * p.xbar_msg_pj;
 
     const auto snap = stats.snapshot();
-    const auto endsWith = [](const std::string &name, const char *sfx) {
-        const std::size_t n = std::char_traits<char>::length(sfx);
-        return name.size() >= n &&
-               name.compare(name.size() - n, n, sfx) == 0;
-    };
     double acts = 0.0, reads = 0.0, writes = 0.0, tsv_blocks = 0.0;
     double host_ops = 0.0, mem_ops = 0.0;
-    double flits = 0.0;
     for (const auto &[name, value] : snap) {
         const auto v = static_cast<double>(value);
         // DRAM arrays live behind "vaultN." (hmc backend) or
@@ -48,22 +42,20 @@ computeEnergy(const StatRegistry &stats, const EnergyParams &p)
         } else if (name.rfind("mem_pcu", 0) == 0 &&
                    name.find(".executed") != std::string::npos) {
             mem_ops += v;
-        } else if (name.rfind("link", 0) == 0 &&
-                   endsWith(name, ".flits")) {
-            // Every physical interconnect link registers
-            // "link<N>.flits"; summing the prefix family charges each
-            // link a flit crossed.  (The injected "net.req/res.flits"
-            // counters count packets once and are deliberately
-            // excluded.)
-            flits += v;
         }
     }
     e.dram = acts * p.dram_activate_pj +
              (reads + writes) * p.dram_access_pj;
     e.tsv = tsv_blocks * p.tsv_per_block_pj;
 
-    // Only the hmc backend has packetized off-chip links; the other
-    // backends fold bus energy into their per-access costs.
+    // Only the hmc backend has packetized off-chip links, the chain's
+    // request link0 and response link1; the other backends fold bus
+    // energy into their per-access costs.
+    double flits = 0.0;
+    for (const char *link : {"link0.flits", "link1.flits"}) {
+        if (stats.has(link))
+            flits += static_cast<double>(stats.get(link));
+    }
     e.offchip = flits * p.link_flit_pj;
 
     e.pcu = host_ops * p.host_pcu_op_pj + mem_ops * p.mem_pcu_op_pj;

@@ -4,11 +4,13 @@
  * identical architectural results on every registered memory backend
  * (hmc, ddr, ideal) — only the timing may differ.
  *
- * Three layers of coverage:
+ * Four layers of coverage:
  *  - a directed deterministic PEI/load/store mix compared across
  *    backends on final memory contents and PEI conservation,
  *  - a store-heavy kernel per backend whose exact ticks, event count,
- *    off-chip bytes and array reads/writes are pinned, and
+ *    off-chip bytes and array reads/writes are pinned,
+ *  - a latency probe of each backend alone, whose idle read and
+ *    write ticks and loaded burst waits are pinned, and
  *  - the simfuzz differential checker pinned to each backend in
  *    turn, which runs the full generated op set (every PeiOpcode,
  *    async and blocking issue, pfences, contended shared blocks)
@@ -20,6 +22,7 @@
 
 #include <algorithm>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -27,6 +30,7 @@
 #include "common/rng.hh"
 #include "fixture.hh"
 #include "mem/backend.hh"
+#include "mem/backend_config.hh"
 #include "runtime/runtime.hh"
 
 namespace pei
@@ -248,6 +252,81 @@ TEST(BackendTiming, StoreHeavyKernelPinsExactTiming)
     const TimingRun ideal =
         runTimingPin("ideal", ExecMode::LocalityAware, 1);
     expectPin("ideal", ideal.pin, {40540, 69473, 0, 10264, 5836});
+}
+
+/** Latencies of one backend under the probe below, in ticks. */
+struct LatencyProbe
+{
+    Ticks read_idle = 0;          ///< lone read of block 0
+    Ticks write_idle = 0;         ///< lone write of block 0, after it
+    std::uint64_t burst_wait = 0; ///< summed over every burst read
+};
+
+/**
+ * Drive backend @p name alone, on 64 MB and its default config: a
+ * lone read and then a lone write of block 0, then 64 bursts of 16
+ * outstanding reads at a 129-block stride (co-prime, so a burst
+ * spreads across banks).  Each burst read waits from its burst's
+ * issue tick.
+ */
+LatencyProbe
+probeBackend(const std::string &name)
+{
+    EventQueue eq;
+    StatRegistry stats;
+    MemBackendConfig cfg;
+    cfg.phys_bytes = 64ULL << 20;
+    const std::unique_ptr<MemoryBackend> mem =
+        createMemoryBackend(name, eq, cfg, stats);
+
+    const auto lone = [&](bool write) {
+        const Tick start = eq.now();
+        Tick done = start;
+        const auto arrive = [&eq, &done] { done = eq.now(); };
+        if (write)
+            mem->writeBlock(0, arrive);
+        else
+            mem->readBlock(0, arrive);
+        eq.run();
+        return static_cast<Ticks>(done - start);
+    };
+    LatencyProbe p;
+    p.read_idle = lone(false);
+    p.write_idle = lone(true);
+    Addr a = 0;
+    for (int burst = 0; burst < 64; ++burst) {
+        const Tick issue = eq.now();
+        for (int i = 0; i < 16; ++i) {
+            mem->readBlock(a % cfg.phys_bytes, [&eq, &p, issue] {
+                p.burst_wait += eq.now() - issue;
+            });
+            a += block_size * 129;
+        }
+        eq.run();
+    }
+    return p;
+}
+
+/**
+ * Each backend's idle and loaded latency, against values recorded
+ * from the simulator.  The probe drives one backend with no cache,
+ * PMU or workload in front of it, so a one-tick change to its timing
+ * model fails here by name.  Update the values only for a deliberate
+ * timing-model change.
+ */
+TEST(BackendTiming, LatencyProbePinsIdleAndBurstTicks)
+{
+    const std::map<std::string, LatencyProbe> want = {
+        {"ddr", {143, 68, 209357}},
+        {"hmc", {152, 87, 231339}},
+        {"ideal", {200, 200, 204800}},
+    };
+    for (const auto &[name, w] : want) {
+        const LatencyProbe got = probeBackend(name);
+        EXPECT_EQ(got.read_idle, w.read_idle) << name;
+        EXPECT_EQ(got.write_idle, w.write_idle) << name;
+        EXPECT_EQ(got.burst_wait, w.burst_wait) << name;
+    }
 }
 
 /**

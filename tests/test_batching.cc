@@ -155,9 +155,9 @@ TEST(BatchingWindow, BatchOneIsByteIdenticalToDefault)
 
 TEST(BatchingEnergy, TrainChargedByActualFlits)
 {
-    // The energy model sums physical "link<N>.flits"; a coalesced
-    // train therefore pays for 2 request flits where 4 singletons
-    // pay 4 (single-cube chain: one request hop).
+    // The energy model sums "link0.flits" and "link1.flits"; a
+    // coalesced train therefore pays for 2 request flits where 4
+    // singletons pay 4 (single-cube chain: one request hop).
     const auto single = runSameVaultIncs(4, 1);
     const auto batched = runSameVaultIncs(4, 4);
 

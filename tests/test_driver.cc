@@ -387,6 +387,8 @@ TEST(Knobs, UnknownFlagsAreRejected)
                  "unknown argument '--batch-window-ticks'");
     EXPECT_DEATH(parseFlags({"--topology", "ring"}),
                  "unknown argument '--topology'");
+    EXPECT_DEATH(parseFlags({"--backend-sweep"}),
+                 "unknown argument '--backend-sweep'");
     EXPECT_DEATH(parseFlags({"--jbos", "4"}), "unknown argument '--jbos'");
     EXPECT_DEATH(parseFlags({"--jobs", "4", "stray"}),
                  "unknown argument 'stray'");
@@ -395,13 +397,13 @@ TEST(Knobs, UnknownFlagsAreRejected)
     // lands where the flag points.
     std::string stats_json;
     const std::vector<OwnFlag> own = {{"--stats-json", true, &stats_json},
-                                      {"--backend-sweep", false}};
+                                      {"--no-shrink", false}};
     const SweepOptions opts = parseFlags(
-        {"--stats-json", "out.json", "--backend-sweep", "--jobs=2"}, own);
+        {"--stats-json", "out.json", "--no-shrink", "--jobs=2"}, own);
     EXPECT_EQ(opts.jobs, 2u);
     EXPECT_EQ(stats_json, "out.json");
-    EXPECT_DEATH(parseFlags({"--backend-sweep=1"}, own),
-                 "unknown argument '--backend-sweep=1'");
+    EXPECT_DEATH(parseFlags({"--no-shrink=1"}, own),
+                 "unknown argument '--no-shrink=1'");
 }
 
 // A record names every off-default knob in its config block, in

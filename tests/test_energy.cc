@@ -26,8 +26,8 @@ TEST(EnergyModel, ZeroStatsZeroEnergy)
     stats.add("cache.l2_accesses", &c2);
     stats.add("cache.l3_accesses", &c3);
     stats.add("cache.xbar_msgs", &c4);
-    stats.add("link.req.flits", &c5);
-    stats.add("link.res.flits", &c6);
+    stats.add("link0.flits", &c5);
+    stats.add("link1.flits", &c6);
     stats.add("pim_dir.acquires", &c7);
     Counter c8;
     stats.add("loc_mon.lookups", &c8);
@@ -42,8 +42,8 @@ TEST(EnergyModel, AttributesComponentsIndependently)
     stats.add("cache.l2_accesses", &l2);
     stats.add("cache.l3_accesses", &l3);
     stats.add("cache.xbar_msgs", &xbar);
-    stats.add("link.req.flits", &req);
-    stats.add("link.res.flits", &res);
+    stats.add("link0.flits", &req);
+    stats.add("link1.flits", &res);
     stats.add("pim_dir.acquires", &dir);
     stats.add("loc_mon.lookups", &lookups);
     Counter va, vr, vw, cr, cw;
@@ -78,22 +78,20 @@ TEST(EnergyModel, AttributesComponentsIndependently)
                      7 * p.link_flit_pj);
 }
 
-TEST(EnergyModel, SumsEveryLinkAndPmuAccess)
+TEST(EnergyModel, SumsBothLinksAndPmuAccess)
 {
-    // Every physical link registers one "link<N>.*" family, and the
-    // model must charge all of them.  The PMU
-    // is charged one directory access per acquire and one monitor
-    // access per lookup, and nothing else.
+    // The daisy chain's request link0 and response link1 are charged
+    // every flit they carry.  The PMU is charged one directory access
+    // per acquire and one monitor access per lookup, and nothing else.
     StatRegistry stats;
     Counter c1, c2, c3, c4;
     stats.add("cache.l1_accesses", &c1);
     stats.add("cache.l2_accesses", &c2);
     stats.add("cache.l3_accesses", &c3);
     stats.add("cache.xbar_msgs", &c4);
-    Counter l0, l1, l2, dir, mon;
+    Counter l0, l1, dir, mon;
     stats.add("link0.flits", &l0);
     stats.add("link1.flits", &l1);
-    stats.add("link2.flits", &l2);
     stats.add("pim_dir.acquires", &dir);
     stats.add("loc_mon.lookups", &mon);
     // Decoys: the injected per-packet counters, link occupancy, and
@@ -106,7 +104,6 @@ TEST(EnergyModel, SumsEveryLinkAndPmuAccess)
 
     l0 += 3;
     l1 += 4;
-    l2 += 5;
     dir += 18;
     mon += 30;
     net_req += 100;
@@ -116,7 +113,7 @@ TEST(EnergyModel, SumsEveryLinkAndPmuAccess)
 
     EnergyParams p;
     const EnergyBreakdown e = computeEnergy(stats, p);
-    EXPECT_DOUBLE_EQ(e.offchip, 12 * p.link_flit_pj);
+    EXPECT_DOUBLE_EQ(e.offchip, 7 * p.link_flit_pj);
     EXPECT_DOUBLE_EQ(e.pmu, 18 * p.pim_dir_access_pj +
                                 30 * p.loc_mon_access_pj);
 }
