@@ -10,27 +10,15 @@
  */
 
 #include <cstdio>
-#include <string>
 #include <vector>
 
 #include "bench/harness.hh"
-#include "workloads/graph.hh"
 
-using namespace pei;
-using peibench::RunHandle;
-using peibench::result;
-using peibench::submitWorkload;
+using namespace peibench;
 
-int
-main(int argc, char **argv)
+Renderer
+fig02PagerankPotential()
 {
-    peibench::benchInit(argc, argv, "fig02_pagerank_potential");
-    peibench::printHeader(
-        "Figure 2",
-        "PageRank speedup from memory-side atomic addition, 9 graphs",
-        "up to +53% on large graphs; up to -20% on cache-resident ones "
-        "(e.g. p2p-Gnutella31, 50x DRAM accesses)");
-
     struct Row
     {
         const NamedGraphSpec *spec;
@@ -38,42 +26,38 @@ main(int argc, char **argv)
     };
     std::vector<Row> rows;
     for (const NamedGraphSpec &spec : figureGraphs()) {
-        auto factory = [spec] {
-            return makePageRank(spec.vertices, spec.edges, 1, 1);
-        };
-        const std::string base = std::string("PR/") + spec.name + "/";
-        rows.push_back(
-            {&spec,
-             submitWorkload(factory, base + "Ideal-Host",
-                            ExecMode::IdealHost),
-             submitWorkload(factory, base + "PIM-Only",
-                            ExecMode::PimOnly)});
+        rows.push_back({&spec, submitGraph(spec, ExecMode::IdealHost),
+                        submitGraph(spec, ExecMode::PimOnly)});
     }
-    peibench::sweepRun();
+    return [rows] {
+        printHeader(
+            "Figure 2",
+            "PageRank speedup from memory-side atomic addition, 9 graphs",
+            "up to +53% on large graphs; up to -20% on cache-resident ones "
+            "(e.g. p2p-Gnutella31, 50x DRAM accesses)");
 
-    std::printf("%-18s %9s %10s | %8s %8s %8s | %9s\n", "graph",
-                "vertices", "edges", "host", "pim", "speedup",
-                "dram_x");
-    for (const Row &row : rows) {
-        if (!peibench::allOk({row.host, row.pim}))
-            continue;
-        const auto &host = result(row.host);
-        const auto &pim = result(row.pim);
-        const double speedup = static_cast<double>(host.ticks) /
-                               static_cast<double>(pim.ticks);
-        const double dram_ratio =
-            static_cast<double>(pim.dramAccesses()) /
-            static_cast<double>(host.dramAccesses());
-        std::printf("%-18s %9llu %10llu | %8llu %8llu %7.2fx | %8.1fx\n",
-                    row.spec->name,
-                    (unsigned long long)row.spec->vertices,
-                    (unsigned long long)row.spec->edges,
-                    (unsigned long long)(host.ticks / 1000),
-                    (unsigned long long)(pim.ticks / 1000), speedup,
-                    dram_ratio);
-    }
-    std::printf("\n(host/pim columns in kiloticks; dram_x = PIM DRAM "
-                "accesses over host DRAM accesses —\n"
-                "the paper reports 50x for p2p-Gnutella31.)\n");
-    return peibench::benchFinish();
+        std::printf("%-18s %9s %10s | %8s %8s %8s | %9s\n", "graph",
+                    "vertices", "edges", "host", "pim", "speedup",
+                    "dram_x");
+        for (const Row &row : rows) {
+            if (!allOk({row.host, row.pim}))
+                continue;
+            const auto &host = result(row.host);
+            const auto &pim = result(row.pim);
+            const double speedup = static_cast<double>(host.ticks) /
+                                   static_cast<double>(pim.ticks);
+            const double dram_ratio =
+                static_cast<double>(pim.dramAccesses()) /
+                static_cast<double>(host.dramAccesses());
+            std::printf(
+                "%-18s %9llu %10llu | %8llu %8llu %7.2fx | %8.1fx\n",
+                row.spec->name, (unsigned long long)row.spec->vertices,
+                (unsigned long long)row.spec->edges,
+                (unsigned long long)(host.ticks / 1000),
+                (unsigned long long)(pim.ticks / 1000), speedup, dram_ratio);
+        }
+        std::printf("\n(host/pim columns in kiloticks; dram_x = PIM DRAM "
+                    "accesses over host DRAM accesses —\n"
+                    "the paper reports 50x for p2p-Gnutella31.)\n");
+    };
 }

@@ -17,22 +17,11 @@
 
 #include "bench/harness.hh"
 
-using namespace pei;
-using peibench::RunHandle;
-using peibench::geomean;
-using peibench::result;
-using peibench::submit;
+using namespace peibench;
 
-int
-main(int argc, char **argv)
+Renderer
+fig06Speedup()
 {
-    peibench::benchInit(argc, argv, "fig06_speedup");
-    peibench::printHeader(
-        "Figure 6", "Speedup under different input sizes (vs Ideal-Host)",
-        "large: PIM-Only +44% GM, Locality-Aware +47% over Host-Only; "
-        "small: PIM-Only -20%, Locality-Aware ~ Host-Only; medium "
-        "graphs: Locality-Aware beats both");
-
     const InputSize sizes[] = {InputSize::Small, InputSize::Medium,
                                InputSize::Large};
     const ExecMode modes[] = {ExecMode::IdealHost, ExecMode::HostOnly,
@@ -45,42 +34,47 @@ main(int argc, char **argv)
                 cell.push_back(submit(kind, size, mode));
         }
     }
-    peibench::sweepRun();
+    return [cells, sizes] {
+        printHeader(
+            "Figure 6", "Speedup under different input sizes (vs Ideal-Host)",
+            "large: PIM-Only +44% GM, Locality-Aware +47% over Host-Only; "
+            "small: PIM-Only -20%, Locality-Aware ~ Host-Only; medium "
+            "graphs: Locality-Aware beats both");
 
-    for (InputSize size : sizes) {
-        std::printf("\n--- (%s inputs) ---\n", sizeName(size));
-        std::printf("%-5s %10s %10s %10s %10s | %6s\n", "app",
-                    "ideal", "host-only", "pim-only", "loc-aware",
-                    "PIM%%");
-        std::vector<double> gm_host, gm_pim, gm_la;
-        for (WorkloadKind kind : allWorkloadKinds()) {
-            const auto &cell = cells[{(int)size, (int)kind}];
-            if (!peibench::allOk({cell[0], cell[1], cell[2], cell[3]}))
-                continue;
-            const auto &ideal = result(cell[0]);
-            const auto &host = result(cell[1]);
-            const auto &pim = result(cell[2]);
-            const auto &la = result(cell[3]);
+        for (InputSize size : sizes) {
+            std::printf("\n--- (%s inputs) ---\n", sizeName(size));
+            std::printf("%-5s %10s %10s %10s %10s | %6s\n", "app",
+                        "ideal", "host-only", "pim-only", "loc-aware",
+                        "PIM%%");
+            std::vector<double> gm_host, gm_pim, gm_la;
+            for (WorkloadKind kind : allWorkloadKinds()) {
+                const auto &cell = cells.at({(int)size, (int)kind});
+                if (!allOk({cell[0], cell[1], cell[2], cell[3]}))
+                    continue;
+                const auto &ideal = result(cell[0]);
+                const auto &host = result(cell[1]);
+                const auto &pim = result(cell[2]);
+                const auto &la = result(cell[3]);
 
-            const auto speed = [&](const peibench::RunResult &r) {
-                return static_cast<double>(ideal.ticks) /
-                       static_cast<double>(r.ticks);
-            };
-            gm_host.push_back(speed(host));
-            gm_pim.push_back(speed(pim));
-            gm_la.push_back(speed(la));
-            std::printf("%-5s %10.3f %10.3f %10.3f %10.3f | %5.1f%%\n",
-                        kindName(kind), 1.0, speed(host), speed(pim),
-                        speed(la), 100.0 * la.pimFraction());
+                const auto speed = [&](const RunResult &r) {
+                    return static_cast<double>(ideal.ticks) /
+                           static_cast<double>(r.ticks);
+                };
+                gm_host.push_back(speed(host));
+                gm_pim.push_back(speed(pim));
+                gm_la.push_back(speed(la));
+                std::printf("%-5s %10.3f %10.3f %10.3f %10.3f | %5.1f%%\n",
+                            kindName(kind), 1.0, speed(host), speed(pim),
+                            speed(la), 100.0 * la.pimFraction());
+            }
+            if (!gm_host.empty()) {
+                std::printf("%-5s %10.3f %10.3f %10.3f %10.3f |\n", "GM",
+                            1.0, geomean(gm_host), geomean(gm_pim),
+                            geomean(gm_la));
+            }
         }
-        if (!gm_host.empty()) {
-            std::printf("%-5s %10.3f %10.3f %10.3f %10.3f |\n", "GM",
-                        1.0, geomean(gm_host), geomean(gm_pim),
-                        geomean(gm_la));
-        }
-    }
-    std::printf("\n(PIM%% = fraction of PEIs Locality-Aware offloads "
-                "to memory-side PCUs; paper: 79%% for\nlarge inputs, "
-                "14%% for small inputs.)\n");
-    return peibench::benchFinish();
+        std::printf("\n(PIM%% = fraction of PEIs Locality-Aware offloads "
+                    "to memory-side PCUs; paper: 79%% for\nlarge inputs, "
+                    "14%% for small inputs.)\n");
+    };
 }

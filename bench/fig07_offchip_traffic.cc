@@ -19,20 +19,11 @@
 
 #include "bench/harness.hh"
 
-using namespace pei;
-using peibench::RunHandle;
-using peibench::result;
-using peibench::submit;
+using namespace peibench;
 
-int
-main(int argc, char **argv)
+Renderer
+fig07OffchipTraffic()
 {
-    peibench::benchInit(argc, argv, "fig07_offchip_traffic");
-    peibench::printHeader(
-        "Figure 7", "Normalized amount of off-chip transfer",
-        "large: PIM-Only well below 1.0; small: far above 1.0 "
-        "(up to 502x in SC)");
-
     const InputSize sizes[] = {InputSize::Small, InputSize::Large};
     std::map<std::pair<int, int>, std::pair<RunHandle, RunHandle>> cells;
     for (InputSize size : sizes) {
@@ -42,28 +33,32 @@ main(int argc, char **argv)
                 submit(kind, size, ExecMode::PimOnly)};
         }
     }
-    peibench::sweepRun();
+    return [cells, sizes] {
+        printHeader(
+            "Figure 7", "Normalized amount of off-chip transfer",
+            "large: PIM-Only well below 1.0; small: far above 1.0 "
+            "(up to 502x in SC)");
 
-    for (InputSize size : sizes) {
-        std::printf("\n--- (%s inputs, bytes normalized to host-side "
-                    "execution) ---\n",
-                    sizeName(size));
-        std::printf("%-5s %12s | %10s | %10s %10s\n", "app", "host(MB)",
-                    "pim-only", "pim req/res MB", "");
-        for (WorkloadKind kind : allWorkloadKinds()) {
-            const auto &cell = cells[{(int)size, (int)kind}];
-            if (!peibench::allOk({cell.first, cell.second}))
-                continue;
-            const auto &host = result(cell.first);
-            const auto &pim = result(cell.second);
-            std::printf("%-5s %12.2f | %10.2f | %8.1f %8.1f\n",
-                        kindName(kind),
-                        static_cast<double>(host.offchipBytes()) / 1e6,
-                        static_cast<double>(pim.offchipBytes()) /
-                            static_cast<double>(host.offchipBytes()),
-                        static_cast<double>(pim.offchip_req_bytes) / 1e6,
-                        static_cast<double>(pim.offchip_res_bytes) / 1e6);
+        for (InputSize size : sizes) {
+            std::printf("\n--- (%s inputs, bytes normalized to host-side "
+                        "execution) ---\n",
+                        sizeName(size));
+            std::printf("%-5s %12s | %10s | %10s %10s\n", "app", "host(MB)",
+                        "pim-only", "pim req/res MB", "");
+            for (WorkloadKind kind : allWorkloadKinds()) {
+                const auto &cell = cells.at({(int)size, (int)kind});
+                if (!allOk({cell.first, cell.second}))
+                    continue;
+                const auto &host = result(cell.first);
+                const auto &pim = result(cell.second);
+                std::printf("%-5s %12.2f | %10.2f | %8.1f %8.1f\n",
+                            kindName(kind),
+                            static_cast<double>(host.offchipBytes()) / 1e6,
+                            static_cast<double>(pim.offchipBytes()) /
+                                static_cast<double>(host.offchipBytes()),
+                            static_cast<double>(pim.offchip_req_bytes) / 1e6,
+                            static_cast<double>(pim.offchip_res_bytes) / 1e6);
+            }
         }
-    }
-    return peibench::benchFinish();
+    };
 }

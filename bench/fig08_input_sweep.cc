@@ -11,26 +11,15 @@
  */
 
 #include <cstdio>
-#include <string>
 #include <vector>
 
 #include "bench/harness.hh"
-#include "workloads/graph.hh"
 
-using namespace pei;
-using peibench::RunHandle;
-using peibench::result;
-using peibench::submitWorkload;
+using namespace peibench;
 
-int
-main(int argc, char **argv)
+Renderer
+fig08InputSweep()
 {
-    peibench::benchInit(argc, argv, "fig08_input_sweep");
-    peibench::printHeader(
-        "Figure 8", "PageRank with different graph sizes",
-        "Locality-Aware PIM%% grows 0.3%% -> 87%% with graph size and "
-        "its speedup tracks max(Host-Only, PIM-Only)");
-
     struct Row
     {
         const NamedGraphSpec *spec;
@@ -38,38 +27,33 @@ main(int argc, char **argv)
     };
     std::vector<Row> rows;
     for (const NamedGraphSpec &spec : figureGraphs()) {
-        auto factory = [spec] {
-            return makePageRank(spec.vertices, spec.edges, 1, 1);
-        };
-        const std::string base = std::string("PR/") + spec.name + "/";
-        rows.push_back({&spec,
-                        submitWorkload(factory, base + "Host-Only",
-                                       ExecMode::HostOnly),
-                        submitWorkload(factory, base + "PIM-Only",
-                                       ExecMode::PimOnly),
-                        submitWorkload(factory, base + "Locality-Aware",
-                                       ExecMode::LocalityAware)});
+        rows.push_back({&spec, submitGraph(spec, ExecMode::HostOnly),
+                        submitGraph(spec, ExecMode::PimOnly),
+                        submitGraph(spec, ExecMode::LocalityAware)});
     }
-    peibench::sweepRun();
+    return [rows] {
+        printHeader(
+            "Figure 8", "PageRank with different graph sizes",
+            "Locality-Aware PIM%% grows 0.3%% -> 87%% with graph size and "
+            "its speedup tracks max(Host-Only, PIM-Only)");
 
-    std::printf("%-18s %9s | %9s %9s %9s | %6s\n", "graph", "vertices",
-                "host-only", "pim-only", "loc-aware", "PIM%");
-    for (const Row &row : rows) {
-        if (!peibench::allOk({row.host, row.pim, row.la}))
-            continue;
-        const auto &host = result(row.host);
-        const auto &pim = result(row.pim);
-        const auto &la = result(row.la);
-        const auto speed = [&](const peibench::RunResult &r) {
-            return static_cast<double>(host.ticks) /
-                   static_cast<double>(r.ticks);
-        };
-        std::printf("%-18s %9llu | %9.3f %9.3f %9.3f | %5.1f%%\n",
-                    row.spec->name,
-                    (unsigned long long)row.spec->vertices, 1.0,
-                    speed(pim), speed(la), 100.0 * la.pimFraction());
-    }
-    std::printf("\n(speedups normalized to Host-Only.)\n");
-
-    return peibench::benchFinish();
+        std::printf("%-18s %9s | %9s %9s %9s | %6s\n", "graph", "vertices",
+                    "host-only", "pim-only", "loc-aware", "PIM%");
+        for (const Row &row : rows) {
+            if (!allOk({row.host, row.pim, row.la}))
+                continue;
+            const auto &host = result(row.host);
+            const auto &pim = result(row.pim);
+            const auto &la = result(row.la);
+            const auto speed = [&](const RunResult &r) {
+                return static_cast<double>(host.ticks) /
+                       static_cast<double>(r.ticks);
+            };
+            std::printf("%-18s %9llu | %9.3f %9.3f %9.3f | %5.1f%%\n",
+                        row.spec->name,
+                        (unsigned long long)row.spec->vertices, 1.0,
+                        speed(pim), speed(la), 100.0 * la.pimFraction());
+        }
+        std::printf("\n(speedups normalized to Host-Only.)\n");
+    };
 }

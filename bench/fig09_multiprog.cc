@@ -13,7 +13,6 @@
  * sizes are drawn from small/medium.)
  */
 
-#include <chrono>
 #include <cstdio>
 #include <memory>
 #include <stdexcept>
@@ -24,10 +23,7 @@
 #include "common/rng.hh"
 #include "runtime/runtime.hh"
 
-using namespace pei;
-using peibench::RunHandle;
-using peibench::result;
-using peibench::submitCustom;
+using namespace peibench;
 
 namespace
 {
@@ -37,9 +33,7 @@ RunResult
 runPair(WorkloadKind ka, InputSize sa, WorkloadKind kb, InputSize sb,
         ExecMode mode, const std::string &label, JobCtx &ctx)
 {
-    SystemConfig cfg = SystemConfig::scaled(mode);
-    peibench::sweepOptions().knobs.applyTo(cfg);
-    System sys(cfg);
+    System sys(config(mode));
     Runtime rt(sys);
     auto wa = makeWorkload(ka, sa, 11);
     auto wb = makeWorkload(kb, sb, 13);
@@ -48,15 +42,7 @@ runPair(WorkloadKind ka, InputSize sa, WorkloadKind kb, InputSize sb,
     wa->spawn(rt, 8, 0);
     wb->spawn(rt, 8, 8);
 
-    double wall = 0.0;
-    {
-        WatchGuard watch(ctx, sys.eventQueue());
-        const auto wall_start = std::chrono::steady_clock::now();
-        rt.run();
-        wall = std::chrono::duration<double>(
-                   std::chrono::steady_clock::now() - wall_start)
-                   .count();
-    }
+    const double wall = runWatched(rt, ctx);
 
     std::string msg;
     if (!wa->validate(sys, msg) || !wb->validate(sys, msg))
@@ -81,16 +67,9 @@ submitPair(WorkloadKind ka, InputSize sa, WorkloadKind kb, InputSize sb,
 
 } // namespace
 
-int
-main(int argc, char **argv)
+Renderer
+fig09Multiprog()
 {
-    peibench::benchInit(argc, argv, "fig09_multiprog");
-    peibench::printHeader(
-        "Figure 9", "Multiprogrammed workload pairs (throughput vs "
-                    "Host-Only)",
-        "Locality-Aware beats both static configurations for the "
-        "overwhelming majority of random mixes");
-
     constexpr int pairs = 10;
     Rng rng(2015);
     const auto &kinds = allWorkloadKinds();
@@ -114,29 +93,34 @@ main(int argc, char **argv)
                           ExecMode::LocalityAware);
         mixes.push_back(m);
     }
-    peibench::sweepRun();
+    return [mixes] {
+        printHeader(
+            "Figure 9", "Multiprogrammed workload pairs (throughput vs "
+                        "Host-Only)",
+            "Locality-Aware beats both static configurations for the "
+            "overwhelming majority of random mixes");
 
-    std::printf("%-24s | %9s %9s %9s\n", "pair", "host-only", "pim-only",
-                "loc-aware");
-    int la_best = 0, rendered = 0;
-    for (const Mix &m : mixes) {
-        if (!peibench::allOk({m.host, m.pim, m.la}))
-            continue;
-        const double host = result(m.host).opsPerKilotick();
-        const double pim = result(m.pim).opsPerKilotick();
-        const double la = result(m.la).opsPerKilotick();
+        std::printf("%-24s | %9s %9s %9s\n", "pair", "host-only", "pim-only",
+                    "loc-aware");
+        int la_best = 0, rendered = 0;
+        for (const Mix &m : mixes) {
+            if (!allOk({m.host, m.pim, m.la}))
+                continue;
+            const double host = result(m.host).opsPerKilotick();
+            const double pim = result(m.pim).opsPerKilotick();
+            const double la = result(m.la).opsPerKilotick();
 
-        char label[64];
-        std::snprintf(label, sizeof(label), "%s/%s + %s/%s",
-                      kindName(m.ka), sizeName(m.sa), kindName(m.kb),
-                      sizeName(m.sb));
-        std::printf("%-24s | %9.3f %9.3f %9.3f%s\n", label, 1.0,
-                    pim / host, la / host,
-                    (la >= host && la >= pim) ? "  <- LA best" : "");
-        la_best += (la >= host && la >= pim);
-        ++rendered;
-    }
-    std::printf("\nLocality-Aware best or tied in %d of %d mixes.\n",
-                la_best, rendered);
-    return peibench::benchFinish();
+            char label[64];
+            std::snprintf(label, sizeof(label), "%s/%s + %s/%s",
+                          kindName(m.ka), sizeName(m.sa), kindName(m.kb),
+                          sizeName(m.sb));
+            std::printf("%-24s | %9.3f %9.3f %9.3f%s\n", label, 1.0,
+                        pim / host, la / host,
+                        (la >= host && la >= pim) ? "  <- LA best" : "");
+            la_best += (la >= host && la >= pim);
+            ++rendered;
+        }
+        std::printf("\nLocality-Aware best or tied in %d of %d mixes.\n",
+                    la_best, rendered);
+    };
 }

@@ -15,21 +15,11 @@
 
 #include "bench/harness.hh"
 
-using namespace pei;
-using peibench::RunHandle;
-using peibench::result;
-using peibench::submit;
-using peibench::submitWorkload;
+using namespace peibench;
 
-int
-main(int argc, char **argv)
+Renderer
+fig10BalancedDispatch()
 {
-    peibench::benchInit(argc, argv, "fig10_balanced_dispatch");
-    peibench::printHeader(
-        "Figure 10", "Balanced dispatch on SC and SVM (large inputs)",
-        "up to +25% over plain Locality-Aware by balancing "
-        "request/response link load");
-
     struct Row
     {
         WorkloadKind kind;
@@ -42,36 +32,39 @@ main(int argc, char **argv)
              submit(kind, InputSize::Large, ExecMode::HostOnly),
              submit(kind, InputSize::Large, ExecMode::PimOnly),
              submit(kind, InputSize::Large, ExecMode::LocalityAware),
-             submitWorkload(
-                 [kind] { return makeWorkload(kind, InputSize::Large); },
-                 std::string(kindName(kind)) +
-                     "/large/Locality-Aware/balanced",
-                 ExecMode::LocalityAware, [](SystemConfig &cfg) {
-                     cfg.pim.balanced_dispatch = true;
-                 })});
+             submit(kind, InputSize::Large, ExecMode::LocalityAware,
+                    [](SystemConfig &cfg) {
+                        cfg.pim.balanced_dispatch = true;
+                    },
+                    std::string(kindName(kind)) +
+                        "/large/Locality-Aware/balanced")});
     }
-    peibench::sweepRun();
+    return [rows] {
+        printHeader(
+            "Figure 10", "Balanced dispatch on SC and SVM (large inputs)",
+            "up to +25% over plain Locality-Aware by balancing "
+            "request/response link load");
 
-    std::printf("%-5s %10s %10s %10s %12s | %13s\n", "app", "host-only",
-                "pim-only", "loc-aware", "la+balanced", "req/res MB");
-    for (const Row &row : rows) {
-        if (!peibench::allOk({row.host, row.pim, row.la, row.bal}))
-            continue;
-        const auto &host = result(row.host);
-        const auto &pim = result(row.pim);
-        const auto &la = result(row.la);
-        const auto &bal = result(row.bal);
-        const auto speed = [&](const peibench::RunResult &r) {
-            return static_cast<double>(host.ticks) /
-                   static_cast<double>(r.ticks);
-        };
-        std::printf("%-5s %10.3f %10.3f %10.3f %12.3f | %5.0f/%-5.0f\n",
-                    kindName(row.kind), 1.0, speed(pim), speed(la),
-                    speed(bal),
-                    static_cast<double>(bal.offchip_req_bytes) / 1e6,
-                    static_cast<double>(bal.offchip_res_bytes) / 1e6);
-    }
-    std::printf("\n(speedups vs Host-Only; last column: balanced-"
-                "dispatch off-chip bytes by direction.)\n");
-    return peibench::benchFinish();
+        std::printf("%-5s %10s %10s %10s %12s | %13s\n", "app", "host-only",
+                    "pim-only", "loc-aware", "la+balanced", "req/res MB");
+        for (const Row &row : rows) {
+            if (!allOk({row.host, row.pim, row.la, row.bal}))
+                continue;
+            const auto &host = result(row.host);
+            const auto &pim = result(row.pim);
+            const auto &la = result(row.la);
+            const auto &bal = result(row.bal);
+            const auto speed = [&](const RunResult &r) {
+                return static_cast<double>(host.ticks) /
+                       static_cast<double>(r.ticks);
+            };
+            std::printf("%-5s %10.3f %10.3f %10.3f %12.3f | %5.0f/%-5.0f\n",
+                        kindName(row.kind), 1.0, speed(pim), speed(la),
+                        speed(bal),
+                        static_cast<double>(bal.offchip_req_bytes) / 1e6,
+                        static_cast<double>(bal.offchip_res_bytes) / 1e6);
+        }
+        std::printf("\n(speedups vs Host-Only; last column: balanced-"
+                    "dispatch off-chip bytes by direction.)\n");
+    };
 }

@@ -18,10 +18,7 @@
 
 #include "bench/harness.hh"
 
-using namespace pei;
-using peibench::RunHandle;
-using peibench::result;
-using peibench::submitWorkload;
+using namespace peibench;
 
 namespace
 {
@@ -30,36 +27,16 @@ const std::vector<WorkloadKind> apps = {WorkloadKind::ATF,
                                         WorkloadKind::HG,
                                         WorkloadKind::SVM};
 
-/// Handles of the three app runs for one (entries, width) point.
-std::map<std::pair<unsigned, unsigned>, std::vector<RunHandle>> points;
-
-void
-submitPoint(unsigned entries, unsigned width)
-{
-    auto &handles = points[{entries, width}];
-    if (!handles.empty())
-        return;
-    for (WorkloadKind kind : apps) {
-        const std::string label =
-            std::string(kindName(kind)) + "/medium/Locality-Aware/buf" +
-            std::to_string(entries) + "/w" + std::to_string(width);
-        handles.push_back(submitWorkload(
-            [kind] { return makeWorkload(kind, InputSize::Medium); },
-            label, ExecMode::LocalityAware,
-            [entries, width](SystemConfig &cfg) {
-                cfg.pim.pcu.operand_buffer_entries = entries;
-                cfg.pim.pcu.issue_width = width;
-            }));
-    }
-}
+/// Handles of the three app runs per (entries, width) point.
+using Points =
+    std::map<std::pair<unsigned, unsigned>, std::vector<RunHandle>>;
 
 /** Average ticks across the three apps; 0 when any run is not ok. */
 double
-avgTicks(unsigned entries, unsigned width)
+avgTicks(const Points &points, unsigned entries, unsigned width)
 {
-    const auto &handles = points[{entries, width}];
     double sum = 0.0;
-    for (RunHandle h : handles) {
+    for (RunHandle h : points.at({entries, width})) {
         if (!result(h).ok())
             return 0.0;
         sum += static_cast<double>(result(h).ticks);
@@ -69,37 +46,48 @@ avgTicks(unsigned entries, unsigned width)
 
 } // namespace
 
-int
-main(int argc, char **argv)
+Renderer
+fig11PcuDesign()
 {
-    peibench::benchInit(argc, argv, "fig11_pcu_design");
-    peibench::printHeader(
-        "Figure 11", "PCU design space (Locality-Aware, medium inputs; "
-                     "ATF/HG/SVM average)",
-        "(a) 4-entry operand buffer saturates PEI MLP (>30% over 1 "
-        "entry); (b) issue width does not matter");
-
-    for (unsigned entries : {1u, 2u, 4u, 8u, 16u})
-        submitPoint(entries, 1);
-    for (unsigned width : {2u, 4u})
-        submitPoint(4, width);
-    peibench::sweepRun();
-
-    const double base = avgTicks(4, 1);
-    std::printf("\n(a) operand buffer size (issue width 1), speedup vs "
-                "default 4 entries\n");
-    for (unsigned entries : {1u, 2u, 4u, 8u, 16u}) {
-        const double t = avgTicks(entries, 1);
-        if (base > 0.0 && t > 0.0)
-            std::printf("  %2u entries : %6.3f\n", entries, base / t);
+    const std::pair<unsigned, unsigned> grid[] = {
+        {1, 1}, {2, 1}, {4, 1}, {8, 1}, {16, 1}, {4, 2}, {4, 4}};
+    Points points;
+    for (const auto &point : grid) {
+        const unsigned entries = point.first, width = point.second;
+        for (WorkloadKind kind : apps) {
+            points[point].push_back(submit(
+                kind, InputSize::Medium, ExecMode::LocalityAware,
+                [entries, width](SystemConfig &cfg) {
+                    cfg.pim.pcu.operand_buffer_entries = entries;
+                    cfg.pim.pcu.issue_width = width;
+                },
+                std::string(kindName(kind)) + "/medium/Locality-Aware/buf" +
+                    std::to_string(entries) + "/w" +
+                    std::to_string(width)));
+        }
     }
+    return [points] {
+        printHeader(
+            "Figure 11", "PCU design space (Locality-Aware, medium inputs; "
+                         "ATF/HG/SVM average)",
+            "(a) 4-entry operand buffer saturates PEI MLP (>30% over 1 "
+            "entry); (b) issue width does not matter");
 
-    std::printf("\n(b) computation-logic issue width (4-entry buffer), "
-                "speedup vs width 1\n");
-    for (unsigned width : {1u, 2u, 4u}) {
-        const double t = avgTicks(4, width);
-        if (base > 0.0 && t > 0.0)
-            std::printf("  width %u    : %6.3f\n", width, base / t);
-    }
-    return peibench::benchFinish();
+        const double base = avgTicks(points, 4, 1);
+        std::printf("\n(a) operand buffer size (issue width 1), speedup vs "
+                    "default 4 entries\n");
+        for (unsigned entries : {1u, 2u, 4u, 8u, 16u}) {
+            const double t = avgTicks(points, entries, 1);
+            if (base > 0.0 && t > 0.0)
+                std::printf("  %2u entries : %6.3f\n", entries, base / t);
+        }
+
+        std::printf("\n(b) computation-logic issue width (4-entry buffer), "
+                    "speedup vs width 1\n");
+        for (unsigned width : {1u, 2u, 4u}) {
+            const double t = avgTicks(points, 4, width);
+            if (base > 0.0 && t > 0.0)
+                std::printf("  width %u    : %6.3f\n", width, base / t);
+        }
+    };
 }

@@ -17,22 +17,11 @@
 
 #include "bench/harness.hh"
 
-using namespace pei;
-using peibench::RunHandle;
-using peibench::geomean;
-using peibench::result;
-using peibench::submit;
+using namespace peibench;
 
-int
-main(int argc, char **argv)
+Renderer
+fig12Energy()
 {
-    peibench::benchInit(argc, argv, "fig12_energy");
-    peibench::printHeader(
-        "Figure 12", "Normalized memory-hierarchy energy "
-                     "(ATF/HG/SVM)",
-        "Locality-Aware lowest everywhere; PIM-Only small: +36% link, "
-        "+116% DRAM energy; memory PCUs ~1.4% of HMC energy");
-
     const std::vector<WorkloadKind> apps = {
         WorkloadKind::ATF, WorkloadKind::HG, WorkloadKind::SVM};
     const InputSize sizes[] = {InputSize::Small, InputSize::Large};
@@ -47,46 +36,51 @@ main(int argc, char **argv)
                 cell.push_back(submit(kind, size, mode));
         }
     }
-    peibench::sweepRun();
+    return [apps, cells, sizes] {
+        printHeader(
+            "Figure 12", "Normalized memory-hierarchy energy "
+                         "(ATF/HG/SVM)",
+            "Locality-Aware lowest everywhere; PIM-Only small: +36% link, "
+            "+116% DRAM energy; memory PCUs ~1.4% of HMC energy");
 
-    for (InputSize size : sizes) {
-        std::printf("\n--- (%s inputs; energy normalized to Ideal-Host "
-                    "total) ---\n",
-                    sizeName(size));
-        std::printf("%-5s %-11s | %7s %7s %7s %7s %7s %7s | %7s\n",
-                    "app", "config", "caches", "dram", "tsv", "link",
-                    "pcu", "pmu", "total");
-        std::vector<double> gm_host, gm_pim, gm_la;
-        for (WorkloadKind kind : apps) {
-            const auto &cell = cells[{(int)size, (int)kind}];
-            if (!peibench::allOk({cell[0], cell[1], cell[2], cell[3]}))
-                continue;
-            const auto &ideal = result(cell[0]);
-            const double base = ideal.energy.total();
-            const auto row = [&](const char *name,
-                                 const peibench::RunResult &r) {
-                const EnergyBreakdown &e = r.energy;
-                std::printf(
-                    "%-5s %-11s | %7.3f %7.3f %7.3f %7.3f %7.3f %7.3f "
-                    "| %7.3f\n",
-                    kindName(kind), name, e.caches / base,
-                    e.dram / base, e.tsv / base, e.offchip / base,
-                    e.pcu / base, e.pmu / base, e.total() / base);
-                return e.total() / base;
-            };
-            row("ideal", ideal);
-            gm_host.push_back(row("host-only", result(cell[1])));
-            gm_pim.push_back(row("pim-only", result(cell[2])));
-            gm_la.push_back(row("loc-aware", result(cell[3])));
+        for (InputSize size : sizes) {
+            std::printf("\n--- (%s inputs; energy normalized to Ideal-Host "
+                        "total) ---\n",
+                        sizeName(size));
+            std::printf("%-5s %-11s | %7s %7s %7s %7s %7s %7s | %7s\n",
+                        "app", "config", "caches", "dram", "tsv", "link",
+                        "pcu", "pmu", "total");
+            std::vector<double> gm_host, gm_pim, gm_la;
+            for (WorkloadKind kind : apps) {
+                const auto &cell = cells.at({(int)size, (int)kind});
+                if (!allOk({cell[0], cell[1], cell[2], cell[3]}))
+                    continue;
+                const auto &ideal = result(cell[0]);
+                const double base = ideal.energy.total();
+                const auto row = [&](const char *name,
+                                     const RunResult &r) {
+                    const EnergyBreakdown &e = r.energy;
+                    std::printf(
+                        "%-5s %-11s | %7.3f %7.3f %7.3f %7.3f %7.3f %7.3f "
+                        "| %7.3f\n",
+                        kindName(kind), name, e.caches / base,
+                        e.dram / base, e.tsv / base, e.offchip / base,
+                        e.pcu / base, e.pmu / base, e.total() / base);
+                    return e.total() / base;
+                };
+                row("ideal", ideal);
+                gm_host.push_back(row("host-only", result(cell[1])));
+                gm_pim.push_back(row("pim-only", result(cell[2])));
+                gm_la.push_back(row("loc-aware", result(cell[3])));
+            }
+            if (!gm_host.empty()) {
+                std::printf("GM    %-11s | %55s %7.3f\n", "host-only", "",
+                            geomean(gm_host));
+                std::printf("GM    %-11s | %55s %7.3f\n", "pim-only", "",
+                            geomean(gm_pim));
+                std::printf("GM    %-11s | %55s %7.3f\n", "loc-aware", "",
+                            geomean(gm_la));
+            }
         }
-        if (!gm_host.empty()) {
-            std::printf("GM    %-11s | %55s %7.3f\n", "host-only", "",
-                        geomean(gm_host));
-            std::printf("GM    %-11s | %55s %7.3f\n", "pim-only", "",
-                        geomean(gm_pim));
-            std::printf("GM    %-11s | %55s %7.3f\n", "loc-aware", "",
-                        geomean(gm_la));
-        }
-    }
-    return peibench::benchFinish();
+    };
 }

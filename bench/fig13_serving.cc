@@ -16,7 +16,6 @@
  * is byte-identical for any --jobs.
  */
 
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
@@ -28,10 +27,7 @@
 #include "runtime/runtime.hh"
 #include "serve/server.hh"
 
-using namespace pei;
-using peibench::RunHandle;
-using peibench::result;
-using peibench::submitCustom;
+using namespace peibench;
 
 namespace
 {
@@ -63,23 +59,14 @@ RunResult
 runServe(ExecMode mode, const ServeConfig &scfg, const std::string &label,
          JobCtx &ctx)
 {
-    SystemConfig cfg = SystemConfig::scaled(mode);
-    peibench::sweepOptions().knobs.applyTo(cfg);
+    const SystemConfig cfg = config(mode);
     System sys(cfg);
     Runtime rt(sys);
     Server server(sys, scfg);
     server.setup(rt);
     server.start(rt);
 
-    double wall = 0.0;
-    {
-        WatchGuard watch(ctx, sys.eventQueue());
-        const auto wall_start = std::chrono::steady_clock::now();
-        rt.run();
-        wall = std::chrono::duration<double>(
-                   std::chrono::steady_clock::now() - wall_start)
-                   .count();
-    }
+    const double wall = runWatched(rt, ctx);
 
     std::string msg;
     if (!server.validate(sys, msg))
@@ -116,18 +103,9 @@ jsonNumber(const std::string &json, const std::string &key)
 
 } // namespace
 
-int
-main(int argc, char **argv)
+Renderer
+fig13Serving()
 {
-    peibench::benchInit(argc, argv, "fig13_serving",
-                        {"--serving-json", "BENCH_serving.json"});
-
-    peibench::printHeader(
-        "Figure 13", "Serving saturation sweep (offered load vs tail "
-                     "latency per execution mode)",
-        "PEI benefits carry over to request serving: locality-aware "
-        "dispatch sustains higher load before the p99 knee");
-
     const ExecMode modes[] = {ExecMode::HostOnly, ExecMode::PimOnly,
                               ExecMode::LocalityAware};
     const double rates[] = {100, 200, 400, 800, 1600, 3200};
@@ -178,28 +156,33 @@ main(int argc, char **argv)
             {label, submitServe(ExecMode::LocalityAware, scfg, label)});
     }
 
-    peibench::sweepRun();
+    return [points] {
+        printHeader(
+            "Figure 13", "Serving saturation sweep (offered load vs tail "
+                         "latency per execution mode)",
+            "PEI benefits carry over to request serving: locality-aware "
+            "dispatch sustains higher load before the p99 knee");
 
-    std::printf("%-28s | %8s %8s %5s | %9s %9s %9s\n", "point",
-                "offered", "achieved", "shed", "p50", "p95", "p99");
-    for (const Point &p : points) {
-        if (!peibench::allOk({p.h}))
-            continue;
-        const std::string &aux = result(p.h).aux_json;
-        const double offered = jsonNumber(aux, "offered_per_mtick");
-        const double achieved = jsonNumber(aux, "achieved_per_mtick");
-        const double shed = jsonNumber(aux, "shed");
-        std::printf("%-28s | %8.1f %8.1f %5.0f | %9.0f %9.0f %9.0f%s\n",
-                    p.label.c_str(), offered, achieved, shed,
-                    jsonNumber(aux, "p50"), jsonNumber(aux, "p95"),
-                    jsonNumber(aux, "p99"),
-                    achieved < 0.9 * offered ? "  <- saturated" : "");
-    }
+        std::printf("%-28s | %8s %8s %5s | %9s %9s %9s\n", "point",
+                    "offered", "achieved", "shed", "p50", "p95", "p99");
+        for (const Point &p : points) {
+            if (!allOk({p.h}))
+                continue;
+            const std::string &aux = result(p.h).aux_json;
+            const double offered = jsonNumber(aux, "offered_per_mtick");
+            const double achieved = jsonNumber(aux, "achieved_per_mtick");
+            const double shed = jsonNumber(aux, "shed");
+            std::printf("%-28s | %8.1f %8.1f %5.0f | %9.0f %9.0f %9.0f%s\n",
+                        p.label.c_str(), offered, achieved, shed,
+                        jsonNumber(aux, "p50"), jsonNumber(aux, "p95"),
+                        jsonNumber(aux, "p99"),
+                        achieved < 0.9 * offered ? "  <- saturated" : "");
+        }
 
-    // The committed baseline: every run point's summary.
-    std::vector<peibench::BaselinePoint> baseline;
-    for (const Point &p : points)
-        baseline.push_back({{p.h}, [&p] { return result(p.h).aux_json; }});
-    peibench::writeBaseline(baseline);
-    return peibench::benchFinish();
+        // The committed baseline: every run point's summary.
+        std::vector<BaselinePoint> baseline;
+        for (const Point &p : points)
+            baseline.push_back({{p.h}, [&p] { return result(p.h).aux_json; }});
+        writeBaseline(baseline);
+    };
 }

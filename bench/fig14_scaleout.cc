@@ -22,11 +22,7 @@
 
 #include "bench/harness.hh"
 
-using namespace pei;
-using peibench::LinkStats;
-using peibench::RunHandle;
-using peibench::result;
-using peibench::submitWorkload;
+using namespace peibench;
 
 namespace
 {
@@ -37,14 +33,6 @@ utilization(const LinkStats &lp, Tick ticks)
     return ticks ? static_cast<double>(lp.busy_ticks) /
                        static_cast<double>(ticks)
                  : 0.0;
-}
-
-std::string
-fmt(const char *format, double v)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), format, v);
-    return buf;
 }
 
 std::string
@@ -64,7 +52,7 @@ pointJson(unsigned cubes, unsigned cores, const RunResult &host,
     s += ",\"res_hops\":" + std::to_string(la.stat("net.res_hops"));
     s += ",\"links\":[";
     bool first = true;
-    for (const LinkStats &lp : peibench::linkStats(la)) {
+    for (const LinkStats &lp : linkStats(la)) {
         if (!first)
             s += ",";
         first = false;
@@ -79,28 +67,9 @@ pointJson(unsigned cubes, unsigned cores, const RunResult &host,
 
 } // namespace
 
-int
-main(int argc, char **argv)
+Renderer
+fig14Scaleout()
 {
-    peibench::benchInit(argc, argv, "fig14_scaleout",
-                        {"--scaleout-json", "BENCH_scaleout.json"});
-
-    std::printf("==================================================="
-                "===========================\n");
-    std::printf("Scale-out study — PageRank speedup across cores x "
-                "cubes on the daisy chain\n");
-    std::printf("Paper: §8 names multi-HMC networks as future work; "
-                "the chain serializes all cubes\n");
-    std::printf("through one link pair and adds one hop latency per "
-                "cube passed\n");
-    std::printf("Config: SystemConfig::scaled() base; cores and cube "
-                "count swept below\n");
-    std::printf("==================================================="
-                "===========================\n");
-
-    const unsigned cube_counts[] = {2, 8};
-    const unsigned core_counts[] = {4, 16};
-
     struct Point
     {
         unsigned cubes;
@@ -109,8 +78,8 @@ main(int argc, char **argv)
         RunHandle la;
     };
     std::vector<Point> points;
-    for (const unsigned cubes : cube_counts) {
-        for (const unsigned cores : core_counts) {
+    for (const unsigned cubes : {2u, 8u}) {
+        for (const unsigned cores : {4u, 16u}) {
             const auto tweak = [cubes, cores](SystemConfig &cfg) {
                 cfg.hmc.num_cubes = cubes;
                 cfg.cores = cores;
@@ -118,61 +87,66 @@ main(int argc, char **argv)
             const std::string stem = "pr/c" + std::to_string(cubes) +
                                      "/cores" + std::to_string(cores) +
                                      "/";
-            Point p;
-            p.cubes = cubes;
-            p.cores = cores;
             // Medium is the regime where Locality-Aware beats
             // Host-Only (Fig. 6), so scale-out effects show up as
             // speedup deltas rather than uniform ~1.0 ratios.
-            const auto factory = [] {
-                return makeWorkload(WorkloadKind::PR, InputSize::Medium);
+            const auto run = [&](ExecMode mode) {
+                return submit(WorkloadKind::PR, InputSize::Medium, mode,
+                              tweak, stem + execModeName(mode));
             };
-            p.host = submitWorkload(
-                factory, stem + execModeName(ExecMode::HostOnly),
-                ExecMode::HostOnly, tweak);
-            p.la = submitWorkload(
-                factory, stem + execModeName(ExecMode::LocalityAware),
-                ExecMode::LocalityAware, tweak);
-            points.push_back(p);
+            points.push_back({cubes, cores, run(ExecMode::HostOnly),
+                              run(ExecMode::LocalityAware)});
         }
     }
-    peibench::sweepRun();
+    return [points] {
+        std::printf("==================================================="
+                    "===========================\n");
+        std::printf("Scale-out study — PageRank speedup across cores x "
+                    "cubes on the daisy chain\n");
+        std::printf("Paper: §8 names multi-HMC networks as future work; "
+                    "the chain serializes all cubes\n");
+        std::printf("through one link pair and adds one hop latency per "
+                    "cube passed\n");
+        std::printf("Config: SystemConfig::scaled() base; cores and cube "
+                    "count swept below\n");
+        std::printf("==================================================="
+                    "===========================\n");
 
-    std::printf("\n--- (PageRank medium, Locality-Aware vs. "
-                "Host-Only) ---\n");
-    std::printf("%5s %5s %14s %14s %8s %9s %9s %9s\n", "cubes", "cores",
-                "host ticks", "LA ticks", "speedup", "req hops",
-                "res hops", "max util");
-    for (const Point &p : points) {
-        if (!peibench::allOk({p.host, p.la}))
-            continue;
-        const RunResult &host = result(p.host);
-        const RunResult &la = result(p.la);
-        double max_util = 0.0;
-        for (const LinkStats &lp : peibench::linkStats(la))
-            max_util = std::max(max_util, utilization(lp, la.ticks));
-        std::printf("%5u %5u %14llu %14llu %8.3f %9llu %9llu %9.6f\n",
-                    p.cubes, p.cores,
-                    static_cast<unsigned long long>(host.ticks),
-                    static_cast<unsigned long long>(la.ticks),
-                    la.ticks ? static_cast<double>(host.ticks) /
-                                   static_cast<double>(la.ticks)
-                             : 0.0,
-                    static_cast<unsigned long long>(
-                        la.stat("net.req_hops")),
-                    static_cast<unsigned long long>(
-                        la.stat("net.res_hops")),
-                    max_util);
-    }
+        std::printf("\n--- (PageRank medium, Locality-Aware vs. "
+                    "Host-Only) ---\n");
+        std::printf("%5s %5s %14s %14s %8s %9s %9s %9s\n", "cubes", "cores",
+                    "host ticks", "LA ticks", "speedup", "req hops",
+                    "res hops", "max util");
+        for (const Point &p : points) {
+            if (!allOk({p.host, p.la}))
+                continue;
+            const RunResult &host = result(p.host);
+            const RunResult &la = result(p.la);
+            double max_util = 0.0;
+            for (const LinkStats &lp : linkStats(la))
+                max_util = std::max(max_util, utilization(lp, la.ticks));
+            std::printf("%5u %5u %14llu %14llu %8.3f %9llu %9llu %9.6f\n",
+                        p.cubes, p.cores,
+                        static_cast<unsigned long long>(host.ticks),
+                        static_cast<unsigned long long>(la.ticks),
+                        la.ticks ? static_cast<double>(host.ticks) /
+                                       static_cast<double>(la.ticks)
+                                 : 0.0,
+                        static_cast<unsigned long long>(
+                            la.stat("net.req_hops")),
+                        static_cast<unsigned long long>(
+                            la.stat("net.res_hops")),
+                        max_util);
+        }
 
-    std::vector<peibench::BaselinePoint> baseline;
-    for (const Point &p : points) {
-        baseline.push_back({{p.host, p.la}, [&p] {
-                                return pointJson(p.cubes, p.cores,
-                                                 result(p.host),
-                                                 result(p.la));
-                            }});
-    }
-    peibench::writeBaseline(baseline);
-    return peibench::benchFinish();
+        std::vector<BaselinePoint> baseline;
+        for (const Point &p : points) {
+            baseline.push_back({{p.host, p.la}, [&p] {
+                                    return pointJson(p.cubes, p.cores,
+                                                     result(p.host),
+                                                     result(p.la));
+                                }});
+        }
+        writeBaseline(baseline);
+    };
 }

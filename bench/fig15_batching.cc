@@ -22,10 +22,7 @@
 
 #include "bench/harness.hh"
 
-using namespace pei;
-using peibench::RunHandle;
-using peibench::result;
-using peibench::submitWorkload;
+using namespace peibench;
 
 namespace
 {
@@ -44,14 +41,6 @@ peisPerSecond(const RunResult &r)
                          static_cast<double>(ticks_per_second) /
                          static_cast<double>(r.ticks)
                    : 0.0;
-}
-
-std::string
-fmt(const char *format, double v)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), format, v);
-    return buf;
 }
 
 std::string
@@ -77,86 +66,77 @@ pointJson(unsigned batch, const RunResult &r, std::uint64_t base_link_flits)
 
 } // namespace
 
-int
-main(int argc, char **argv)
+Renderer
+fig15Batching()
 {
-    peibench::benchInit(argc, argv, "fig15_batching",
-                        {"--batching-json", "BENCH_batching.json"});
-
-    std::printf("==================================================="
-                "===========================\n");
-    std::printf("Batched dispatch study — ATF (PIM-Only) across "
-                "PMU batch limits\n");
-    std::printf("Extension: per-op dispatch sends one request packet "
-                "per PEI; the batching window\n");
-    std::printf("coalesces same-vault PEIs into trains sharing one "
-                "header flit and one coherence act\n");
-    std::printf("Config: SystemConfig::scaled() base; --pei-batch "
-                "swept below\n");
-    std::printf("==================================================="
-                "===========================\n");
-
-    const unsigned batches[] = {1, 4, 8};
-
     struct Point
     {
         unsigned batch;
         RunHandle run;
     };
     std::vector<Point> points;
-    for (const unsigned batch : batches) {
+    for (const unsigned batch : {1u, 4u, 8u}) {
         const auto tweak = [batch](SystemConfig &cfg) {
             cfg.pim.pei_batch = batch;
         };
         // PIM-Only sends every PEI to the memory side, so the window
         // sees the densest same-vault arrival stream the workload can
         // produce — the regime batching targets.
-        const auto factory = [] {
-            return makeWorkload(WorkloadKind::ATF, InputSize::Medium);
-        };
-        const std::string label = "atf/batch" + std::to_string(batch);
-        points.push_back({batch, submitWorkload(factory, label,
-                                                ExecMode::PimOnly, tweak)});
+        points.push_back({batch, submit(WorkloadKind::ATF, InputSize::Medium,
+                                        ExecMode::PimOnly, tweak,
+                                        "atf/batch" + std::to_string(batch))});
     }
-    peibench::sweepRun();
+    return [points] {
+        std::printf("==================================================="
+                    "===========================\n");
+        std::printf("Batched dispatch study — ATF (PIM-Only) across "
+                    "PMU batch limits\n");
+        std::printf("Extension: per-op dispatch sends one request packet "
+                    "per PEI; the batching window\n");
+        std::printf("coalesces same-vault PEIs into trains sharing one "
+                    "header flit and one coherence act\n");
+        std::printf("Config: SystemConfig::scaled() base; --pei-batch "
+                    "swept below\n");
+        std::printf("==================================================="
+                    "===========================\n");
 
-    // The batch=1 point is the per-op dispatch baseline every
-    // reduction figure is computed against.
-    std::uint64_t base_link_flits = 0;
-    for (const Point &p : points) {
-        if (p.batch == 1 && result(p.run).ok())
-            base_link_flits = linkFlits(result(p.run));
-    }
+        // The batch=1 point is the per-op dispatch baseline every
+        // reduction figure is computed against.
+        std::uint64_t base_link_flits = 0;
+        for (const Point &p : points) {
+            if (p.batch == 1 && result(p.run).ok())
+                base_link_flits = linkFlits(result(p.run));
+        }
 
-    std::printf("\n%5s %14s %12s %8s %8s %10s %10s %7s\n", "batch",
-                "ticks", "PEIs/s", "trains", "batched", "req flits",
-                "link flits", "reduc");
-    for (const Point &p : points) {
-        if (!peibench::allOk({p.run}))
-            continue;
-        const RunResult &r = result(p.run);
-        const std::uint64_t flits = linkFlits(r);
-        std::printf(
-            "%5u %14llu %12.3e %8llu %8llu %10llu %10llu %6.1f%%\n",
-            p.batch, static_cast<unsigned long long>(r.ticks),
-            peisPerSecond(r),
-            static_cast<unsigned long long>(r.stat("pmu.pei_trains")),
-            static_cast<unsigned long long>(r.stat("pmu.batched_peis")),
-            static_cast<unsigned long long>(r.stat("net.req.flits")),
-            static_cast<unsigned long long>(flits),
-            base_link_flits
-                ? 100.0 * (1.0 - static_cast<double>(flits) /
-                                     static_cast<double>(base_link_flits))
-                : 0.0);
-    }
+        std::printf("\n%5s %14s %12s %8s %8s %10s %10s %7s\n", "batch",
+                    "ticks", "PEIs/s", "trains", "batched", "req flits",
+                    "link flits", "reduc");
+        for (const Point &p : points) {
+            if (!allOk({p.run}))
+                continue;
+            const RunResult &r = result(p.run);
+            const std::uint64_t flits = linkFlits(r);
+            std::printf(
+                "%5u %14llu %12.3e %8llu %8llu %10llu %10llu %6.1f%%\n",
+                p.batch, static_cast<unsigned long long>(r.ticks),
+                peisPerSecond(r),
+                static_cast<unsigned long long>(r.stat("pmu.pei_trains")),
+                static_cast<unsigned long long>(r.stat("pmu.batched_peis")),
+                static_cast<unsigned long long>(r.stat("net.req.flits")),
+                static_cast<unsigned long long>(flits),
+                base_link_flits
+                    ? 100.0 * (1.0 - static_cast<double>(flits) /
+                                         static_cast<double>(base_link_flits))
+                    : 0.0);
+        }
 
-    std::vector<peibench::BaselinePoint> baseline;
-    for (const Point &p : points) {
-        baseline.push_back({{p.run}, [&p, base_link_flits] {
-                                return pointJson(p.batch, result(p.run),
-                                                 base_link_flits);
-                            }});
-    }
-    peibench::writeBaseline(baseline);
-    return peibench::benchFinish();
+        std::vector<BaselinePoint> baseline;
+        for (const Point &p : points) {
+            baseline.push_back({{p.run}, [&p, base_link_flits] {
+                                    return pointJson(p.batch, result(p.run),
+                                                     base_link_flits);
+                                }});
+        }
+        writeBaseline(baseline);
+    };
 }

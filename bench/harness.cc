@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <mutex>
+#include <sstream>
 
 #include "common/logging.hh"
 #include "driver/sweep.hh"
@@ -17,14 +18,28 @@ namespace peibench
 namespace
 {
 
-std::string bench_name;        ///< set by benchInit
 std::string stats_json_path;   ///< "" = recording disabled
-std::string baseline_path;     ///< "" = no baseline document
 SweepOptions sweep_opts;
 
 Sweep sweep;                        ///< submitted jobs
 std::vector<RunResult> results;     ///< per submission index
 SweepReport report;                 ///< filled by sweepRun
+
+/** A non-custom run: equal keys simulate the same thing. */
+struct RunKey
+{
+    WorkloadKind kind;
+    InputSize size;
+    const NamedGraphSpec *graph; ///< PR on a Fig. 2 graph; then
+                                 ///< kind and size are unused
+    SystemConfig cfg;
+
+    bool operator==(const RunKey &) const = default;
+};
+std::vector<std::pair<RunKey, RunHandle>> runs; ///< submission order
+
+const Artifact *rendering = nullptr; ///< artifact whose renderer runs
+std::string rendering_path;          ///< its explicit baseline path
 
 /**
  * Guards the flush state below.  Workers append to `completed` as
@@ -34,7 +49,6 @@ SweepReport report;                 ///< filled by sweepRun
 std::mutex flush_mutex;
 std::vector<std::size_t> completed;
 std::vector<std::string> failure_records;
-bool flush_registered = false;
 
 /** Write all completed records (submission order) + failures. */
 void
@@ -53,7 +67,7 @@ flushLocked()
     // The hit/miss split is interleaving-independent (one miss per
     // distinct key), so the document stays deterministic for any
     // --jobs once the final atexit flush lands.
-    writeRunRecords(stats_json_path, bench_name, records,
+    writeRunRecords(stats_json_path, "peibench", records,
                     failure_records,
                     "\"input_cache\":" + inputCacheCountersJson());
 }
@@ -68,8 +82,6 @@ flushAtExit()
 RunHandle
 submitJob(SimJob &&sim)
 {
-    // The knob flags apply to every submitted simulation.
-    sim.knobs = sweep_opts.knobs;
     const std::string label = sim.label;
     return sweep.add(label, [sim = std::move(sim)](JobCtx &ctx) {
         const std::size_t idx = ctx.index();
@@ -83,62 +95,32 @@ submitJob(SimJob &&sim)
     });
 }
 
-} // namespace
-
-void
-benchInit(int argc, char **argv, const std::string &name,
-          Baseline baseline)
-{
-    bench_name = name;
-    std::vector<OwnFlag> own = {{"--stats-json", true, &stats_json_path}};
-    if (baseline.flag) {
-        baseline_path = std::string(PEISIM_ROOT "/") + baseline.file;
-        own.push_back({baseline.flag, true, &baseline_path});
-    }
-    sweep_opts = sweepOptionsFromArgs(argc, argv, own);
-    if (!flush_registered) {
-        std::atexit(flushAtExit);
-        flush_registered = true;
-    }
-}
-
+/** Queue @p key's run, or name its earlier run also @p label. */
 RunHandle
-submit(WorkloadKind kind, InputSize size, ExecMode mode,
-       const ConfigTweak &tweak)
+submitRun(const RunKey &key, const std::string &label)
 {
-    SimJob sim;
-    sim.label = std::string(kindName(kind)) + "/" + sizeName(size) + "/" +
-                execModeName(mode);
-    sim.factory = [kind, size] { return makeWorkload(kind, size); };
-    sim.mode = mode;
-    sim.tweak = tweak;
-    return submitJob(std::move(sim));
-}
-
-RunHandle
-submitWorkload(const std::function<std::unique_ptr<Workload>()> &factory,
-               const std::string &label, ExecMode mode,
-               const ConfigTweak &tweak, unsigned threads)
-{
+    for (const auto &[k, h] : runs) {
+        if (k == key) {
+            sweep.alias(h, label);
+            return h;
+        }
+    }
     SimJob sim;
     sim.label = label;
-    sim.factory = factory;
-    sim.mode = mode;
-    sim.tweak = tweak;
-    sim.threads = threads;
-    return submitJob(std::move(sim));
+    sim.factory = [kind = key.kind, size = key.size, graph = key.graph] {
+        return graph ? makePageRank(graph->vertices, graph->edges, 1, 1)
+                     : makeWorkload(kind, size);
+    };
+    sim.cfg = key.cfg;
+    const RunHandle h = submitJob(std::move(sim));
+    runs.emplace_back(key, h);
+    return h;
 }
 
-RunHandle
-submitCustom(const std::string &label,
-             std::function<RunResult(JobCtx &)> fn)
-{
-    SimJob sim;
-    sim.label = label;
-    sim.custom = std::move(fn);
-    return submitJob(std::move(sim));
-}
-
+/**
+ * Execute every submitted job.  Under `--list`, print each distinct
+ * run's first label, one per line, and exit(0) instead.
+ */
 void
 sweepRun()
 {
@@ -170,30 +152,33 @@ sweepRun()
     flushLocked();
 }
 
-const SweepOptions &
-sweepOptions()
+/**
+ * The artifacts @p only names (comma-separated; "" = all), in table
+ * order.  An unknown name is fatal.
+ */
+std::vector<const Artifact *>
+selectArtifacts(const std::vector<Artifact> &artifacts,
+                const std::string &only)
 {
-    return sweep_opts;
-}
-
-const RunResult &
-result(RunHandle h)
-{
-    fatal_if(h >= results.size(),
-             "result(%zu) before sweepRun() or out of range", h);
-    return results[h];
-}
-
-bool
-allOk(std::initializer_list<RunHandle> hs)
-{
-    for (RunHandle h : hs) {
-        if (!result(h).ok())
-            return false;
+    std::vector<std::string> names;
+    std::istringstream in(only);
+    for (std::string name; std::getline(in, name, ',');)
+        names.push_back(name);
+    const bool all = names.empty();
+    std::vector<const Artifact *> selected;
+    std::string known;
+    for (const Artifact &a : artifacts) {
+        known += std::string(known.empty() ? "" : ", ") + a.name;
+        if (std::erase(names, a.name) || all)
+            selected.push_back(&a);
     }
-    return true;
+    fatal_if(!names.empty(),
+             "--only: unknown artifact '%s' (artifacts: %s)",
+             names.front().c_str(), known.c_str());
+    return selected;
 }
 
+/** Flush the stats-v2 document, print the summary, return the code. */
 int
 benchFinish()
 {
@@ -227,23 +212,120 @@ benchFinish()
     return report.clean() ? 0 : 1;
 }
 
+} // namespace
+
+int
+benchMain(int argc, char **argv, const std::vector<Artifact> &artifacts)
+{
+    std::string only;
+    std::vector<std::string> baseline_paths(artifacts.size());
+    std::vector<OwnFlag> own = {{"--stats-json", true, &stats_json_path},
+                                {"--only", true, &only}};
+    for (std::size_t i = 0; i < artifacts.size(); ++i) {
+        if (artifacts[i].baseline_flag)
+            own.push_back({artifacts[i].baseline_flag, true,
+                           &baseline_paths[i]});
+    }
+    sweep_opts = sweepOptionsFromArgs(argc, argv, own);
+    std::atexit(flushAtExit);
+
+    std::vector<std::pair<const Artifact *, Renderer>> selected;
+    for (const Artifact *a : selectArtifacts(artifacts, only))
+        selected.emplace_back(a, a->submit());
+    sweepRun();
+    for (const auto &[a, render] : selected) {
+        rendering = a;
+        rendering_path = baseline_paths[a - artifacts.data()];
+        render();
+    }
+    return benchFinish();
+}
+
+RunHandle
+submit(WorkloadKind kind, InputSize size, ExecMode mode,
+       const ConfigTweak &tweak, const std::string &label)
+{
+    RunKey key{kind, size, nullptr, config(mode)};
+    if (tweak)
+        tweak(key.cfg);
+    return submitRun(key, !label.empty()
+                              ? label
+                              : std::string(kindName(kind)) + "/" +
+                                    sizeName(size) + "/" +
+                                    execModeName(mode));
+}
+
+RunHandle
+submitGraph(const NamedGraphSpec &graph, ExecMode mode)
+{
+    return submitRun({WorkloadKind::PR, InputSize::Small, &graph,
+                      config(mode)},
+                     std::string("PR/") + graph.name + "/" +
+                         execModeName(mode));
+}
+
+RunHandle
+submitCustom(const std::string &label,
+             std::function<RunResult(JobCtx &)> fn)
+{
+    SimJob sim;
+    sim.label = label;
+    sim.custom = std::move(fn);
+    return submitJob(std::move(sim));
+}
+
+SystemConfig
+config(ExecMode mode)
+{
+    SystemConfig cfg = SystemConfig::scaled(mode);
+    sweep_opts.knobs.applyTo(cfg);
+    return cfg;
+}
+
+const SweepOptions &
+sweepOptions()
+{
+    return sweep_opts;
+}
+
+const RunResult &
+result(RunHandle h)
+{
+    fatal_if(h >= results.size(),
+             "result(%zu) before the sweep or out of range", h);
+    return results[h];
+}
+
+bool
+allOk(std::initializer_list<RunHandle> hs)
+{
+    for (RunHandle h : hs) {
+        if (!result(h).ok())
+            return false;
+    }
+    return true;
+}
+
 void
 writeBaseline(const std::vector<BaselinePoint> &points)
 {
-    panic_if(baseline_path.empty(), "%s declares no baseline",
-             bench_name.c_str());
-    bool all_ok = true;
-    std::string doc = "{\"bench\":\"" + bench_name + "\",\"points\":[";
+    panic_if(!rendering || !rendering->baseline_file,
+             "writeBaseline outside a renderer with a baseline");
+    bool failed = false, skipped = false;
+    std::string doc =
+        std::string("{\"bench\":\"") + rendering->name + "\",\"points\":[";
     for (const BaselinePoint &p : points) {
-        bool skipped = false, ok = true;
+        bool point_skipped = false, ok = true;
         for (RunHandle h : p.runs) {
-            skipped = skipped || result(h).status == JobStatus::Skipped;
+            point_skipped = point_skipped ||
+                            result(h).status == JobStatus::Skipped;
             ok = ok && result(h).ok();
         }
-        if (skipped)
+        skipped = skipped || point_skipped;
+        if (point_skipped)
             continue;
         if (!ok) {
-            all_ok = false;
+            failed = true;
             continue;
         }
         if (doc.back() != '[')
@@ -251,15 +333,24 @@ writeBaseline(const std::vector<BaselinePoint> &points)
         doc += "\n" + p.json();
     }
     doc += "\n]}\n";
-    if (!all_ok) {
-        std::fprintf(stderr, "%s: baseline NOT written (failed points)\n",
-                     bench_name.c_str());
+
+    // The file at the repo root holds the full default sweep only;
+    // any other run writes its baseline only where its flag points.
+    std::string path = rendering_path;
+    if (path.empty() && !skipped && sweep_opts.knobs.offDefault().empty())
+        path = std::string(PEISIM_ROOT "/") + rendering->baseline_file;
+    if (failed || path.empty()) {
+        std::fprintf(stderr, "%s: baseline NOT written (%s)\n",
+                     rendering->name,
+                     failed ? "failed points"
+                            : "skipped points or off-default knobs; "
+                              "name a path to write one");
         return;
     }
-    std::ofstream out(baseline_path, std::ios::trunc);
+    std::ofstream out(path, std::ios::trunc);
     out << doc;
-    std::fprintf(stderr, "%s: baseline written to %s\n",
-                 bench_name.c_str(), baseline_path.c_str());
+    std::fprintf(stderr, "%s: baseline written to %s\n", rendering->name,
+                 path.c_str());
 }
 
 std::vector<LinkStats>
@@ -283,6 +374,14 @@ printHeader(const std::string &figure, const std::string &what,
                 "1 HMC x 16 vaults, 5 GB/s/dir links\n");
     std::printf("==================================================="
                 "===========================\n");
+}
+
+std::string
+fmt(const char *format, double v)
+{
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), format, v);
+    return buf;
 }
 
 double

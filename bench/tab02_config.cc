@@ -9,7 +9,7 @@
 
 #include "bench/harness.hh"
 
-using namespace pei;
+using namespace peibench;
 
 namespace
 {
@@ -70,22 +70,23 @@ show(const char *title, const SystemConfig &cfg)
 
 } // namespace
 
-int
-main(int argc, char **argv)
+Renderer
+tab02Config()
 {
-    peibench::benchInit(argc, argv, "tab02_config");
-    peibench::printHeader("Table 2", "Baseline Simulation Configuration",
-                          "16 OoO cores, 32 KB/256 KB/16 MB caches, "
-                          "8 HMCs (32 GB), 80 GB/s full-duplex chain");
-    // The knob flags preview the table of a swept configuration.
-    const KnobSet &knobs = peibench::sweepOptions().knobs;
-    SystemConfig paper = SystemConfig::paperBaseline();
-    knobs.applyTo(paper);
-    show("paperBaseline() — Table 2 as published", paper);
-    SystemConfig scaled = SystemConfig::scaled();
-    knobs.applyTo(scaled);
-    show("scaled() — bench configuration (1/16 caches, 1 cube, "
-         "bandwidth ratio preserved)",
-         scaled);
-    return peibench::benchFinish();
+    return [] {
+        printHeader("Table 2", "Baseline Simulation Configuration",
+                              "16 OoO cores, 32 KB/256 KB/16 MB caches, "
+                              "8 HMCs (32 GB), 80 GB/s full-duplex chain");
+
+        // The knob flags preview the table of a swept configuration.
+        const KnobSet &knobs = sweepOptions().knobs;
+        SystemConfig paper = SystemConfig::paperBaseline();
+        knobs.applyTo(paper);
+        show("paperBaseline() — Table 2 as published", paper);
+        SystemConfig scaled = SystemConfig::scaled();
+        knobs.applyTo(scaled);
+        show("scaled() — bench configuration (1/16 caches, 1 cube, "
+             "bandwidth ratio preserved)",
+             scaled);
+    };
 }

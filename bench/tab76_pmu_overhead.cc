@@ -15,10 +15,7 @@
 
 #include "bench/harness.hh"
 
-using namespace pei;
-using peibench::RunHandle;
-using peibench::result;
-using peibench::submitWorkload;
+using namespace peibench;
 
 namespace
 {
@@ -27,25 +24,16 @@ RunHandle
 submitVariant(WorkloadKind kind, const char *variant,
               const ConfigTweak &tweak)
 {
-    const std::string label = std::string(kindName(kind)) +
-                              "/medium/Locality-Aware/" + variant;
-    return submitWorkload(
-        [kind] { return makeWorkload(kind, InputSize::Medium); }, label,
-        ExecMode::LocalityAware, tweak);
+    return submit(kind, InputSize::Medium, ExecMode::LocalityAware, tweak,
+                  std::string(kindName(kind)) + "/medium/Locality-Aware/" +
+                      variant);
 }
 
 } // namespace
 
-int
-main(int argc, char **argv)
+Renderer
+tab76PmuOverhead()
 {
-    peibench::benchInit(argc, argv, "tab76_pmu_overhead");
-    peibench::printHeader(
-        "Section 7.6", "Performance overhead of the PMU "
-                       "(Locality-Aware, medium inputs)",
-        "ideal directory +0.13%, ideal locality monitor +0.31% — "
-        "both negligible");
-
     struct Row
     {
         WorkloadKind kind;
@@ -73,29 +61,34 @@ main(int argc, char **argv)
                  cfg.pim.monitor_partial_tag_bits = 30;
              })});
     }
-    peibench::sweepRun();
+    return [rows] {
+        printHeader(
+            "Section 7.6", "Performance overhead of the PMU "
+                           "(Locality-Aware, medium inputs)",
+            "ideal directory +0.13%, ideal locality monitor +0.31% — "
+            "both negligible");
 
-    std::printf("%-5s %12s %12s %12s %12s\n", "app", "default",
-                "ideal-dir", "ideal-mon", "ideal-both");
-    for (const Row &row : rows) {
-        if (!peibench::allOk(
-                {row.base, row.ideal_dir, row.ideal_mon, row.ideal_both}))
-            continue;
-        const auto &base = result(row.base);
-        const auto gain = [&](const peibench::RunResult &r) {
-            return 100.0 * (static_cast<double>(base.ticks) /
-                                static_cast<double>(r.ticks) -
-                            1.0);
-        };
-        std::printf("%-5s %12llu %+11.2f%% %+11.2f%% %+11.2f%%\n",
-                    kindName(row.kind),
-                    (unsigned long long)(base.ticks / 1000),
-                    gain(result(row.ideal_dir)),
-                    gain(result(row.ideal_mon)),
-                    gain(result(row.ideal_both)));
-    }
-    std::printf("\n(default column in kiloticks; others show speedup "
-                "from idealization — paper reports\n+0.13%% and "
-                "+0.31%%, i.e. negligible.)\n");
-    return peibench::benchFinish();
+        std::printf("%-5s %12s %12s %12s %12s\n", "app", "default",
+                    "ideal-dir", "ideal-mon", "ideal-both");
+        for (const Row &row : rows) {
+            if (!allOk(
+                    {row.base, row.ideal_dir, row.ideal_mon, row.ideal_both}))
+                continue;
+            const auto &base = result(row.base);
+            const auto gain = [&](const RunResult &r) {
+                return 100.0 * (static_cast<double>(base.ticks) /
+                                    static_cast<double>(r.ticks) -
+                                1.0);
+            };
+            std::printf("%-5s %12llu %+11.2f%% %+11.2f%% %+11.2f%%\n",
+                        kindName(row.kind),
+                        (unsigned long long)(base.ticks / 1000),
+                        gain(result(row.ideal_dir)),
+                        gain(result(row.ideal_mon)),
+                        gain(result(row.ideal_both)));
+        }
+        std::printf("\n(default column in kiloticks; others show speedup "
+                    "from idealization — paper reports\n+0.13%% and "
+                    "+0.31%%, i.e. negligible.)\n");
+    };
 }

@@ -55,6 +55,8 @@ struct CacheConfig
 
     unsigned core_mshrs = 16; ///< per-core outstanding misses
     unsigned l3_mshrs = 64;   ///< outstanding DRAM fetches
+
+    bool operator==(const CacheConfig &) const = default;
 };
 
 /**

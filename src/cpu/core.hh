@@ -32,6 +32,8 @@ struct CoreConfig
     unsigned window = 64;      ///< max in-flight memory ops / PEIs
     unsigned tlb_entries = 64;
     double tlb_walk_ns = 30.0; ///< page-walk penalty on TLB miss
+
+    bool operator==(const CoreConfig &) const = default;
 };
 
 /** One host core: window accounting + TLB + retirement counters. */

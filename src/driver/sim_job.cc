@@ -42,6 +42,17 @@ collectRun(System &sys, RunResult &r, double wall_seconds,
     r.stats_record = runRecordJson(sys, wall_seconds, label);
 }
 
+double
+runWatched(Runtime &rt, JobCtx &ctx)
+{
+    WatchGuard watch(ctx, rt.system().eventQueue());
+    const auto wall_start = std::chrono::steady_clock::now();
+    rt.run();
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         wall_start)
+        .count();
+}
+
 RunResult
 runSimJob(const SimJob &job, JobCtx &ctx)
 {
@@ -51,27 +62,14 @@ runSimJob(const SimJob &job, JobCtx &ctx)
         return r;
     }
 
-    SystemConfig cfg = SystemConfig::scaled(job.mode);
-    job.knobs.applyTo(cfg);
-    if (job.tweak)
-        job.tweak(cfg);
-    System sys(cfg);
+    System sys(job.cfg);
     Runtime rt(sys);
 
     std::unique_ptr<Workload> w = job.factory();
     w->setup(rt);
-    w->spawn(rt, job.threads ? job.threads : sys.numCores());
+    w->spawn(rt, sys.numCores());
 
-    RunResult r;
-    double wall = 0.0;
-    {
-        WatchGuard watch(ctx, sys.eventQueue());
-        const auto wall_start = std::chrono::steady_clock::now();
-        rt.run();
-        wall = std::chrono::duration<double>(
-                   std::chrono::steady_clock::now() - wall_start)
-                   .count();
-    }
+    const double wall = runWatched(rt, ctx);
 
     std::string msg;
     if (!w->validate(sys, msg)) {
@@ -79,6 +77,7 @@ runSimJob(const SimJob &job, JobCtx &ctx)
                                  " validation failed: " + msg);
     }
 
+    RunResult r;
     collectRun(sys, r, wall, job.label);
     r.status = JobStatus::Ok;
     return r;

@@ -19,7 +19,7 @@
 
 #include "driver/job.hh"
 #include "energy/energy_model.hh"
-#include "runtime/knobs.hh"
+#include "runtime/system.hh"
 #include "workloads/workload.hh"
 
 namespace pei
@@ -87,26 +87,20 @@ struct RunResult
     }
 };
 
-/** Hook to tweak the SystemConfig before construction. */
-using ConfigTweak = std::function<void(SystemConfig &)>;
-
 /** Description of one simulation to run inside a worker. */
 struct SimJob
 {
     std::string label;
     std::function<std::unique_ptr<Workload>()> factory;
-    ExecMode mode = ExecMode::HostOnly;
-    /** Knob assignments, applied before @ref tweak so a tweak can
-     *  still override them. */
-    KnobSet knobs;
-    ConfigTweak tweak;
-    unsigned threads = 0;  ///< 0 = one coroutine per core
+    /** The full machine configuration; one coroutine per core. */
+    SystemConfig cfg;
 
     /**
      * Escape hatch for benches that drive Runtime themselves (e.g.
      * two workloads sharing one System): when set, runSimJob just
      * invokes it.  The custom fn must watch its EventQueue(s) via
-     * WatchGuard and fill the RunResult itself (collectRun helps).
+     * WatchGuard (runWatched does) and fill the RunResult itself
+     * (collectRun helps).
      */
     std::function<RunResult(JobCtx &)> custom;
 };
@@ -118,6 +112,12 @@ struct SimJob
  */
 void collectRun(System &sys, RunResult &r, double wall_seconds,
                 const std::string &label);
+
+/**
+ * Run @p rt to completion under @p ctx's timeout watch; returns the
+ * host wall-clock seconds it took.
+ */
+double runWatched(Runtime &rt, JobCtx &ctx);
 
 /**
  * Execute @p job to completion inside the current worker thread.

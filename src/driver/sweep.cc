@@ -37,11 +37,18 @@ failureRecordJson(const JobOutcome &outcome)
 std::size_t
 Sweep::add(std::string label, std::function<void(JobCtx &)> fn)
 {
-    for (const Job &job : jobs)
-        fatal_if(job.label == label, "duplicate job label '%s'",
-                 label.c_str());
+    const bool added = owner.emplace(label, jobs.size()).second;
+    fatal_if(!added, "duplicate job label '%s'", label.c_str());
     jobs.push_back(Job{std::move(label), std::move(fn)});
     return jobs.size() - 1;
+}
+
+void
+Sweep::alias(std::size_t index, const std::string &label)
+{
+    const auto [it, added] = owner.emplace(label, index);
+    fatal_if(!added && it->second != index, "duplicate job label '%s'",
+             label.c_str());
 }
 
 std::vector<std::string>
@@ -61,9 +68,14 @@ Sweep::run(const SweepOptions &opts)
     // stay stable, so result slots still line up with handles.
     std::vector<Job> filtered = jobs;
     if (!opts.filter.empty()) {
-        for (Job &job : filtered) {
-            if (job.label.find(opts.filter) == std::string::npos)
-                job.fn = nullptr;
+        std::vector<bool> keep(jobs.size());
+        for (const auto &[label, index] : owner) {
+            if (label.find(opts.filter) != std::string::npos)
+                keep[index] = true;
+        }
+        for (std::size_t i = 0; i < filtered.size(); ++i) {
+            if (!keep[i])
+                filtered[i].fn = nullptr;
         }
     }
 

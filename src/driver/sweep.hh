@@ -15,6 +15,7 @@
 #define PEISIM_DRIVER_SWEEP_HH
 
 #include <cstddef>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -49,19 +50,26 @@ class Sweep
   public:
     /**
      * Append a job; returns its submission index.  Labels name jobs
-     * in --filter, --list and stats-v2 records, so a duplicate label
-     * is fatal.
+     * in --filter, --list and stats-v2 records, so a label already
+     * naming a job is fatal.
      */
     std::size_t add(std::string label, std::function<void(JobCtx &)> fn);
 
-    /** Labels of all added jobs, in submission order. */
+    /**
+     * Name job @p index also @p label: --filter matches it, while
+     * --list and records keep the job's first label.  Fatal if
+     * @p label names another job; a no-op if it names this one.
+     */
+    void alias(std::size_t index, const std::string &label);
+
+    /** First labels of all added jobs, in submission order. */
     std::vector<std::string> labels() const;
 
     std::size_t size() const { return jobs.size(); }
 
     /**
-     * Execute every job whose label passes opts.filter (substring
-     * match; filtered-out jobs yield Skipped outcomes) on
+     * Execute every job with a label that passes opts.filter
+     * (substring match; filtered-out jobs yield Skipped outcomes) on
      * resolveWorkerCount(opts) workers and return the report.
      * Ignores opts.list — callers decide how to render a listing.
      */
@@ -69,6 +77,7 @@ class Sweep
 
   private:
     std::vector<Job> jobs;
+    std::map<std::string, std::size_t> owner; ///< every label -> job
 };
 
 } // namespace pei

@@ -57,6 +57,8 @@ struct DdrConfig
     /** Write-queue drain hysteresis: drain from high down to low. */
     unsigned write_drain_low = 8;
     unsigned write_drain_high = 24;
+
+    bool operator==(const DdrConfig &) const = default;
 };
 
 /**

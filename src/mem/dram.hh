@@ -39,6 +39,8 @@ struct DramConfig
     unsigned banks_per_vault = 16;
     /** Vertical (TSV) bandwidth per vault, GB/s. */
     double tsv_gbps = 16.0;
+
+    bool operator==(const DramConfig &) const = default;
 };
 
 /**

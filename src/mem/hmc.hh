@@ -40,6 +40,8 @@ struct HmcConfig
     unsigned vaults_per_cube = 16;
     DramConfig dram;
     HmcLinkConfig link;
+
+    bool operator==(const HmcConfig &) const = default;
 };
 
 /**

@@ -35,6 +35,8 @@ struct IdealMemConfig
     unsigned pim_units = 16;     ///< PIM sites (power of 2)
     unsigned banks_per_unit = 16;   ///< address-map geometry only
     std::uint64_t row_bytes = 8192; ///< address-map geometry only
+
+    bool operator==(const IdealMemConfig &) const = default;
 };
 
 class IdealBackend;

@@ -38,6 +38,8 @@ struct HmcLinkConfig
     double latency_ns = 2.0; ///< propagation latency per direction
     double hop_ns = 1.0;     ///< extra latency per daisy-chain hop
     unsigned flit_bytes = 16;
+
+    bool operator==(const HmcLinkConfig &) const = default;
 };
 
 /**

@@ -39,6 +39,8 @@ struct PcuConfig
     unsigned issue_width = 1;
     std::uint64_t host_mhz = 4000; ///< host-side PCU clock
     std::uint64_t mem_mhz = 2000;  ///< memory-side PCU clock
+
+    bool operator==(const PcuConfig &) const = default;
 };
 
 /**

@@ -81,6 +81,8 @@ struct PimConfig
     unsigned pei_batch = 1;
 
     PcuConfig pcu;
+
+    bool operator==(const PimConfig &) const = default;
 };
 
 /** Max ticks a non-full batching window waits before flushing (64 ns). */

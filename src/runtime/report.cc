@@ -103,29 +103,6 @@ writeStatsJson(const std::string &path, const std::string &json)
 
 void
 writeRunRecords(const std::string &path, const std::string &tool,
-                const std::vector<std::string> &records)
-{
-    std::ostringstream os;
-    os << "{\"tool\":\"" << jsonEscape(tool) << "\",\"records\":[";
-    for (std::size_t i = 0; i < records.size(); ++i) {
-        if (i)
-            os << ",";
-        os << records[i];
-    }
-    os << "]}";
-    writeStatsJson(path, os.str());
-}
-
-void
-writeRunRecords(const std::string &path, const std::string &tool,
-                const std::vector<std::string> &records,
-                const std::vector<std::string> &failures)
-{
-    writeRunRecords(path, tool, records, failures, "");
-}
-
-void
-writeRunRecords(const std::string &path, const std::string &tool,
                 const std::vector<std::string> &records,
                 const std::vector<std::string> &failures,
                 const std::string &extra_members)

@@ -42,30 +42,16 @@ void writeStatsJson(const std::string &path, const std::string &json);
 
 /**
  * Wrap @p records into the top-level stats-v2 document
- * {"tool": tool, "records": [...]} and write it to @p path.
- */
-void writeRunRecords(const std::string &path, const std::string &tool,
-                     const std::vector<std::string> &records);
-
-/**
- * As above, but additionally emits a "failures" array (records built
- * with failureRecordJson) so aborted or timed-out sweep jobs remain
- * visible in the exported document.
+ * {"tool": tool, "records": [...], "failures": [...]} and write it
+ * to @p path.  @p failures are records built with failureRecordJson,
+ * so aborted or timed-out sweep jobs stay visible; @p extra_members
+ * is a comma-separated sequence of `"key":value` JSON members, e.g.
+ * `"input_cache":{"hits":3,...}`, spliced in after "failures".
  */
 void writeRunRecords(const std::string &path, const std::string &tool,
                      const std::vector<std::string> &records,
-                     const std::vector<std::string> &failures);
-
-/**
- * As above, but additionally splices @p extra_members — a
- * comma-separated sequence of `"key":value` JSON members, e.g.
- * `"input_cache":{"hits":3,...}` — into the top-level document after
- * the "failures" array.  Pass "" for no extra members.
- */
-void writeRunRecords(const std::string &path, const std::string &tool,
-                     const std::vector<std::string> &records,
-                     const std::vector<std::string> &failures,
-                     const std::string &extra_members);
+                     const std::vector<std::string> &failures = {},
+                     const std::string &extra_members = "");
 
 } // namespace pei
 

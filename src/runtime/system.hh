@@ -72,6 +72,9 @@ struct SystemConfig
      * in seconds.
      */
     static SystemConfig scaled(ExecMode mode = ExecMode::LocalityAware);
+
+    /** Field-wise equality: equal configs build identical machines. */
+    bool operator==(const SystemConfig &) const = default;
 };
 
 /** A complete simulated machine. */

@@ -145,8 +145,35 @@ TEST(SweepDeathTest, DuplicateLabelFatals)
 {
     Sweep sweep;
     sweep.add("PR/small/PIM-Only", [](JobCtx &) {});
+    const std::size_t other = sweep.add("PR/large/PIM-Only", [](JobCtx &) {});
     EXPECT_DEATH(sweep.add("PR/small/PIM-Only", [](JobCtx &) {}),
                  "duplicate job label 'PR/small/PIM-Only'");
+    // An alias may repeat its own job's label, not another job's.
+    sweep.alias(other, "PR/large/PIM-Only");
+    EXPECT_DEATH(sweep.alias(other, "PR/small/PIM-Only"),
+                 "duplicate job label 'PR/small/PIM-Only'");
+}
+
+// --filter matches a job by any of its labels; --list shows the first.
+TEST(Sweep, FilterMatchesAliases)
+{
+    Sweep sweep;
+    std::atomic<int> ran{0};
+    sweep.add("ATF/medium/PIM-Only", [&](JobCtx &) { ++ran; });
+    sweep.add("PR/small/PIM-Only", [&](JobCtx &) { ++ran; });
+    sweep.alias(0, "atf/batch1");
+
+    SweepOptions opts;
+    opts.jobs = 1;
+    opts.progress = false;
+    opts.filter = "batch1";
+    const SweepReport report = sweep.run(opts);
+    EXPECT_EQ(ran.load(), 1);
+    EXPECT_EQ(report.outcomes[0].status, JobStatus::Ok);
+    EXPECT_EQ(report.outcomes[1].status, JobStatus::Skipped);
+    const std::vector<std::string> first = {"ATF/medium/PIM-Only",
+                                            "PR/small/PIM-Only"};
+    EXPECT_EQ(sweep.labels(), first);
 }
 
 TEST(InputCache, SharesOneInstancePerKey)
@@ -230,12 +257,9 @@ TEST(Sweep, RecordsIdenticalAcrossWorkerCounts)
             sim.factory = [] {
                 return makeWorkload(WorkloadKind::PR, InputSize::Small);
             };
-            sim.mode = mode;
-            sim.tweak = [](SystemConfig &cfg) {
-                cfg.cores = 4;
-                cfg.hmc.vaults_per_cube = 4;
-            };
-            sim.threads = 4;
+            sim.cfg = SystemConfig::scaled(mode);
+            sim.cfg.cores = 4;
+            sim.cfg.hmc.vaults_per_cube = 4;
             sims.push_back(std::move(sim));
         }
 
@@ -298,13 +322,10 @@ prSmallRecord(const KnobSet &knobs)
     sim.factory = [] {
         return makeWorkload(WorkloadKind::PR, InputSize::Small);
     };
-    sim.mode = ExecMode::LocalityAware;
-    sim.knobs = knobs;
-    sim.tweak = [](SystemConfig &cfg) {
-        cfg.cores = 4;
-        cfg.hmc.vaults_per_cube = 4;
-    };
-    sim.threads = 4;
+    sim.cfg = SystemConfig::scaled(ExecMode::LocalityAware);
+    knobs.applyTo(sim.cfg);
+    sim.cfg.cores = 4;
+    sim.cfg.hmc.vaults_per_cube = 4;
     RunResult r;
     Sweep sweep;
     sweep.add(sim.label, [&](JobCtx &ctx) { r = runSimJob(sim, ctx); });
