@@ -45,7 +45,7 @@ fig06Speedup()
             std::printf("\n--- (%s inputs) ---\n", sizeName(size));
             std::printf("%-5s %10s %10s %10s %10s | %6s\n", "app",
                         "ideal", "host-only", "pim-only", "loc-aware",
-                        "PIM%%");
+                        "PIM%");
             std::vector<double> gm_host, gm_pim, gm_la;
             for (WorkloadKind kind : allWorkloadKinds()) {
                 const auto &cell = cells.at({(int)size, (int)kind});

@@ -34,7 +34,7 @@ fig08InputSweep()
     return [rows] {
         printHeader(
             "Figure 8", "PageRank with different graph sizes",
-            "Locality-Aware PIM%% grows 0.3%% -> 87%% with graph size and "
+            "Locality-Aware PIM% grows 0.3% -> 87% with graph size and "
             "its speedup tracks max(Host-Only, PIM-Only)");
 
         std::printf("%-18s %9s | %9s %9s %9s | %6s\n", "graph", "vertices",

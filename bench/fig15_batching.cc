@@ -13,7 +13,10 @@
  * Besides the table, the bench writes BENCH_batching.json (default at
  * the repo root; --batching-json overrides) with every point's
  * throughput, train, and flit figures in submission order —
- * byte-identical for any --jobs.
+ * byte-identical for any --jobs.  On a backend without PIM units
+ * (`--mem-backend ddr`) the batch limit changes nothing, so the bench
+ * submits no run, prints one line saying so, and its baseline has no
+ * points.
  */
 
 #include <cstdio>
@@ -21,6 +24,7 @@
 #include <vector>
 
 #include "bench/harness.hh"
+#include "mem/backend.hh"
 
 using namespace peibench;
 
@@ -69,6 +73,15 @@ pointJson(unsigned batch, const RunResult &r, std::uint64_t base_link_flits)
 Renderer
 fig15Batching()
 {
+    const std::string backend = config(ExecMode::PimOnly).mem_backend;
+    if (!memoryBackendSupportsPim(backend)) {
+        return [backend] {
+            std::printf("Batched dispatch study skipped: the %s backend has "
+                        "no PIM units, so --pei-batch changes nothing\n",
+                        backend.c_str());
+            writeBaseline({});
+        };
+    }
     struct Point
     {
         unsigned batch;

@@ -165,6 +165,12 @@ struct MemBackendConfig;
 std::vector<std::string> memoryBackendNames();
 
 /**
+ * Whether the backend named @p name can execute PIM operations (its
+ * supportsPim()), without constructing it; fatal on an unknown name.
+ */
+bool memoryBackendSupportsPim(const std::string &name);
+
+/**
  * Construct the backend named @p name; fatal on an unknown name (the
  * error lists the known backends).  The backend and everything it
  * owns schedule on @p eq.

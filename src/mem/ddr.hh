@@ -95,7 +95,8 @@ class DdrBackend : public MemoryBackend
     void readBlock(Addr paddr, Callback cb) override;
     void writeBlock(Addr paddr, Callback cb = nullptr) override;
 
-    bool supportsPim() const override { return false; }
+    static constexpr bool pim_capable = false;
+    bool supportsPim() const override { return pim_capable; }
     unsigned pimUnits() const override { return 0; }
     MemPort &pimUnitPort(unsigned unit) override;
     void attachPimHandler(unsigned unit, PimHandler *handler) override;

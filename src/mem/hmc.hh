@@ -89,7 +89,8 @@ class HmcBackend : public MemoryBackend
     void attachPimHandler(unsigned global_vault,
                           PimHandler *handler) override;
 
-    bool supportsPim() const override { return true; }
+    static constexpr bool pim_capable = true;
+    bool supportsPim() const override { return pim_capable; }
     unsigned pimUnits() const override { return totalVaults(); }
     MemPort &pimUnitPort(unsigned unit) override { return *vaults[unit]; }
 

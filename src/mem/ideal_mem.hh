@@ -76,7 +76,8 @@ class IdealBackend : public MemoryBackend
     void readBlock(Addr paddr, Callback cb) override;
     void writeBlock(Addr paddr, Callback cb = nullptr) override;
 
-    bool supportsPim() const override { return true; }
+    static constexpr bool pim_capable = true;
+    bool supportsPim() const override { return pim_capable; }
     unsigned pimUnits() const override
     {
         return static_cast<unsigned>(ports.size());

@@ -12,10 +12,16 @@ LocalityMonitor::LocalityMonitor(unsigned sets, unsigned ways,
                                  const std::string &name)
     : sets(sets), ways(ways), set_bits(floorLog2(sets)),
       tag_bits(partial_tag_bits), use_ignore_flag(use_ignore_flag),
-      array(static_cast<std::size_t>(sets) * ways)
+      tags(static_cast<std::size_t>(sets) * ways, no_tag),
+      stamps(tags.size(), 0), ignore(tags.size(), 0)
 {
     fatal_if(!isPowerOf2(sets) || ways == 0,
              "bad locality monitor geometry %ux%u", sets, ways);
+    // An all-ones tag marks an empty way, and foldedXor never ends
+    // for a width of 0.
+    fatal_if(partial_tag_bits == 0 || partial_tag_bits > 31,
+             "locality monitor partial tags must be 1 to 31 bits, not %u",
+             partial_tag_bits);
     stats.add(name + ".lookups", &stat_lookups);
     stats.add(name + ".hits", &stat_hits);
     stats.add(name + ".misses", &stat_misses);
@@ -37,33 +43,33 @@ LocalityMonitor::LocalityMonitor(unsigned sets, unsigned ways,
         });
 }
 
-LocalityMonitor::Entry *
-LocalityMonitor::find(Addr block)
+std::size_t
+LocalityMonitor::find(Addr block) const
 {
-    Entry *base = &array[static_cast<std::size_t>(setOf(block)) * ways];
+    const std::size_t base = firstWay(block);
     const std::uint32_t tag = tagOf(block);
     for (unsigned w = 0; w < ways; ++w) {
-        if (base[w].valid && base[w].partial_tag == tag)
-            return &base[w];
+        if (tags[base + w] == tag)
+            return base + w;
     }
-    return nullptr;
+    return npos;
 }
 
 bool
 LocalityMonitor::lookupForPei(Addr block)
 {
     ++stat_lookups;
-    Entry *e = find(block);
-    if (!e) {
+    const std::size_t i = find(block);
+    if (i == npos) {
         ++stat_misses;
         return false;
     }
-    if (use_ignore_flag && e->ignore) {
+    if (use_ignore_flag && ignore[i]) {
         // First hit on a PIM-allocated entry does not count as high
         // locality, but clears the flag so subsequent hits do.  It is
         // an ignored hit, not a miss: the three outcome counters
         // partition lookups disjointly.
-        e->ignore = false;
+        ignore[i] = 0;
         ++stat_ignored_hits;
         return false;
     }
@@ -74,27 +80,25 @@ LocalityMonitor::lookupForPei(Addr block)
 void
 LocalityMonitor::insertOrPromote(Addr block, bool from_pim)
 {
-    if (Entry *e = find(block)) {
-        e->last_use = ++use_clock;
+    if (const std::size_t i = find(block); i != npos) {
+        stamps[i] = ++use_clock;
         if (!from_pim)
-            e->ignore = false; // demand accesses clear the flag
+            ignore[i] = 0; // demand accesses clear the flag
         return;
     }
-    // Allocate: LRU victim within the set.
-    Entry *base = &array[static_cast<std::size_t>(setOf(block)) * ways];
-    Entry *victim = &base[0];
-    for (unsigned w = 0; w < ways; ++w) {
-        if (!base[w].valid) {
-            victim = &base[w];
-            break;
-        }
-        if (base[w].last_use < victim->last_use)
-            victim = &base[w];
+    // Allocate: the first empty way of the set, else its LRU way.
+    // An empty way's stamp is 0 and every fill stamps its way at
+    // least 1 (ways are never emptied again), so the first
+    // minimum-stamp way is exactly that victim.
+    const std::size_t base = firstWay(block);
+    std::size_t victim = base;
+    for (unsigned w = 1; w < ways; ++w) {
+        if (stamps[base + w] < stamps[victim])
+            victim = base + w;
     }
-    victim->valid = true;
-    victim->partial_tag = tagOf(block);
-    victim->ignore = from_pim && use_ignore_flag;
-    victim->last_use = ++use_clock;
+    tags[victim] = tagOf(block);
+    ignore[victim] = from_pim && use_ignore_flag;
+    stamps[victim] = ++use_clock;
 }
 
 void

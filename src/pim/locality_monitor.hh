@@ -4,14 +4,19 @@
  * locality (paper §4.3).
  *
  * A tag array with the same sets/ways as the last-level cache, but
- * holding only a valid bit, a 10-bit folded-XOR *partial* tag, LRU
- * replacement info, and a 1-bit ignore flag.  It is updated on every
- * L3 access *and* whenever a PIM operation is issued to memory, so
- * the locality of PEI targets is tracked regardless of where they
+ * holding only a 10-bit folded-XOR *partial* tag, LRU replacement
+ * info, and a 1-bit ignore flag per way.  It is updated on every L3
+ * access *and* whenever a PIM operation is issued to memory, so the
+ * locality of PEI targets is tracked regardless of where they
  * execute.  A PEI whose target hits in the monitor is predicted to
  * have high locality and is executed host-side — except the first
  * hit on an entry allocated by a PIM issue, which the ignore flag
  * suppresses (first-touch PIM allocations are not yet "hot").
+ *
+ * Like CacheArray, the monitor keeps its ways in dense arrays: u32
+ * partial tags (all ones marks an empty way, so a tag has at most 31
+ * bits), u64 LRU stamps and u8 ignore flags.  A lookup compares one
+ * set's tags as a row of 4-byte words.
  */
 
 #ifndef PEISIM_PIM_LOCALITY_MONITOR_HH
@@ -34,7 +39,8 @@ class LocalityMonitor
   public:
     /**
      * @param sets/@p ways   mirror the L3 tag-array organization.
-     * @param partial_tag_bits  width of the folded-XOR partial tag.
+     * @param partial_tag_bits  width of the folded-XOR partial tag,
+     *                          1 to 31 bits.
      * @param use_ignore_flag   ablation hook for the ignore bit.
      */
     LocalityMonitor(unsigned sets, unsigned ways, StatRegistry &stats,
@@ -64,17 +70,15 @@ class LocalityMonitor
     std::uint64_t ignoredHits() const { return stat_ignored_hits.value(); }
 
   private:
-    struct Entry
-    {
-        bool valid = false;
-        bool ignore = false;
-        std::uint32_t partial_tag = 0; ///< up to 32 folded tag bits
-        std::uint64_t last_use = 0;
-    };
+    /** Partial tag of an empty way; no 31-bit tag can equal it. */
+    static constexpr std::uint32_t no_tag = ~std::uint32_t{0};
+    static constexpr std::size_t npos = ~std::size_t{0};
 
-    unsigned setOf(Addr block) const
+    /** Index of the first way of @p block's set. */
+    std::size_t
+    firstWay(Addr block) const
     {
-        return static_cast<unsigned>(block & (sets - 1));
+        return static_cast<std::size_t>(block & (sets - 1)) * ways;
     }
 
     std::uint32_t
@@ -84,7 +88,8 @@ class LocalityMonitor
             foldedXor(block >> set_bits, tag_bits));
     }
 
-    Entry *find(Addr block);
+    /** Index of the way whose partial tag matches, or npos. */
+    std::size_t find(Addr block) const;
     void insertOrPromote(Addr block, bool from_pim);
 
     unsigned sets;
@@ -94,7 +99,9 @@ class LocalityMonitor
     bool use_ignore_flag;
     Ticks latency = 3;
     std::uint64_t use_clock = 0;
-    std::vector<Entry> array;
+    std::vector<std::uint32_t> tags;   ///< per way; no_tag when empty
+    std::vector<std::uint64_t> stamps; ///< per-way LRU stamps
+    std::vector<std::uint8_t> ignore;  ///< per-way ignore flags
 
     Counter stat_lookups;
     Counter stat_hits;

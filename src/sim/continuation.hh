@@ -19,13 +19,19 @@
  *    slots) and stage lambdas capture only `{this, handle}`-sized
  *    state.
  *  - InlineFunction is move-only; moving relocates the closure into
- *    the destination buffer and leaves the source null.
+ *    the destination buffer and leaves the source null.  A trivially
+ *    copyable closure (relocates_by_copy, which covers every
+ *    `{this, handle}` stage lambda) relocates by one fixed-size
+ *    memcpy of the whole buffer and needs no destructor call; any
+ *    other closure, such as one holding a nested InlineFunction,
+ *    goes through its move constructor and destructor.
  */
 
 #ifndef PEISIM_SIM_CONTINUATION_HH
 #define PEISIM_SIM_CONTINUATION_HH
 
 #include <cstddef>
+#include <cstring>
 #include <type_traits>
 #include <utility>
 
@@ -36,6 +42,13 @@ namespace pei
 
 template <typename Signature, std::size_t Capacity>
 class InlineFunction;
+
+/**
+ * True when InlineFunction moves a closure of type @p Fn by copying
+ * its storage bytes and destroys it by doing nothing.
+ */
+template <typename Fn>
+inline constexpr bool relocates_by_copy = std::is_trivially_copyable_v<Fn>;
 
 /**
  * Move-only type-erased callable with @p Capacity bytes of inline
@@ -108,6 +121,8 @@ class InlineFunction<R(Args...), Capacity>
     }
 
   private:
+    /** relocate and destroy are null for a relocates_by_copy
+     *  closure: a memcpy relocates it, and it needs no destructor. */
     struct Ops
     {
         R (*invoke)(void *, Args &&...);
@@ -135,14 +150,17 @@ class InlineFunction<R(Args...), Capacity>
 
         static void destroy(void *s) noexcept { static_cast<Fn *>(s)->~Fn(); }
 
-        static constexpr Ops table{&invoke, &relocate, &destroy};
+        static constexpr Ops table =
+            relocates_by_copy<Fn> ? Ops{&invoke, nullptr, nullptr}
+                                  : Ops{&invoke, &relocate, &destroy};
     };
 
     void
     reset() noexcept
     {
         if (ops) {
-            ops->destroy(storage);
+            if (ops->destroy)
+                ops->destroy(storage);
             ops = nullptr;
         }
     }
@@ -151,7 +169,10 @@ class InlineFunction<R(Args...), Capacity>
     moveFrom(InlineFunction &other) noexcept
     {
         if (other.ops) {
-            other.ops->relocate(storage, other.storage);
+            if (other.ops->relocate)
+                other.ops->relocate(storage, other.storage);
+            else
+                std::memcpy(storage, other.storage, Capacity);
             ops = std::exchange(other.ops, nullptr);
         }
     }

@@ -20,7 +20,12 @@
  * to the next record in its bucket.  Arena slots are recycled
  * through a freelist and the callables are allocation-free
  * InlineFunctions, so a steady-state schedule/execute cycle touches
- * the heap allocator exactly zero times.
+ * the heap allocator exactly zero times.  schedule() builds the
+ * continuation straight in its arena record, and runOne() invokes it
+ * there and frees the slot once it returns or throws, so an event's
+ * closure is never moved.  That is safe because arena chunks never
+ * move and a live slot is never reused: a callback may schedule, and
+ * so grow the arena, while it runs.
  *
  * Ordering is exactly the (tick, seq) order of a plain heap: a heap
  * event for tick T was scheduled before T entered the window, so
@@ -41,6 +46,7 @@
 #include <cstdint>
 #include <functional> // stdfunction-allowed: cold boundary-probe hook only
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "common/logging.hh"
@@ -94,22 +100,25 @@ class EventQueue
     /** Current simulation time. */
     Tick now() const { return cur_tick; }
 
-    /** Schedule @p fn to run @p delay ticks from now. */
+    /** Schedule @p fn (anything a Continuation is constructible
+     *  from) to run @p delay ticks from now. */
+    template <typename F>
     void
-    schedule(Ticks delay, Continuation fn)
+    schedule(Ticks delay, F &&fn)
     {
-        scheduleAt(cur_tick + delay, std::move(fn));
+        scheduleAt(cur_tick + delay, std::forward<F>(fn));
     }
 
     /** Schedule @p fn at absolute time @p when (>= now). */
+    template <typename F>
     void
-    scheduleAt(Tick when, Continuation fn)
+    scheduleAt(Tick when, F &&fn)
     {
         panic_if(when < cur_tick,
                  "scheduling event in the past (%llu < %llu)",
                  static_cast<unsigned long long>(when),
                  static_cast<unsigned long long>(cur_tick));
-        const std::uint32_t slot = arena.emplace(std::move(fn));
+        const std::uint32_t slot = arena.emplace(std::forward<F>(fn));
         if (when - cur_tick < wheel_span) {
             append(when, slot);
         } else {
@@ -143,8 +152,7 @@ class EventQueue
         if (when != cur_tick)
             advanceTo(when);
 
-        // The callback may schedule new events, so unlink it and
-        // extract it fully first.
+        // The callback may schedule new events, so unlink it first.
         const std::uint32_t slot = head[b];
         Node &node = arena[slot];
         if (node.next == none)
@@ -152,9 +160,13 @@ class EventQueue
         else
             head[b] = node.next;
         --wheel_count;
-        Continuation fn = std::move(node.fn);
+        try {
+            node.fn();
+        } catch (...) {
+            arena.erase(slot);
+            throw;
+        }
         arena.erase(slot);
-        fn();
         ++executed_count;
         if (probe && executed_count % probe_every == 0)
             probe();
@@ -278,7 +290,8 @@ class EventQueue
      */
     struct Node
     {
-        explicit Node(Continuation &&f) : fn(std::move(f)) {}
+        template <typename F>
+        explicit Node(F &&f) : fn(std::forward<F>(f)) {}
 
         Continuation fn;
         std::uint32_t next = none;

@@ -121,6 +121,7 @@ TEST(BackendEquivalence, CapabilitiesMatchKind)
         // Only the ddr backend lacks in-memory compute; its PMU must
         // have degraded to host-side-only execution.
         EXPECT_EQ(sys.mem().supportsPim(), std::string(b) != "ddr");
+        EXPECT_EQ(memoryBackendSupportsPim(b), sys.mem().supportsPim());
         EXPECT_EQ(sys.pmu().numMemPcus() != 0, sys.mem().supportsPim());
     }
 }

@@ -3,8 +3,10 @@
  * Unit tests for the discrete-event engine: ordering, determinism,
  * and coroutine plumbing — including op-for-op equivalence of the
  * slab-arena queue against a naive std::function reference queue,
- * stop-request cancellation latency, and the inline-continuation /
- * slot-pool building blocks.
+ * stop-request cancellation latency, the inline-continuation /
+ * slot-pool building blocks, and the move-free event path (memcpy
+ * relocation of trivially copyable closures, events run in their
+ * arena slot).
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +15,7 @@
 #include <cstdint>
 #include <functional> // stdfunction-allowed: naive reference queue under test
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -480,6 +483,157 @@ TEST(Continuation, FitsDocumentedBudgetAndForwardsArgs)
     InlineFunction<int(int), 16> addk(
         [base = 40](int x) { return base + x; });
     EXPECT_EQ(addk(2), 42);
+}
+
+/**
+ * Records every construction, destruction and invocation of Counted
+ * closures: one destroy count per instance, one invoke count per id.
+ */
+struct Lifetimes
+{
+    std::vector<int> destroyed; ///< by instance, in construction order
+    std::vector<int> invoked;   ///< by closure id
+};
+
+/** A closure with a counting move constructor and destructor, so it
+ *  is not trivially copyable and relocates through them. */
+struct Counted
+{
+    Lifetimes *life;
+    int id;
+    std::size_t instance;
+
+    Counted(Lifetimes *l, int id)
+        : life(l), id(id), instance(l->destroyed.size())
+    {
+        life->destroyed.push_back(0);
+    }
+
+    Counted(Counted &&o) noexcept
+        : life(o.life), id(o.id), instance(o.life->destroyed.size())
+    {
+        life->destroyed.push_back(0);
+    }
+
+    ~Counted() { ++life->destroyed[instance]; }
+
+    void operator()() { ++life->invoked[id]; }
+};
+
+static_assert(!relocates_by_copy<Counted>);
+static_assert(!relocates_by_copy<Continuation>);
+
+TEST(Continuation, NonTrivialClosureIsMovedAndDestroyedExactlyOnce)
+{
+    // Ids 0-3 are scheduled directly, 4-11 are parked in a growing
+    // vector and moved twice before they are scheduled; ids 0-5 run
+    // and the rest are still pending when the queue is destroyed.
+    constexpr int ids = 12;
+    constexpr int run = 6;
+    Lifetimes life;
+    life.invoked.assign(ids, 0);
+    {
+        EventQueue eq;
+        for (int id = 0; id < 4; ++id)
+            eq.schedule(static_cast<Ticks>(id), Counted(&life, id));
+        std::vector<Continuation> parked;
+        for (int id = 4; id < ids; ++id)
+            parked.emplace_back(Counted(&life, id)); // reallocates
+        for (int id = 4; id < ids; ++id) {
+            Continuation moved = std::move(parked[id - 4]);
+            Continuation again;
+            again = std::move(moved);
+            EXPECT_FALSE(static_cast<bool>(moved));
+            eq.schedule(static_cast<Ticks>(id), std::move(again));
+        }
+        for (int i = 0; i < run; ++i)
+            ASSERT_TRUE(eq.runOne());
+        EXPECT_EQ(eq.size(), static_cast<std::size_t>(ids - run));
+    }
+    for (int id = 0; id < ids; ++id)
+        EXPECT_EQ(life.invoked[id], id < run ? 1 : 0) << "id " << id;
+    for (std::size_t i = 0; i < life.destroyed.size(); ++i)
+        EXPECT_EQ(life.destroyed[i], 1) << "instance " << i;
+}
+
+/** Builds the usual stage closure: `this` plus a 32-bit handle. */
+struct Stage
+{
+    std::vector<std::uint32_t> seen;
+
+    auto
+    resume(std::uint32_t handle)
+    {
+        return [this, handle] { seen.push_back(handle); };
+    }
+};
+
+static_assert(
+    relocates_by_copy<decltype(std::declval<Stage &>().resume(0))>);
+
+TEST(Continuation, TrivialClosureRelocatesByCopy)
+{
+    Stage stage;
+    Continuation hops[3];
+    hops[0] = stage.resume(0xabcd1234u);
+    for (int i = 0; i < 1000; ++i)
+        hops[(i + 1) % 3] = std::move(hops[i % 3]);
+    Continuation &last = hops[1000 % 3];
+    for (int i = 0; i < 3; ++i)
+        EXPECT_EQ(static_cast<bool>(hops[i]), &hops[i] == &last);
+    last();
+    EXPECT_EQ(stage.seen, (std::vector<std::uint32_t>{0xabcd1234u}));
+}
+
+TEST(EventQueue, ArenaGrowsUnderARunningCallback)
+{
+    // The first event takes the arena's first slot and, while it
+    // runs, schedules two chunks' worth of events, so the arena
+    // grows twice under it.  It reads its own captures afterwards.
+    EventQueue eq;
+    std::vector<Ran> ran, expected;
+    const int fanout = 2 * 256;
+    eq.schedule(5, [&eq, &ran, &expected, fanout] {
+        for (int i = 0; i < fanout; ++i) {
+            const Ticks delay = static_cast<Ticks>(i % 7) * 50; // to 300
+            eq.schedule(delay, [&eq, &ran, i] {
+                ran.emplace_back(eq.now(), i);
+            });
+            expected.emplace_back(eq.now() + delay, i);
+        }
+        ran.emplace_back(eq.now(), -fanout);
+    });
+    ASSERT_TRUE(eq.runOne());
+    EXPECT_GT(eq.arenaCapacity(), static_cast<std::uint32_t>(fanout));
+    ASSERT_EQ(ran, (std::vector<Ran>{{5, -fanout}}));
+    ran.clear();
+    eq.run();
+    // (tick, seq) order: by tick, and by scheduling order within one.
+    std::stable_sort(expected.begin(), expected.end(),
+                     [](const Ran &a, const Ran &b) {
+                         return a.first < b.first;
+                     });
+    EXPECT_EQ(ran, expected);
+}
+
+TEST(EventQueue, ThrowingCallbackFreesItsSlot)
+{
+    EventQueue eq;
+    std::vector<int> order;
+    std::uint32_t capacity = 0;
+    for (int round = 0; round < 1000; ++round) {
+        eq.schedule(1, [] { throw std::runtime_error("callback failed"); });
+        eq.schedule(1, [&order, round] { order.push_back(round); });
+        EXPECT_THROW(eq.runOne(), std::runtime_error);
+        ASSERT_TRUE(eq.runOne());
+        if (round == 0)
+            capacity = eq.arenaCapacity();
+        ASSERT_EQ(eq.arenaCapacity(), capacity) << "round " << round;
+    }
+    EXPECT_TRUE(eq.empty());
+    ASSERT_EQ(order.size(), 1000u);
+    for (int round = 0; round < 1000; ++round)
+        EXPECT_EQ(order[round], round);
 }
 
 Task

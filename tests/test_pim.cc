@@ -467,6 +467,156 @@ TEST(LocalityMonitorTest, AliasedPimTouchSharesOneIgnoreFlag)
     EXPECT_TRUE(stats.audit().empty());
 }
 
+/**
+ * The locality monitor's old layout, kept as the reference: one
+ * {valid, ignore, partial_tag, last_use} entry per way, scanned by
+ * line, with the first-invalid-else-LRU victim rule.
+ */
+class LineScanMonitor
+{
+  public:
+    LineScanMonitor(unsigned sets, unsigned ways, unsigned tag_bits,
+                    bool use_ignore_flag)
+        : sets(sets), ways(ways), set_bits(floorLog2(sets)),
+          tag_bits(tag_bits), use_ignore_flag(use_ignore_flag),
+          array(static_cast<std::size_t>(sets) * ways)
+    {}
+
+    bool
+    lookupForPei(Addr block)
+    {
+        ++lookups;
+        Entry *e = find(block);
+        if (!e) {
+            ++misses;
+            return false;
+        }
+        if (use_ignore_flag && e->ignore) {
+            e->ignore = false;
+            ++ignored_hits;
+            return false;
+        }
+        ++hits;
+        return true;
+    }
+
+    void
+    insertOrPromote(Addr block, bool from_pim)
+    {
+        if (Entry *e = find(block)) {
+            e->last_use = ++use_clock;
+            if (!from_pim)
+                e->ignore = false;
+            return;
+        }
+        Entry *base = &array[(block & (sets - 1)) * ways];
+        Entry *victim = &base[0];
+        for (unsigned w = 0; w < ways; ++w) {
+            if (!base[w].valid) {
+                victim = &base[w];
+                break;
+            }
+            if (base[w].last_use < victim->last_use)
+                victim = &base[w];
+        }
+        victim->valid = true;
+        victim->partial_tag = tagOf(block);
+        victim->ignore = from_pim && use_ignore_flag;
+        victim->last_use = ++use_clock;
+    }
+
+    std::uint64_t lookups = 0, hits = 0, misses = 0, ignored_hits = 0;
+
+  private:
+    struct Entry
+    {
+        bool valid = false;
+        bool ignore = false;
+        std::uint32_t partial_tag = 0;
+        std::uint64_t last_use = 0;
+    };
+
+    std::uint32_t
+    tagOf(Addr block) const
+    {
+        return static_cast<std::uint32_t>(
+            foldedXor(block >> set_bits, tag_bits));
+    }
+
+    Entry *
+    find(Addr block)
+    {
+        Entry *base = &array[(block & (sets - 1)) * ways];
+        for (unsigned w = 0; w < ways; ++w) {
+            if (base[w].valid && base[w].partial_tag == tagOf(block))
+                return &base[w];
+        }
+        return nullptr;
+    }
+
+    unsigned sets, ways, set_bits, tag_bits;
+    bool use_ignore_flag;
+    std::uint64_t use_clock = 0;
+    std::vector<Entry> array;
+};
+
+TEST(LocalityMonitor, MatchesLineScanReferenceOpForOp)
+{
+    // Blocks come from a few uppers per set plus their aliases
+    // u ^ (c | c << bits), which fold to the same partial tag, so
+    // aliasing is common at 30 bits as well as at 10.  Eight uppers
+    // times four variants per set overflow four ways, so the stream
+    // also evicts.
+    constexpr unsigned sets = 16, ways = 4;
+    for (const unsigned bits : {10u, 30u}) {
+        for (const bool ignore_flag : {true, false}) {
+            SCOPED_TRACE(::testing::Message()
+                         << bits << "-bit tags, ignore flag "
+                         << ignore_flag);
+            StatRegistry stats;
+            LocalityMonitor mon(sets, ways, stats, bits, ignore_flag);
+            LineScanMonitor ref(sets, ways, bits, ignore_flag);
+            Rng rng(bits * 2 + ignore_flag);
+            for (int op = 0; op < 20000; ++op) {
+                const Addr c = rng.below(4);
+                const Addr upper =
+                    (rng.below(8) * 0x9e37 + 1) ^ (c | c << bits);
+                const Addr block = upper << 4 | rng.below(sets);
+                switch (rng.below(5)) {
+                  case 0:
+                  case 1:
+                    mon.onL3Access(block);
+                    ref.insertOrPromote(block, false);
+                    break;
+                  case 2:
+                    mon.onPimIssue(block);
+                    ref.insertOrPromote(block, true);
+                    break;
+                  default:
+                    ASSERT_EQ(mon.lookupForPei(block),
+                              ref.lookupForPei(block))
+                        << "op " << op << " block " << block;
+                }
+            }
+            EXPECT_EQ(mon.lookups(), ref.lookups);
+            EXPECT_EQ(mon.hits(), ref.hits);
+            EXPECT_EQ(mon.misses(), ref.misses);
+            EXPECT_EQ(mon.ignoredHits(), ref.ignored_hits);
+            EXPECT_GT(ref.hits, 0u);
+            EXPECT_GT(ref.misses, 0u);
+            EXPECT_EQ(ref.ignored_hits > 0, ignore_flag);
+        }
+    }
+}
+
+TEST(LocalityMonitorDeathTest, TagWidthOutsideOneTo31BitsIsFatal)
+{
+    // An all-ones tag marks an empty way, so 32 bits could alias it.
+    StatRegistry stats;
+    EXPECT_DEATH(LocalityMonitor(64, 4, stats, 32), "1 to 31 bits");
+    EXPECT_DEATH(LocalityMonitor(64, 4, stats, 0), "1 to 31 bits");
+}
+
 // ---------------------------------------------- Balanced dispatch §7.4
 
 /**

@@ -6,7 +6,8 @@
 # the repo's extension studies submit 334 jobs for 248 distinct runs;
 # under `--cubes 2`, fig14's 2-cube 16-core Host-Only and
 # Locality-Aware runs equal fig06's PR/medium ones, leaving 246.
-# The static tables submit none, and an unknown artifact is fatal.
+# The static tables submit none, nor does fig15 on a backend without
+# PIM units, and an unknown artifact is fatal.
 #
 # Usage: tools/check_bench_jobs.sh path/to/peibench
 
@@ -31,6 +32,9 @@ dups=$(printf '%s\n' "$labels" | sort | uniq -d)
 
 tables=$("$bench" --only tab01_operations,tab02_config --list)
 [ -z "$tables" ] || fail "the static tables listed jobs: $tables"
+
+ddr=$("$bench" --only fig15_batching --mem-backend ddr --list)
+[ -z "$ddr" ] || fail "fig15 listed jobs on a backend without PIM: $ddr"
 
 count=$("$bench" --cubes 2 --list | wc -l)
 [ "$count" -eq 246 ] || fail "--cubes 2 --list printed $count lines, want 246"
