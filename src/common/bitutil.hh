@@ -54,6 +54,10 @@ bits(std::uint64_t v, unsigned lo, unsigned width)
 constexpr std::uint64_t
 foldedXor(std::uint64_t v, unsigned width)
 {
+    // A 0-bit fold has one value (a 1-entry table's only index), and
+    // shifting by 0 would never end.
+    if (width == 0)
+        return 0;
     std::uint64_t folded = 0;
     const std::uint64_t mask = width >= 64 ? ~0ULL : (1ULL << width) - 1;
     while (v != 0) {

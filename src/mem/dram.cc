@@ -1,6 +1,7 @@
 #include "dram.hh"
 
 #include <algorithm>
+#include <bit>
 #include <string>
 
 #include "common/logging.hh"
@@ -14,7 +15,14 @@ DramController::DramController(EventQueue &eq, const DramTiming &t,
     : eq(eq), t(t), limit_acts(t.rrd_s || t.rrd_l || t.faw), map(map),
       unit(unit), id(id), next_refresh(t.refi ? t.refi : max_tick)
 {
-    banks.resize(t.bank_groups * t.banks_per_group);
+    const unsigned num_banks = t.bank_groups * t.banks_per_group;
+    // The busy-bank masks are one 64-bit word.
+    fatal_if(num_banks > 64,
+             "%s%u: %u banks, but a DRAM controller serves at most 64",
+             unit, id, num_banks);
+    banks.resize(num_banks);
+    read_q.fifos.resize(num_banks);
+    write_q.fifos.resize(num_banks);
     group_last_act.assign(t.bank_groups, 0);
 
     const std::string p = unit + std::to_string(id) + ".";
@@ -50,9 +58,20 @@ DramController::accessBlock(Addr paddr, bool is_write, Callback cb)
     const MemLoc loc = map.decode(paddr);
     panic_if(loc.globalVault != id, "request for %s%u routed to %s%u",
              unit, loc.globalVault, unit, id);
-    auto &q = is_write && t.write_queue ? write_q : read_q;
-    q.push_back(Request{is_write, loc.row, loc.bank, std::move(cb)});
-    hist_queue_depth.record(read_q.size() + write_q.size());
+    Queue &q = is_write && t.write_queue ? write_q : read_q;
+    const Handle h = requests.emplace(next_seq++, loc.row, Pool::npos,
+                                      is_write, std::move(cb));
+    Queue::Fifo &f = q.fifos[loc.bank];
+    if (f.tail == Pool::npos)
+        f.head = h;
+    else
+        requests[f.tail].next = h;
+    f.tail = h;
+    if (isOpenRow(loc.bank, loc.row))
+        ++f.open_row_reqs;
+    q.busy |= std::uint64_t{1} << loc.bank;
+    ++q.size;
+    hist_queue_depth.record(read_q.size + write_q.size);
     trySchedule();
 }
 
@@ -96,40 +115,66 @@ DramController::advanceRefresh(Tick now)
         b.free_at = std::max(b.free_at, last + t.rfc);
         b.ras_ready_at = 0;
     }
+    for (Queue *q : {&read_q, &write_q}) {
+        for (Queue::Fifo &f : q->fifos)
+            f.open_row_reqs = 0;
+    }
 }
 
 Tick
-DramController::earliestStart(const Request &r, Tick now) const
+DramController::missStart(unsigned b, Tick now) const
 {
-    const Bank &b = banks[r.bank];
-    Tick start = std::max(now, b.free_at);
-    if (b.open_row == static_cast<std::int64_t>(r.row))
-        return start;
-    // Row miss: precharge honours tRAS; tRRD_S/tRRD_L and the rolling
+    const Bank &bank = banks[b];
+    Tick start = std::max(now, bank.free_at);
+    // Precharge honours tRAS; tRRD_S/tRRD_L and the rolling
     // four-activate tFAW window gate the *activate*, which issue()
     // places at start + tRP on a conflict (the precharge runs first),
     // at the start itself on a closed bank.
-    if (b.open_row >= 0)
-        start = std::max(start, b.ras_ready_at);
+    if (bank.open_row >= 0)
+        start = std::max(start, bank.ras_ready_at);
     if (!limit_acts)
         return start;
-    const Ticks pre = b.open_row >= 0 ? t.rp : Ticks{0};
+    const Ticks pre = bank.open_row >= 0 ? t.rp : Ticks{0};
     Tick act = start + pre;
     act = std::max(act, any_last_act + t.rrd_s);
-    act = std::max(act, group_last_act[groupOf(r.bank)] + t.rrd_l);
-    if (act_window.size() >= 4)
-        act = std::max(act, act_window.front() + t.faw);
+    act = std::max(act, group_last_act[groupOf(b)] + t.rrd_l);
+    if (act_count == act_ring.size())
+        act = std::max(act, act_ring[act_next] + t.faw);
     return act - pre;
 }
 
 void
-DramController::issue(Request req, Tick now)
+DramController::recountOpenRow(unsigned b)
 {
-    Bank &bank = banks[req.bank];
+    for (Queue *q : {&read_q, &write_q}) {
+        Queue::Fifo &f = q->fifos[b];
+        f.open_row_reqs = 0;
+        for (Handle h = f.head; h != Pool::npos; h = requests[h].next)
+            f.open_row_reqs += isOpenRow(b, requests[h].row);
+    }
+}
+
+void
+DramController::issue(Queue &q, unsigned b, Handle h, Handle prev, Tick now)
+{
+    Request &req = requests[h];
+    Queue::Fifo &f = q.fifos[b];
+    if (prev == Pool::npos)
+        f.head = req.next;
+    else
+        requests[prev].next = req.next;
+    if (f.tail == h)
+        f.tail = prev;
+    if (f.head == Pool::npos)
+        q.busy &= ~(std::uint64_t{1} << b);
+    --q.size;
+
+    Bank &bank = banks[b];
     Ticks access = 0;
-    if (bank.open_row == static_cast<std::int64_t>(req.row)) {
+    if (isOpenRow(b, req.row)) {
         access = t.cl;
         ++stat_row_hits;
+        --f.open_row_reqs;
     } else {
         const Ticks pre = bank.open_row >= 0 ? t.rp : Ticks{0};
         access = pre + t.rcd + t.cl;
@@ -137,14 +182,15 @@ DramController::issue(Request req, Tick now)
         const Tick act = now + pre;
         if (limit_acts) {
             any_last_act = act;
-            group_last_act[groupOf(req.bank)] = act;
-            act_window.push_back(act);
-            if (act_window.size() > 4)
-                act_window.pop_front();
+            group_last_act[groupOf(b)] = act;
+            act_ring[act_next] = act;
+            act_next = (act_next + 1) % act_ring.size();
+            act_count += act_count < act_ring.size();
         }
         bank.ras_ready_at = act + t.ras;
+        bank.open_row = static_cast<std::int64_t>(req.row);
+        recountOpenRow(b);
     }
-    bank.open_row = static_cast<std::int64_t>(req.row);
 
     // Data moves over the shared bus (a vault's TSVs, a channel's
     // data bus) after the array access; serialize transfers.
@@ -160,13 +206,14 @@ DramController::issue(Request req, Tick now)
 
     if (req.cb)
         eq.scheduleAt(done, std::move(req.cb));
+    requests.erase(h);
 }
 
-std::deque<DramController::Request> &
+DramController::Queue &
 DramController::activeQueue()
 {
-    return (draining || read_q.empty()) && !write_q.empty() ? write_q
-                                                            : read_q;
+    return (draining || read_q.size == 0) && write_q.size > 0 ? write_q
+                                                              : read_q;
 }
 
 void
@@ -176,47 +223,80 @@ DramController::trySchedule()
     advanceRefresh(now);
 
     // Earliest start among the active queue's requests, as of the
-    // last pick scan.  When that scan finds nothing issuable it has
-    // visited every request, so this is when the policy can next
+    // last pick.  When that pick finds nothing issuable it has
+    // visited every busy bank, so this is when the policy can next
     // make progress.
     Tick earliest = max_tick;
-    while (!read_q.empty() || !write_q.empty()) {
+    while (read_q.size + write_q.size > 0) {
         // Drain hysteresis: once the write queue hits the high
         // watermark, writes win until it is back at the low one.
-        if (write_q.size() >= t.write_drain_high)
+        if (write_q.size >= t.write_drain_high)
             draining = true;
-        else if (write_q.size() <= t.write_drain_low)
+        else if (write_q.size <= t.write_drain_low)
             draining = false;
 
-        auto &q = activeQueue();
+        Queue &q = activeQueue();
 
         // FR-FCFS within the active queue: oldest issuable row hit
-        // wins, else the oldest issuable request.
-        auto pick = q.end();
+        // wins, else the oldest issuable request.  A bank's hits are
+        // issuable exactly when the bank is free; its misses all
+        // share missStart, so only its FIFO head can be the oldest
+        // issuable miss.  Once a candidate exists, `earliest` is not
+        // needed, so banks that cannot beat it are skipped.
+        Handle pick = Pool::npos;
+        Handle pick_prev = Pool::npos;
+        unsigned pick_bank = 0;
+        std::uint64_t pick_seq = ~std::uint64_t{0};
+        bool pick_hit = false;
         earliest = max_tick;
-        for (auto it = q.begin(); it != q.end(); ++it) {
-            const Tick start = earliestStart(*it, now);
-            if (start > now) {
-                earliest = std::min(earliest, start);
-                continue;
+        for (std::uint64_t m = q.busy; m != 0; m &= m - 1) {
+            const unsigned b = static_cast<unsigned>(std::countr_zero(m));
+            const Queue::Fifo &f = q.fifos[b];
+            if (f.open_row_reqs > 0) {
+                const Tick free_at = banks[b].free_at;
+                if (free_at > now) {
+                    earliest = std::min(earliest, free_at);
+                    continue;
+                }
+                Handle prev = Pool::npos;
+                Handle h = f.head;
+                while (!isOpenRow(b, requests[h].row)) {
+                    prev = h;
+                    h = requests[h].next;
+                    panic_if(h == Pool::npos,
+                             "%s%u bank %u: open-row count %u, but no "
+                             "queued request to the open row",
+                             unit, id, b, f.open_row_reqs);
+                }
+                const std::uint64_t seq = requests[h].seq;
+                if (pick_hit && pick_seq < seq)
+                    continue;
+                pick = h;
+                pick_prev = prev;
+                pick_bank = b;
+                pick_seq = seq;
+                pick_hit = true;
+            } else if (!pick_hit) {
+                const std::uint64_t seq = requests[f.head].seq;
+                if (pick_seq < seq)
+                    continue;
+                const Tick start = missStart(b, now);
+                if (start > now) {
+                    earliest = std::min(earliest, start);
+                    continue;
+                }
+                pick = f.head;
+                pick_prev = Pool::npos;
+                pick_bank = b;
+                pick_seq = seq;
             }
-            if (banks[it->bank].open_row ==
-                static_cast<std::int64_t>(it->row)) {
-                pick = it;
-                break;
-            }
-            if (pick == q.end())
-                pick = it;
         }
-        if (pick == q.end())
+        if (pick == Pool::npos)
             break;
-
-        Request req = std::move(*pick);
-        q.erase(pick);
-        issue(std::move(req), now);
+        issue(q, pick_bank, pick, pick_prev, now);
     }
 
-    if (read_q.empty() && write_q.empty())
+    if (read_q.size + write_q.size == 0)
         return;
 
     // Everything the policy would serve next waits on a timing

@@ -15,8 +15,8 @@
 #ifndef PEISIM_MEM_DRAM_HH
 #define PEISIM_MEM_DRAM_HH
 
+#include <array>
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "common/stats.hh"
@@ -25,6 +25,7 @@
 #include "mem/backend.hh"
 #include "sim/continuation.hh"
 #include "sim/event_queue.hh"
+#include "sim/slot_pool.hh"
 
 namespace pei
 {
@@ -75,13 +76,21 @@ struct DramTiming
  * queued requests that can start now, the oldest row hit wins, else
  * the oldest request.  With a write queue, reads have priority until
  * it reaches the high watermark; writes then drain to the low one.
+ *
+ * Each queue keeps one FIFO per bank and, per bank, the number of
+ * its requests to that bank's open row, so a pick visits the busy
+ * banks rather than every queued request.  Within one bank every row
+ * hit starts at max(now, free_at) and every miss shares one start
+ * that is never earlier, so a bank offers at most two candidates: its
+ * oldest hit and its FIFO head.
  */
 class DramController : public MemPort
 {
   public:
     /**
      * Stats register under "<unit><id>." (e.g. "vault3.", "chan0.");
-     * @p unit must outlive the controller (a string literal).
+     * @p unit must outlive the controller (a string literal).  At
+     * most 64 banks (bank_groups * banks_per_group).
      */
     DramController(EventQueue &eq, const DramTiming &t, const AddrMap &map,
                    const char *unit, unsigned id, StatRegistry &stats);
@@ -117,33 +126,66 @@ class DramController : public MemPort
         Tick ras_ready_at = 0; ///< earliest precharge of the open row
     };
 
+    /** A queued request, linked into its bank's FIFO. */
     struct Request
     {
-        bool is_write;
+        std::uint64_t seq; ///< arrival order: FR-FCFS age
         std::uint64_t row;
-        unsigned bank;
+        std::uint32_t next; ///< next request of the bank's FIFO
+        bool is_write;
         Callback cb;
     };
 
+    /** 64-slot chunks keep a lightly loaded vault's pool small; a
+     *  deeper queue adds chunks. */
+    using Pool = SlotPool<Request, 6>;
+    using Handle = Pool::Handle;
+
+    /** One request queue: a FIFO of pool records per bank. */
+    struct Queue
+    {
+        struct Fifo
+        {
+            Handle head = Pool::npos;
+            Handle tail = Pool::npos;
+            /** Queued requests to the bank's open row. */
+            unsigned open_row_reqs = 0;
+        };
+
+        std::vector<Fifo> fifos;
+        std::uint64_t busy = 0; ///< bit b: fifos[b] is non-empty
+        unsigned size = 0;
+    };
+
     /**
-     * Earliest tick @p r could issue given bank/activate windows.
-     * On a row conflict the activate happens tRP after the returned
-     * start tick (precharge first), so tRRD_S/tRRD_L/tFAW gate the
-     * *projected activate tick*, not the start tick — issue() places
-     * the activate at start + tRP with the same projection.
+     * Earliest tick a row miss on bank @p b could issue given bank
+     * and activate windows; every miss of a bank shares it.  On a row
+     * conflict the activate happens tRP after the returned start tick
+     * (precharge first), so tRRD_S/tRRD_L/tFAW gate the *projected
+     * activate tick*, not the start tick — issue() places the
+     * activate at start + tRP with the same projection.
      */
-    Tick earliestStart(const Request &r, Tick now) const;
+    Tick missStart(unsigned b, Tick now) const;
     void advanceRefresh(Tick now);
-    void issue(Request req, Tick now);
+    /** Unlink request @p h, which follows @p prev in bank @p b's
+     *  FIFO of @p q, and issue it. */
+    void issue(Queue &q, unsigned b, Handle h, Handle prev, Tick now);
+    /** Re-count both queues' requests to bank @p b's open row. */
+    void recountOpenRow(unsigned b);
     void trySchedule();
     void armRetry(Tick when);
 
     /** The queue the policy serves next (reads unless draining). */
-    std::deque<Request> &activeQueue();
+    Queue &activeQueue();
 
     unsigned groupOf(unsigned bank) const
     {
         return bank / t.banks_per_group;
+    }
+
+    bool isOpenRow(unsigned b, std::uint64_t row) const
+    {
+        return banks[b].open_row == static_cast<std::int64_t>(row);
     }
 
     EventQueue &eq;
@@ -158,10 +200,16 @@ class DramController : public MemPort
     const char *unit;
     unsigned id;
 
-    std::deque<Request> read_q;
-    std::deque<Request> write_q;
+    Pool requests;
+    Queue read_q;
+    Queue write_q;
+    std::uint64_t next_seq = 0;
     std::vector<Bank> banks;
-    std::deque<Tick> act_window; ///< last <=4 activate ticks (tFAW)
+    /** The last four activate ticks (tFAW); once full, the oldest
+     *  sits at act_next. */
+    std::array<Tick, 4> act_ring{};
+    unsigned act_next = 0;
+    unsigned act_count = 0; ///< activates in act_ring, at most 4
     std::vector<Tick> group_last_act;
     Tick any_last_act = 0;
     Tick bus_free_at = 0;

@@ -63,6 +63,15 @@ TEST(BitUtil, FoldedXorMixesHighBits)
     EXPECT_NE(foldedXor(a, 11), foldedXor(b, 11));
 }
 
+TEST(BitUtil, FoldedXorOfZeroWidthIsZero)
+{
+    // 0 is a 1-entry table's only index.  The width is read at run
+    // time, as PimDirectory's is, so the compiler cannot fold the call.
+    volatile unsigned width = 0;
+    for (std::uint64_t v : {0ULL, 1ULL, 0x40ULL, ~0ULL})
+        EXPECT_EQ(foldedXor(v, width), 0u) << v;
+}
+
 TEST(BitUtil, BlockHelpers)
 {
     EXPECT_EQ(blockAlign(0x12345), 0x12340u);

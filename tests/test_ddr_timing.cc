@@ -3,9 +3,12 @@
  * Directed DDR channel timing tests with hand-computed tick
  * arithmetic: the rolling four-activate tFAW window, same-group
  * tRRD_L spacing, projected-activate gating on row conflicts (the
- * earliestStart/issue consistency fix), and retry re-arm hygiene
- * (stale events no-op instead of waking the scheduler spuriously),
- * write-drain hysteresis, and lazy refresh catch-up over idle gaps.
+ * start tick the pick computes for a miss agrees with the activate
+ * issue() places), and retry re-arm hygiene (stale events no-op
+ * instead of waking the scheduler spuriously), write-drain
+ * hysteresis, and lazy refresh catch-up over idle gaps.  Last, the
+ * per-bank FR-FCFS pick is driven op for op against the linear-scan
+ * controller it replaced, on DDR and vault timing.
  *
  * Timing config (1 tick = 0.25 ns): tCL = tRCD = tRP = 40t,
  * tRAS = 32t, tRRD_S = 10t, tRRD_L = 20t, tFAW = 300t, burst = 4t.
@@ -18,14 +21,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <deque>
+#include <map>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "common/rng.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "mem/addr_map.hh"
 #include "mem/ddr.hh"
+#include "mem/dram.hh"
 #include "sim/event_queue.hh"
 
 namespace pei
@@ -253,6 +262,387 @@ TEST_F(DdrRefreshTest, IdleGapCatchesUpEveryRefreshAndClosesRows)
     EXPECT_EQ(stats.get("chan0.activates"), 2u);
     EXPECT_EQ(stats.get("chan0.row_hits"), 0u);
     EXPECT_TRUE(stats.audit().empty());
+}
+
+TEST(DramControllerDeathTest, MoreThan64BanksAreFatal)
+{
+    EventQueue eq;
+    StatRegistry stats;
+    const AddrMap map(1, 1, 128, 8192);
+    DramTiming t;
+    t.banks_per_group = 128;
+    EXPECT_DEATH(DramController(eq, t, map, "chan", 0, stats),
+                 "at most 64");
+}
+
+// --------------------------------------------- linear-scan reference
+
+/**
+ * The controller's earlier queueing, kept as the reference the
+ * per-bank pick must match op for op: two arrival-order deques, and a
+ * pick that computes every queued request's earliest start.  Stats
+ * register under the same names as a DramController's.
+ */
+class LinearScanController
+{
+  public:
+    LinearScanController(EventQueue &eq, const DramTiming &t,
+                         const AddrMap &map, const std::string &prefix,
+                         StatRegistry &stats)
+        : eq(eq), t(t), limit_acts(t.rrd_s || t.rrd_l || t.faw), map(map),
+          banks(t.bank_groups * t.banks_per_group),
+          group_last_act(t.bank_groups, 0),
+          next_refresh(t.refi ? t.refi : max_tick)
+    {
+        stats.add(prefix + "reads", &stat_reads);
+        stats.add(prefix + "writes", &stat_writes);
+        stats.add(prefix + "activates", &stat_activates);
+        stats.add(prefix + "row_hits", &stat_row_hits);
+        stats.add(prefix + "refreshes", &stat_refreshes);
+        stats.add(prefix + "retry_arms", &stat_retry_arms);
+        stats.add(prefix + "retry_fires", &stat_retry_fires);
+        stats.add(prefix + "retry_stale", &stat_retry_stale);
+        stats.add(prefix + "queue_depth", &hist_queue_depth);
+    }
+
+    void
+    accessBlock(Addr paddr, bool is_write, Continuation cb)
+    {
+        const MemLoc loc = map.decode(paddr);
+        auto &q = is_write && t.write_queue ? write_q : read_q;
+        q.push_back(Request{is_write, loc.row, loc.bank, std::move(cb)});
+        hist_queue_depth.record(read_q.size() + write_q.size());
+        trySchedule();
+    }
+
+  private:
+    struct Bank
+    {
+        std::int64_t open_row = -1;
+        Tick free_at = 0;
+        Tick ras_ready_at = 0;
+    };
+
+    struct Request
+    {
+        bool is_write;
+        std::uint64_t row;
+        unsigned bank;
+        Continuation cb;
+    };
+
+    unsigned groupOf(unsigned bank) const { return bank / t.banks_per_group; }
+
+    void
+    armRetry(Tick when)
+    {
+        if (retry_armed && retry_at <= when)
+            return;
+        const std::uint64_t gen = ++retry_gen;
+        ++stat_retry_arms;
+        retry_armed = true;
+        retry_at = when;
+        eq.scheduleAt(when, [this, gen] {
+            if (gen != retry_gen) {
+                ++stat_retry_stale;
+                return;
+            }
+            ++stat_retry_fires;
+            retry_armed = false;
+            retry_at = max_tick;
+            trySchedule();
+        });
+    }
+
+    void
+    advanceRefresh(Tick now)
+    {
+        if (now < next_refresh)
+            return;
+        const std::uint64_t periods = (now - next_refresh) / t.refi + 1;
+        stat_refreshes += periods;
+        const Tick last = next_refresh + (periods - 1) * t.refi;
+        next_refresh += periods * t.refi;
+        for (Bank &b : banks) {
+            b.open_row = -1;
+            b.free_at = std::max(b.free_at, last + t.rfc);
+            b.ras_ready_at = 0;
+        }
+    }
+
+    Tick
+    earliestStart(const Request &r, Tick now) const
+    {
+        const Bank &b = banks[r.bank];
+        Tick start = std::max(now, b.free_at);
+        if (b.open_row == static_cast<std::int64_t>(r.row))
+            return start;
+        if (b.open_row >= 0)
+            start = std::max(start, b.ras_ready_at);
+        if (!limit_acts)
+            return start;
+        const Ticks pre = b.open_row >= 0 ? t.rp : Ticks{0};
+        Tick act = start + pre;
+        act = std::max(act, any_last_act + t.rrd_s);
+        act = std::max(act, group_last_act[groupOf(r.bank)] + t.rrd_l);
+        if (act_window.size() >= 4)
+            act = std::max(act, act_window.front() + t.faw);
+        return act - pre;
+    }
+
+    void
+    issue(Request req, Tick now)
+    {
+        Bank &bank = banks[req.bank];
+        Ticks access = 0;
+        if (bank.open_row == static_cast<std::int64_t>(req.row)) {
+            access = t.cl;
+            ++stat_row_hits;
+        } else {
+            const Ticks pre = bank.open_row >= 0 ? t.rp : Ticks{0};
+            access = pre + t.rcd + t.cl;
+            ++stat_activates;
+            const Tick act = now + pre;
+            if (limit_acts) {
+                any_last_act = act;
+                group_last_act[groupOf(req.bank)] = act;
+                act_window.push_back(act);
+                if (act_window.size() > 4)
+                    act_window.pop_front();
+            }
+            bank.ras_ready_at = act + t.ras;
+        }
+        bank.open_row = static_cast<std::int64_t>(req.row);
+        const Tick done = std::max(now + access, bus_free_at) + t.burst;
+        bus_free_at = done;
+        bank.free_at = done;
+        if (req.is_write)
+            ++stat_writes;
+        else
+            ++stat_reads;
+        if (req.cb)
+            eq.scheduleAt(done, std::move(req.cb));
+    }
+
+    std::deque<Request> &
+    activeQueue()
+    {
+        return (draining || read_q.empty()) && !write_q.empty() ? write_q
+                                                                : read_q;
+    }
+
+    void
+    trySchedule()
+    {
+        const Tick now = eq.now();
+        advanceRefresh(now);
+        Tick earliest = max_tick;
+        while (!read_q.empty() || !write_q.empty()) {
+            if (write_q.size() >= t.write_drain_high)
+                draining = true;
+            else if (write_q.size() <= t.write_drain_low)
+                draining = false;
+            auto &q = activeQueue();
+            auto pick = q.end();
+            earliest = max_tick;
+            for (auto it = q.begin(); it != q.end(); ++it) {
+                const Tick start = earliestStart(*it, now);
+                if (start > now) {
+                    earliest = std::min(earliest, start);
+                    continue;
+                }
+                if (banks[it->bank].open_row ==
+                    static_cast<std::int64_t>(it->row)) {
+                    pick = it;
+                    break;
+                }
+                if (pick == q.end())
+                    pick = it;
+            }
+            if (pick == q.end())
+                break;
+            Request req = std::move(*pick);
+            q.erase(pick);
+            issue(std::move(req), now);
+        }
+        if (read_q.empty() && write_q.empty())
+            return;
+        ASSERT_TRUE(earliest != max_tick && earliest > now);
+        armRetry(earliest);
+    }
+
+    EventQueue &eq;
+    const DramTiming t;
+    const bool limit_acts;
+    const AddrMap &map;
+    std::deque<Request> read_q;
+    std::deque<Request> write_q;
+    std::vector<Bank> banks;
+    std::deque<Tick> act_window;
+    std::vector<Tick> group_last_act;
+    Tick any_last_act = 0;
+    Tick bus_free_at = 0;
+    Tick next_refresh;
+    bool draining = false;
+    bool retry_armed = false;
+    Tick retry_at = max_tick;
+    std::uint64_t retry_gen = 0;
+
+    Counter stat_reads;
+    Counter stat_writes;
+    Counter stat_activates;
+    Counter stat_row_hits;
+    Counter stat_refreshes;
+    Counter stat_retry_arms;
+    Counter stat_retry_fires;
+    Counter stat_retry_stale;
+    Histogram hist_queue_depth;
+};
+
+/** One timed arrival; @p notify false passes a null callback. */
+struct Arrival
+{
+    Tick at;
+    Addr paddr;
+    bool write;
+    bool notify;
+};
+
+/**
+ * Bursts of 1 to 64 arrivals over 16 banks, each bank keeping to a
+ * small set of rows (so row hits, conflicts and open-row changes all
+ * occur), separated by idle gaps of which some outlast a refresh
+ * interval.
+ */
+std::vector<Arrival>
+mixedStream(std::uint64_t seed, unsigned n)
+{
+    Rng rng(seed);
+    std::vector<std::uint64_t> row(16, 0);
+    std::vector<Arrival> out;
+    Tick at = 0;
+    while (out.size() < n) {
+        const std::uint64_t burst = 1 + rng.below(64);
+        for (std::uint64_t i = 0; i < burst; ++i) {
+            const unsigned bank = static_cast<unsigned>(rng.below(16));
+            if (rng.chance(0.3))
+                row[bank] = rng.below(6);
+            const Addr blk = (row[bank] << 11) | (rng.below(128) << 4) | bank;
+            const bool write = rng.chance(0.35);
+            out.push_back({at, blk << block_shift, write,
+                           !write || rng.chance(0.5)});
+            at += rng.below(24);
+        }
+        at += rng.chance(0.2) ? rng.below(6000) : rng.below(300);
+    }
+    return out;
+}
+
+/** What a run leaves to compare: completions in order, and stats. */
+struct RunLog
+{
+    std::vector<std::pair<std::size_t, Tick>> done;
+    std::map<std::string, std::uint64_t> counters;
+    std::string histograms;
+};
+
+template <typename Controller>
+RunLog
+replay(const DramTiming &t, const std::vector<Arrival> &stream)
+{
+    const AddrMap map(1, 1, 16, 8192);
+    EventQueue eq;
+    StatRegistry stats;
+    Controller ctrl(eq, t, map, stats);
+    RunLog log;
+    for (std::size_t i = 0; i < stream.size(); ++i) {
+        const Arrival &a = stream[i];
+        eq.scheduleAt(a.at, [&ctrl, &log, &eq, &a, i] {
+            Continuation cb;
+            if (a.notify)
+                cb = [&log, &eq, i] { log.done.emplace_back(i, eq.now()); };
+            ctrl.accessBlock(a.paddr, a.write, std::move(cb));
+        });
+    }
+    eq.run();
+    log.counters = stats.snapshot();
+    log.histograms = stats.histogramsJson();
+    return log;
+}
+
+struct Subject : DramController
+{
+    Subject(EventQueue &eq, const DramTiming &t, const AddrMap &map,
+            StatRegistry &stats)
+        : DramController(eq, t, map, "chan", 0, stats)
+    {}
+};
+
+struct Reference : LinearScanController
+{
+    Reference(EventQueue &eq, const DramTiming &t, const AddrMap &map,
+              StatRegistry &stats)
+        : LinearScanController(eq, t, map, "chan0.", stats)
+    {}
+};
+
+/** DdrConfig's default timing in ticks, but with a 2000-tick refresh
+ *  interval (140-tick refresh) and drain watermarks at 4 and 12. */
+DramTiming
+ddrRefTiming()
+{
+    DramTiming t;
+    t.bank_groups = 4;
+    t.banks_per_group = 4;
+    t.cl = t.rcd = t.rp = 55;
+    t.ras = 128;
+    t.rrd_s = 13;
+    t.rrd_l = 20;
+    t.faw = 100;
+    t.refi = 2000;
+    t.rfc = 140;
+    t.burst = 13;
+    t.write_queue = true;
+    t.write_drain_low = 4;
+    t.write_drain_high = 12;
+    return t;
+}
+
+/** A vault: no activate limits, no refresh, one queue. */
+DramTiming
+vaultRefTiming()
+{
+    DramTiming t;
+    t.banks_per_group = 16;
+    t.cl = t.rcd = t.rp = 55;
+    t.burst = 16;
+    return t;
+}
+
+TEST(DramController, MatchesLinearScanReferenceOpForOp)
+{
+    for (const auto &[name, timing] :
+         {std::pair{"ddr", ddrRefTiming()},
+          std::pair{"vault", vaultRefTiming()}}) {
+        for (std::uint64_t seed : {1, 2, 3}) {
+            SCOPED_TRACE(std::string(name) + " seed " +
+                         std::to_string(seed));
+            const auto stream = mixedStream(seed, 6000);
+            const RunLog want = replay<Reference>(timing, stream);
+            const RunLog got = replay<Subject>(timing, stream);
+            ASSERT_EQ(got.done.size(), want.done.size());
+            for (std::size_t i = 0; i < want.done.size(); ++i)
+                ASSERT_EQ(got.done[i], want.done[i]) << "completion " << i;
+            EXPECT_EQ(got.counters, want.counters);
+            EXPECT_EQ(got.histograms, want.histograms);
+            // The stream reaches every regime the pick handles.
+            EXPECT_GT(want.counters.at("chan0.row_hits"), 1000u);
+            EXPECT_GT(want.counters.at("chan0.activates"), 1000u);
+            EXPECT_GT(want.counters.at("chan0.retry_stale"), 0u);
+            EXPECT_EQ(want.counters.at("chan0.refreshes") > 10,
+                      timing.refi > 0);
+        }
+    }
 }
 
 } // namespace

@@ -296,6 +296,27 @@ TEST(PimDirectoryIdeal, ExactTrackingNeverAliases)
         dir.release(b, true);
 }
 
+TEST(PimDirectoryOneEntry, EveryBlockSharesTheOneEntry)
+{
+    // 0 index bits: blocks 0x40 and 0x80 both map to entry 0, so the
+    // second writer waits, as a false conflict, until the release.
+    EventQueue eq;
+    StatRegistry stats;
+    PimDirectory dir(eq, 1, 2, stats, "one_dir");
+    int granted = 0;
+    dir.acquire(0x40, true, [&granted] { ++granted; });
+    dir.acquire(0x80, true, [&granted] { ++granted; });
+    eq.run();
+    EXPECT_EQ(granted, 1);
+    EXPECT_EQ(dir.conflicts(), 1u);
+    EXPECT_EQ(dir.falseConflicts(), 1u);
+    dir.release(0x40, true);
+    eq.run();
+    EXPECT_EQ(granted, 2);
+    dir.release(0x80, true);
+    EXPECT_TRUE(stats.audit().empty());
+}
+
 TEST(PimDirectoryStress, RandomAcquireReleaseBalances)
 {
     EventQueue eq;

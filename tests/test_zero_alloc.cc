@@ -15,11 +15,14 @@
  *    hierarchy -> coroutine resume) must also reach exact zero per
  *    steady-state window, because every per-operation record lives
  *    in a SlotPool and every callback is an inline Continuation;
+ *  - a DDR channel and an HMC vault, each fed bursts of queued
+ *    requests, must make exactly zero allocations once their request
+ *    pools have grown to the burst depth;
  *  - a miss-heavy locality-aware segment (the fig06-small regime)
- *    is bounded instead: the TLB, page table and MSHR files are
- *    fixed arrays, but the DRAM request deques and the MSHR waiter
- *    vectors still allocate per miss, so the rate must stay below
- *    0.08 allocations per event.
+ *    is bounded instead: the TLB, page table, MSHR files and DRAM
+ *    request queues are fixed arrays or pools, but the MSHR waiter
+ *    vectors and the stall and waiter deques still allocate per
+ *    miss, so the rate must stay below 0.03 allocations per event.
  */
 
 #include <gtest/gtest.h>
@@ -31,6 +34,10 @@
 #include <vector>
 
 #include "common/rng.hh"
+#include "common/stats.hh"
+#include "mem/addr_map.hh"
+#include "mem/ddr.hh"
+#include "mem/dram.hh"
 #include "runtime/runtime.hh"
 #include "sim/event_queue.hh"
 
@@ -168,6 +175,43 @@ TEST(ZeroAlloc, EventQueueSteadyStateAllocatesNothing)
     EXPECT_EQ(sink, (64u + 4096u) * 256u);
 }
 
+TEST(ZeroAlloc, DramControllerSteadyStateAllocatesNothing)
+{
+    // One channel / one vault of 16 banks: blk = (row << 11) |
+    // (column << 4) | bank.  Eight rows per bank give row hits and
+    // conflicts.  A burst of 48 is deeper than the median DDR queue
+    // (43) of perfbench's rp-medium-ddr-host workload.
+    EventQueue eq;
+    StatRegistry stats;
+    const AddrMap map(1, 1, 16, 8192);
+    DdrChannel chan(eq, DdrConfig{}, map, 0, stats);
+    Vault vault(eq, DramConfig{}, map, 0, stats);
+    Rng rng(7);
+    std::uint64_t done = 0;
+    auto burst = [&] {
+        for (int i = 0; i < 48; ++i) {
+            const Addr blk = (rng.below(8) << 11) | rng.below(2048);
+            const bool write = rng.chance(0.3);
+            chan.accessBlock(blk << block_shift, write, [&done] { ++done; });
+            vault.accessBlock(blk << block_shift, write,
+                              [&done] { ++done; });
+        }
+        eq.run();
+    };
+    // Warm up: grow the request pools, the event arena and the
+    // far-heap vector to their working size.
+    for (int w = 0; w < 64; ++w)
+        burst();
+
+    const std::uint64_t before = allocCount();
+    for (int w = 0; w < 2048; ++w)
+        burst();
+    EXPECT_EQ(allocCount() - before, 0u)
+        << "queued DRAM requests must reuse pool slots";
+    EXPECT_EQ(done, (64u + 2048u) * 96u);
+    EXPECT_GT(stats.get("chan0.refreshes"), 10u);
+}
+
 /**
  * Free-function kernel (not a capturing lambda coroutine, whose
  * frame would dangle once the lambda object dies): a long stream of
@@ -241,11 +285,11 @@ TEST(ZeroAlloc, MissHeavySegmentStaysFarBelowOneAllocPerEvent)
 {
     // The fig06-small regime: a locality-aware machine with a working
     // set far past L3, so PEIs split between host execution (cache
-    // misses -> MSHR waiter vectors) and memory-side offload (vault
-    // request deques).  Those residual containers allocate per miss
-    // by design, so the bound is a rate, not exact zero.  It sits
-    // above today's 0.047 and below the 0.12 that per-miss MSHR map
-    // nodes cost.
+    // misses -> MSHR waiter vectors) and memory-side offload.  The
+    // waiter containers allocate per miss, so the bound is a rate,
+    // not exact zero.  It sits above today's 0.021 and below the
+    // 0.047 that the DRAM request deques cost before they became
+    // pooled per-bank FIFOs.
     SystemConfig cfg = SystemConfig::scaled(ExecMode::LocalityAware);
     cfg.cores = 4;
     cfg.phys_bytes = 256ULL << 20;
@@ -269,7 +313,7 @@ TEST(ZeroAlloc, MissHeavySegmentStaysFarBelowOneAllocPerEvent)
     const double events = static_cast<double>(
         sys.eventQueue().executedCount() - events_before);
     ASSERT_GT(events, 100000.0);
-    EXPECT_LT(allocs / events, 0.08)
+    EXPECT_LT(allocs / events, 0.03)
         << allocs << " allocations over " << events << " events";
 }
 
