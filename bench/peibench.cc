@@ -19,7 +19,6 @@ Renderer fig10BalancedDispatch();
 Renderer fig11PcuDesign();
 Renderer tab76PmuOverhead();
 Renderer fig12Energy();
-Renderer fig13Serving();
 Renderer fig14Scaleout();
 Renderer fig15Batching();
 
@@ -39,8 +38,6 @@ main(int argc, char **argv)
          {"fig11_pcu_design", fig11PcuDesign},
          {"tab76_pmu_overhead", tab76PmuOverhead},
          {"fig12_energy", fig12Energy},
-         {"fig13_serving", fig13Serving, "--serving-json",
-          "BENCH_serving.json"},
          {"fig14_scaleout", fig14Scaleout, "--scaleout-json",
           "BENCH_scaleout.json"},
          {"fig15_batching", fig15Batching, "--batching-json",

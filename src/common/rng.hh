@@ -9,9 +9,7 @@
 #ifndef PEISIM_COMMON_RNG_HH
 #define PEISIM_COMMON_RNG_HH
 
-#include <cmath>
 #include <cstdint>
-#include <vector>
 
 #include "logging.hh"
 
@@ -90,49 +88,6 @@ class Rng
     }
 
     std::uint64_t state[4];
-};
-
-/**
- * Zipf-distributed integer sampler over [0, n) with exponent @p s,
- * using a precomputed inverse-CDF table.  Used to synthesize skewed
- * (power-law-like) access patterns, e.g. hash-join key popularity.
- */
-class ZipfSampler
-{
-  public:
-    ZipfSampler(std::size_t n, double s, std::uint64_t seed)
-        : rng(seed), cdf(n)
-    {
-        fatal_if(n == 0, "ZipfSampler over empty domain");
-        double sum = 0.0;
-        for (std::size_t i = 0; i < n; ++i) {
-            sum += 1.0 / std::pow(static_cast<double>(i + 1), s);
-            cdf[i] = sum;
-        }
-        for (auto &c : cdf)
-            c /= sum;
-    }
-
-    /** Draw one sample. */
-    std::size_t
-    sample()
-    {
-        const double u = rng.uniform();
-        // Binary search the CDF.
-        std::size_t lo = 0, hi = cdf.size() - 1;
-        while (lo < hi) {
-            const std::size_t mid = (lo + hi) / 2;
-            if (cdf[mid] < u)
-                lo = mid + 1;
-            else
-                hi = mid;
-        }
-        return lo;
-    }
-
-  private:
-    Rng rng;
-    std::vector<double> cdf;
 };
 
 } // namespace pei

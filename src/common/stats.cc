@@ -30,26 +30,6 @@ jsonEscape(const std::string &s)
 
 } // namespace
 
-std::uint64_t
-Histogram::approxPercentile(double p) const
-{
-    if (count_ == 0)
-        return 0;
-    if (p < 0.0)
-        p = 0.0;
-    if (p > 1.0)
-        p = 1.0;
-    const auto target = static_cast<std::uint64_t>(
-        p * static_cast<double>(count_ - 1));
-    std::uint64_t seen = 0;
-    for (unsigned b = 0; b < num_buckets; ++b) {
-        seen += buckets_[b];
-        if (seen > target)
-            return bucketHigh(b) < max_ ? bucketHigh(b) : max_;
-    }
-    return max_;
-}
-
 double
 Histogram::percentile(double p) const
 {
@@ -84,17 +64,6 @@ Histogram::percentile(double p) const
 }
 
 void
-Histogram::reset()
-{
-    for (auto &b : buckets_)
-        b = 0;
-    count_ = 0;
-    sum_ = 0;
-    min_ = ~0ULL;
-    max_ = 0;
-}
-
-void
 StatRegistry::add(const std::string &name, Counter *counter)
 {
     auto [it, inserted] = counters.emplace(name, counter);
@@ -116,18 +85,6 @@ void
 StatRegistry::addInvariant(const std::string &name, InvariantFn check)
 {
     invariants.emplace_back(name, std::move(check));
-}
-
-std::uint64_t
-StatRegistry::sumByPrefix(const std::string &prefix) const
-{
-    std::uint64_t sum = 0;
-    for (auto it = counters.lower_bound(prefix); it != counters.end(); ++it) {
-        if (it->first.compare(0, prefix.size(), prefix) != 0)
-            break;
-        sum += it->second->value();
-    }
-    return sum;
 }
 
 std::uint64_t
@@ -167,15 +124,6 @@ StatRegistry::snapshot() const
     return out;
 }
 
-void
-StatRegistry::resetAll()
-{
-    for (auto &[name, counter] : counters)
-        counter->reset();
-    for (auto &[name, histogram] : histograms)
-        histogram->reset();
-}
-
 std::vector<std::string>
 StatRegistry::audit() const
 {
@@ -186,25 +134,6 @@ StatRegistry::audit() const
             violations.push_back(name + ": " + msg);
     }
     return violations;
-}
-
-std::string
-StatRegistry::dump() const
-{
-    std::ostringstream os;
-    for (const auto &[name, counter] : counters) {
-        if (counter->value() != 0)
-            os << name << " = " << counter->value() << "\n";
-    }
-    for (const auto &[name, h] : histograms) {
-        if (h->count() != 0) {
-            os << name << " = {count " << h->count() << ", mean "
-               << h->mean() << ", min " << h->min() << ", max "
-               << h->max() << ", p99 " << h->approxPercentile(0.99)
-               << "}\n";
-        }
-    }
-    return os.str();
 }
 
 std::string

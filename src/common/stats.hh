@@ -54,7 +54,6 @@ class Counter
         return *this;
     }
 
-    void reset() { value_ = 0; }
     std::uint64_t value() const { return value_; }
 
   private:
@@ -125,12 +124,6 @@ class Histogram
     }
 
     /**
-     * Upper bound of the bucket containing the @p p quantile
-     * (p in [0, 1]); a coarse percentile good enough for dashboards.
-     */
-    std::uint64_t approxPercentile(double p) const;
-
-    /**
      * Interpolated percentile (p in [0, 1], clamped).  Semantics:
      * the target is the fractional rank r = p * (count - 1) over the
      * samples in ascending order; the bucket holding rank r is found
@@ -142,11 +135,9 @@ class Histogram
      * estimate exact at p = 0 and p = 1 and prevents a sparse top
      * bucket from inflating the tail.  Returns 0.0 when empty.
      * With samples 1..8, percentile(0.5) == 4.5 and
-     * percentile(0.95) == 7.65 (see StatsTest.PercentileInterpolates).
+     * percentile(0.95) == 7.65 (see Stats.PercentileInterpolates).
      */
     double percentile(double p) const;
-
-    void reset();
 
   private:
     std::uint64_t buckets_[num_buckets] = {};
@@ -184,9 +175,6 @@ class StatRegistry
      */
     void addInvariant(const std::string &name, InvariantFn check);
 
-    /** Sum of all counters whose name starts with @p prefix. */
-    std::uint64_t sumByPrefix(const std::string &prefix) const;
-
     /** Value of the counter registered as @p name (fatal if absent). */
     std::uint64_t get(const std::string &name) const;
 
@@ -202,17 +190,11 @@ class StatRegistry
     /** Snapshot every counter into a name→value map. */
     std::map<std::string, std::uint64_t> snapshot() const;
 
-    /** Reset all registered counters and histograms to zero. */
-    void resetAll();
-
     /**
      * Evaluate every registered invariant; returns the violation
      * messages (empty vector = all invariants hold).
      */
     std::vector<std::string> audit() const;
-
-    /** Human-readable dump, sorted by name, skipping zero counters. */
-    std::string dump() const;
 
     /** JSON object of every counter: {"name": value, ...}. */
     std::string countersJson() const;

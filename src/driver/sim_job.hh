@@ -46,14 +46,6 @@ struct RunResult
     std::string error;          ///< failure message when !ok()
     std::string stats_record;   ///< stats-v2 run record JSON
 
-    /**
-     * Optional job-specific JSON payload (e.g. one serving sweep
-     * point).  Filled by custom jobs; the bench renders these in
-     * submission order, so derived documents stay byte-identical
-     * for any --jobs.  Must not contain wall-clock-derived fields.
-     */
-    std::string aux_json;
-
     bool ok() const { return status == JobStatus::Ok; }
 
     /** Counter @p name of the stats snapshot; 0 when absent. */

@@ -1,15 +1,14 @@
 /**
  * @file
- * Shared bucket-chained hash-table image for HashProbe-PEI consumers.
+ * Bucket-chained hash-table image for HashProbe PEIs.
  *
- * The Hash Join workload and the serving layer's hash-probe request
- * kernel both need the same structure: a power-of-two array of 64 B
- * HashBucket blocks (~4 keys per primary bucket) with overflow
- * buckets chained behind them.  The host-side image stores chain
- * links as bucket *indices* (index+1, 0 = end) so it can be memoized
- * process-wide and shared across Systems; materializeHashTable()
- * resolves the links against one run's table base when copying the
- * image into simulated memory.
+ * Its one consumer, the Hash Join workload, probes a power-of-two
+ * array of 64 B HashBucket blocks (~4 keys per primary bucket) with
+ * overflow buckets chained behind them.  The host-side image stores
+ * chain links as bucket *indices* (index+1, 0 = end) so it can be
+ * memoized process-wide and shared across Systems;
+ * materializeHashTable() resolves the links against one run's table
+ * base when copying the image into simulated memory.
  */
 
 #ifndef PEISIM_WORKLOADS_HASH_TABLE_HH

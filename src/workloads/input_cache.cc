@@ -3,8 +3,6 @@
 #include <map>
 #include <sstream>
 
-#include "common/stats.hh"
-
 namespace pei
 {
 
@@ -17,10 +15,9 @@ struct Cache
     // unique_ptr values: entry addresses must survive rehash/insert
     // so the per-entry once_flag can be used outside the map lock.
     std::map<std::string, std::unique_ptr<detail::CacheEntry>> entries;
-    // Counter-backed so the totals can be registered with a
-    // StatRegistry; every update happens under `mutex`.
-    Counter hits;
-    Counter misses;
+    // Both updated under `mutex`.
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
 };
 
 Cache &
@@ -57,7 +54,7 @@ inputCacheCounters()
 {
     Cache &c = cache();
     std::lock_guard<std::mutex> lock(c.mutex);
-    return {c.hits.value(), c.misses.value(),
+    return {c.hits, c.misses,
             static_cast<std::uint64_t>(c.entries.size())};
 }
 
@@ -72,21 +69,13 @@ inputCacheCountersJson()
 }
 
 void
-registerInputCacheStats(StatRegistry &reg)
-{
-    Cache &c = cache();
-    reg.add("input_cache.hits", &c.hits);
-    reg.add("input_cache.misses", &c.misses);
-}
-
-void
 clearInputCache()
 {
     Cache &c = cache();
     std::lock_guard<std::mutex> lock(c.mutex);
     c.entries.clear();
-    c.hits.reset();
-    c.misses.reset();
+    c.hits = 0;
+    c.misses = 0;
 }
 
 } // namespace pei

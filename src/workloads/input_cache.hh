@@ -31,8 +31,6 @@
 namespace pei
 {
 
-class StatRegistry;
-
 /** Hit/miss counters of the input cache (process-wide totals). */
 struct InputCacheCounters
 {
@@ -51,17 +49,6 @@ InputCacheCounters inputCacheCounters();
  * the end-of-process value is deterministic for any --jobs.
  */
 std::string inputCacheCountersJson();
-
-/**
- * Register the process-wide hit/miss counters with @p reg under
- * "input_cache.hits" / "input_cache.misses".  The counters are
- * shared across every System in the process, so register them only
- * in single-run tools (tests, examples) — inside a parallel sweep
- * the per-run values would depend on sibling-job progress.  Note
- * that StatRegistry::resetAll() on @p reg zeroes the process-wide
- * totals.
- */
-void registerInputCacheStats(StatRegistry &reg);
 
 /** Drop every entry and zero the counters (tests only — references
  *  returned by cachedInput become dangling). */

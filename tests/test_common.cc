@@ -121,17 +121,6 @@ TEST(Rng, UniformCoversRange)
     EXPECT_GT(hi, 0.99);
 }
 
-TEST(Zipf, SkewsTowardsHead)
-{
-    ZipfSampler z(1000, 1.0, 3);
-    std::uint64_t head = 0, total = 100000;
-    for (std::uint64_t i = 0; i < total; ++i)
-        head += (z.sample() < 10);
-    // With s=1.0 over 1000 items, the top-10 get ~39% of samples.
-    EXPECT_GT(head, total / 4);
-    EXPECT_LT(head, total / 2);
-}
-
 TEST(Stats, RegisterAndSnapshot)
 {
     StatRegistry reg;
@@ -142,26 +131,8 @@ TEST(Stats, RegisterAndSnapshot)
     ++b;
     EXPECT_EQ(reg.get("x.a"), 5u);
     EXPECT_EQ(reg.get("x.b"), 1u);
-    EXPECT_EQ(reg.sumByPrefix("x."), 6u);
     auto snap = reg.snapshot();
     EXPECT_EQ(snap.at("x.a"), 5u);
-    reg.resetAll();
-    EXPECT_EQ(reg.get("x.a"), 0u);
-}
-
-TEST(Stats, PrefixSumIsExactPrefix)
-{
-    StatRegistry reg;
-    Counter a, b, c;
-    reg.add("vault1.reads", &a);
-    reg.add("vault10.reads", &b);
-    reg.add("w.reads", &c);
-    a += 1;
-    b += 2;
-    c += 4;
-    EXPECT_EQ(reg.sumByPrefix("vault1."), 1u);
-    EXPECT_EQ(reg.sumByPrefix("vault1"), 3u);
-    EXPECT_EQ(reg.sumByPrefix(""), 7u);
 }
 
 TEST(Histogram, BucketsAreLog2Ranges)
@@ -207,20 +178,6 @@ TEST(Histogram, MeanMinMaxAndReset)
     EXPECT_DOUBLE_EQ(h.mean(), 20.0);
     EXPECT_EQ(h.min(), 10u);
     EXPECT_EQ(h.max(), 30u);
-    h.reset();
-    EXPECT_EQ(h.count(), 0u);
-    EXPECT_EQ(h.min(), 0u);
-    EXPECT_EQ(h.max(), 0u);
-}
-
-TEST(Histogram, ApproxPercentileWalksBuckets)
-{
-    Histogram h;
-    for (int i = 0; i < 99; ++i)
-        h.record(4); // bucket 3, upper bound 7
-    h.record(1000); // bucket 10 (clamped to the observed max)
-    EXPECT_EQ(h.approxPercentile(0.5), 7u);
-    EXPECT_EQ(h.approxPercentile(1.0), 1000u);
 }
 
 TEST(Stats, HistogramRegistrationAndReset)
@@ -232,8 +189,6 @@ TEST(Stats, HistogramRegistrationAndReset)
     EXPECT_FALSE(reg.hasHistogram("pmu.other"));
     h.record(5);
     EXPECT_EQ(reg.histogram("pmu.lat_ticks").count(), 1u);
-    reg.resetAll();
-    EXPECT_EQ(reg.histogram("pmu.lat_ticks").count(), 0u);
 }
 
 TEST(Stats, JsonExportIsWellFormed)

@@ -207,25 +207,6 @@ TEST(InputCache, SharesOneInstancePerKey)
     clearInputCache();
 }
 
-TEST(InputCache, CountersRegisterInStatRegistry)
-{
-    clearInputCache();
-    StatRegistry reg;
-    registerInputCacheStats(reg);
-    EXPECT_TRUE(reg.has("input_cache.hits"));
-    EXPECT_TRUE(reg.has("input_cache.misses"));
-
-    cachedInput<int>("test/reg", [] { return 7; });
-    cachedInput<int>("test/reg", [] { return 7; });
-    EXPECT_EQ(reg.get("input_cache.misses"), 1u);
-    EXPECT_EQ(reg.get("input_cache.hits"), 1u);
-
-    const std::string json = reg.countersJson();
-    EXPECT_NE(json.find("\"input_cache.hits\":1"), std::string::npos);
-    EXPECT_NE(json.find("\"input_cache.misses\":1"), std::string::npos);
-    clearInputCache();
-}
-
 /** Mask the host-timing fields that legitimately vary run to run. */
 std::string
 stripWallClock(std::string record)
