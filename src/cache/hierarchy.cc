@@ -446,9 +446,8 @@ CacheHierarchy::backInvalidate(Addr paddr, Callback cb)
 
     if (auto *waiters = l3_mshrs.find(block)) {
         const std::uint32_t op =
-            back_ops.emplace(BackOp{paddr, std::move(cb)});
-        waiters->push_back(
-            Callback([this, op] { retryBackInvalidate(op); }));
+            back_ops.emplace(BackOp{paddr, true, std::move(cb)});
+        waiters->push_back(Callback([this, op] { retryBackOp(op); }));
         return;
     }
 
@@ -489,9 +488,8 @@ CacheHierarchy::backWriteback(Addr paddr, Callback cb)
 
     if (auto *waiters = l3_mshrs.find(block)) {
         const std::uint32_t op =
-            back_ops.emplace(BackOp{paddr, std::move(cb)});
-        waiters->push_back(
-            Callback([this, op] { retryBackWriteback(op); }));
+            back_ops.emplace(BackOp{paddr, false, std::move(cb)});
+        waiters->push_back(Callback([this, op] { retryBackOp(op); }));
         return;
     }
 
@@ -499,9 +497,7 @@ CacheHierarchy::backWriteback(Addr paddr, Callback cb)
     // reader-PEI offload is exactly one back-writeback.
     ++stat_back_wb;
 
-    CacheLine *line = l3.find(block);
-    bool mem_write = false;
-    if (line) {
+    if (CacheLine *line = l3.find(block)) {
         for (unsigned c = 0; c < privs.size(); ++c) {
             if ((line->sharers & (1u << c)) &&
                 downgradePrivate(c, block)) {
@@ -509,34 +505,25 @@ CacheHierarchy::backWriteback(Addr paddr, Callback cb)
                 ++stat_writebacks_l3;
             }
         }
-    }
-    if (line) {
         line->owner = -1;
         if (line->dirty) {
             line->dirty = false;
-            mem_write = true;
             ++stat_writebacks_mem;
             mem.writeBlock(paddr);
         }
     }
-    (void)mem_write;
     eq.schedule(cfg.l3_latency, std::move(cb));
 }
 
 void
-CacheHierarchy::retryBackInvalidate(std::uint32_t op)
+CacheHierarchy::retryBackOp(std::uint32_t op)
 {
     BackOp b = std::move(back_ops[op]);
     back_ops.erase(op);
-    backInvalidate(b.paddr, std::move(b.cb));
-}
-
-void
-CacheHierarchy::retryBackWriteback(std::uint32_t op)
-{
-    BackOp b = std::move(back_ops[op]);
-    back_ops.erase(op);
-    backWriteback(b.paddr, std::move(b.cb));
+    if (b.invalidate)
+        backInvalidate(b.paddr, std::move(b.cb));
+    else
+        backWriteback(b.paddr, std::move(b.cb));
 }
 
 bool

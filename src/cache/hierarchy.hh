@@ -193,6 +193,7 @@ class CacheHierarchy
     struct BackOp
     {
         Addr paddr;
+        bool invalidate; ///< backInvalidate, else backWriteback
         Callback cb;
     };
 
@@ -213,11 +214,8 @@ class CacheHierarchy
     /** Release @p req's core MSHR, signal it, wake waiters. */
     void completeCoreMiss(std::uint32_t req);
 
-    /** Re-dispatch a back-invalidation parked behind an L3 MSHR. */
-    void retryBackInvalidate(std::uint32_t op);
-
-    /** Re-dispatch a back-writeback parked behind an L3 MSHR. */
-    void retryBackWriteback(std::uint32_t op);
+    /** Re-dispatch a back-op parked behind an L3 MSHR. */
+    void retryBackOp(std::uint32_t op);
 
     /** Fill the private L1+L2 of @p core with @p block in @p state. */
     void fillPrivate(unsigned core, Addr block, MesiState state);

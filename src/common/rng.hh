@@ -59,13 +59,6 @@ class Rng
             (static_cast<__uint128_t>(next()) * bound) >> 64);
     }
 
-    /** Uniform integer in [lo, hi]. */
-    std::uint64_t
-    range(std::uint64_t lo, std::uint64_t hi)
-    {
-        return lo + below(hi - lo + 1);
-    }
-
     /** Uniform double in [0, 1). */
     double
     uniform()

@@ -94,11 +94,11 @@ class Pmu
   public:
     using Callback = Continuation;
     /**
-     * PEI-retirement callback.  The 48-byte inline budget fits the
-     * largest issuer closure in the tree: an async PEI's
-     * `{Ctx *, CompletionFn}` completion forwarder.
+     * PEI-retirement callback.  The 16-byte inline budget fits both
+     * issuer closures: a blocking PEI's `[this, h]` resumption and an
+     * async PEI's `{Ctx *, OnComplete}` completion forwarder.
      */
-    using DoneFn = InlineFunction<void(const PimPacket &), 48>;
+    using DoneFn = InlineFunction<void(const PimPacket &), 16>;
 
     Pmu(EventQueue &eq, const PimConfig &cfg, unsigned cores,
         unsigned l3_sets, unsigned l3_ways, CacheHierarchy &hierarchy,

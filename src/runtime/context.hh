@@ -57,10 +57,10 @@ class MemOpAwaiter
 
 /** Awaiter for blocking loads that yields the loaded value. */
 template <typename T>
-class LoadValueAwaiter : public MemOpAwaiter
+class TypedLoadAwaiter : public MemOpAwaiter
 {
   public:
-    LoadValueAwaiter(Ctx &ctx, Addr vaddr) : MemOpAwaiter(ctx, vaddr, false)
+    TypedLoadAwaiter(Ctx &ctx, Addr vaddr) : MemOpAwaiter(ctx, vaddr, false)
     {}
 
     T await_resume();
@@ -109,23 +109,27 @@ class PeiAwaiter
     PimPacket result;
 };
 
+/** The completion callable of a fire-and-forget async PEI. */
+struct IgnorePacket
+{
+    void operator()(const PimPacket &) const {}
+};
+
 /**
  * Awaiter for async PEIs: resumes once a window slot is obtained.
- * An optional completion callback observes the finished packet
- * (e.g. to accumulate PEI outputs host-side, as HG/SC/SVM do).
+ * @p OnComplete observes the finished packet (e.g. to accumulate PEI
+ * outputs host-side, as HG/SC/SVM do).  It is kept as its own type,
+ * as Ctx::issueAccess keeps its callback, so the completion
+ * forwarder the issue path builds is `{Ctx *, OnComplete}`, which
+ * fits the PMU's 16-byte DoneFn when OnComplete is empty or one
+ * pointer.
  */
+template <typename OnComplete = IgnorePacket>
 class AsyncPeiAwaiter
 {
   public:
-    /**
-     * 32 bytes of inline capture: the completion forwarder the issue
-     * path builds is `{Ctx *, CompletionFn}`, which must fit the
-     * PMU's 48-byte DoneFn budget (8 + 40 = 48 exactly).
-     */
-    using CompletionFn = InlineFunction<void(const PimPacket &), 32>;
-
     AsyncPeiAwaiter(Ctx &ctx, PeiOpcode op, Addr vaddr, const void *input,
-                    unsigned input_size, CompletionFn on_complete = nullptr)
+                    unsigned input_size, OnComplete on_complete = {})
         : ctx(ctx), op(op), vaddr(vaddr), input_size(input_size),
           on_complete(std::move(on_complete))
     {
@@ -143,7 +147,7 @@ class AsyncPeiAwaiter
     Addr vaddr;
     unsigned input_size;
     std::uint8_t input_buf[max_operand_bytes] = {};
-    CompletionFn on_complete;
+    OnComplete on_complete;
 };
 
 /**
@@ -235,7 +239,7 @@ class Ctx
 
     /** Blocking load returning the value at completion time. */
     template <typename T>
-    detail::LoadValueAwaiter<T>
+    detail::TypedLoadAwaiter<T>
     loadValue(Addr vaddr)
     {
         return {*this, vaddr};
@@ -280,7 +284,7 @@ class Ctx
     }
 
     /** Async PEI (fire-and-forget; outputs discarded). */
-    detail::AsyncPeiAwaiter
+    detail::AsyncPeiAwaiter<>
     peiAsync(PeiOpcode op, Addr vaddr, const void *input = nullptr,
              unsigned input_size = 0)
     {
@@ -288,10 +292,10 @@ class Ctx
     }
 
     /** Async PEI whose completed packet is handed to @p fn. */
-    detail::AsyncPeiAwaiter
+    template <typename F>
+    detail::AsyncPeiAwaiter<F>
     peiAsyncCb(PeiOpcode op, Addr vaddr, const void *input,
-               unsigned input_size,
-               detail::AsyncPeiAwaiter::CompletionFn fn)
+               unsigned input_size, F fn)
     {
         return {*this, op, vaddr, input, input_size, std::move(fn)};
     }
@@ -299,20 +303,20 @@ class Ctx
     // Typed PEI conveniences matching Table 1.
 
     /** 8-byte atomic increment of the counter at @p vaddr. */
-    detail::AsyncPeiAwaiter inc64(Addr vaddr)
+    detail::AsyncPeiAwaiter<> inc64(Addr vaddr)
     {
         return peiAsync(PeiOpcode::Inc64, vaddr);
     }
 
     /** 8-byte atomic min: *vaddr = min(*vaddr, @p value). */
-    detail::AsyncPeiAwaiter
+    detail::AsyncPeiAwaiter<>
     min64(Addr vaddr, std::uint64_t value)
     {
         return peiAsync(PeiOpcode::Min64, vaddr, &value, sizeof(value));
     }
 
     /** Atomic double add: *vaddr += @p delta. */
-    detail::AsyncPeiAwaiter
+    detail::AsyncPeiAwaiter<>
     fadd(Addr vaddr, double delta)
     {
         return peiAsync(PeiOpcode::FaddDouble, vaddr, &delta,
@@ -336,6 +340,7 @@ class Ctx
     friend class detail::AsyncMemOpAwaiter;
     friend class detail::StreamLoadAwaiter;
     friend class detail::PeiAwaiter;
+    template <typename>
     friend class detail::AsyncPeiAwaiter;
     friend class detail::DrainAwaiter;
     friend class detail::PfenceAwaiter;
@@ -403,7 +408,7 @@ MemOpAwaiter::await_suspend(std::coroutine_handle<> h)
 
 template <typename T>
 T
-LoadValueAwaiter<T>::await_resume()
+TypedLoadAwaiter<T>::await_resume()
 {
     // Value observed at completion time.
     return ctx.fread<T>(vaddr);
@@ -447,8 +452,9 @@ PeiAwaiter::await_suspend(std::coroutine_handle<> h)
     });
 }
 
-inline bool
-AsyncPeiAwaiter::await_ready()
+template <typename OnComplete>
+bool
+AsyncPeiAwaiter<OnComplete>::await_ready()
 {
     if (ctx.core().windowFull())
         return false;
@@ -456,20 +462,21 @@ AsyncPeiAwaiter::await_ready()
     return true;
 }
 
-inline void
-AsyncPeiAwaiter::await_suspend(std::coroutine_handle<> h)
+template <typename OnComplete>
+void
+AsyncPeiAwaiter<OnComplete>::await_suspend(std::coroutine_handle<> h)
 {
     ctx.core().acquireSlot([h] { resumeLive(h); });
 }
 
-inline void
-AsyncPeiAwaiter::await_resume()
+template <typename OnComplete>
+void
+AsyncPeiAwaiter<OnComplete>::await_resume()
 {
     Ctx *c = &ctx;
     c->issuePei(op, vaddr, input_buf, input_size,
                 [c, fn = std::move(on_complete)](const PimPacket &pkt) mutable {
-                    if (fn)
-                        fn(pkt);
+                    fn(pkt);
                     c->core().releaseSlot();
                 });
 }

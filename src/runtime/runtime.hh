@@ -74,35 +74,23 @@ class Runtime
     }
 
     /**
-     * Drive the event loop until every spawned task finishes, then
-     * settle remaining events.  Panics on deadlock (empty queue with
-     * unfinished tasks).  Throws SimulationStopped if another host
-     * thread calls eventQueue().requestStop() (sweep-driver timeout
-     * cancellation); the System must be discarded afterwards.
+     * Drive the event loop until the queue drains: every spawned task
+     * finishes and trailing events (posted writes, releases, ...)
+     * settle.  Panics on deadlock (empty queue with unfinished
+     * tasks).  Throws SimulationStopped if another host thread calls
+     * eventQueue().requestStop() (sweep-driver timeout cancellation);
+     * the System must be discarded afterwards.
      * @return simulated ticks elapsed during this run.
      */
     Tick
     run()
     {
         const Tick start = sys.now();
-        EventQueue &eq = sys.eventQueue();
-        std::uint64_t n = 0;
-        while (!allDone()) {
-            // Completion is a counter (O(1)); the cross-thread stop
-            // flag is polled on the EventQueue's cadence so the hot
-            // loop does one atomic load per 1024 events, not per
-            // event, while cancellation latency stays bounded.
-            if ((n & (EventQueue::stop_check_interval - 1)) == 0 &&
-                eq.stopRequested())
-                throw SimulationStopped();
-            panic_if(!eq.runOne(),
-                     "simulation deadlock: %zu unfinished task(s) with an "
-                     "empty event queue",
-                     unfinishedCount());
-            ++n;
-        }
-        // Settle trailing events (posted writes, releases, ...).
-        while (eq.runOne()) {}
+        sys.eventQueue().run().throwIfStopped();
+        panic_if(!allDone(),
+                 "simulation deadlock: %zu unfinished task(s) with an "
+                 "empty event queue",
+                 unfinishedCount());
         tasks.clear();
         ctxs.clear();
         finished = 0;

@@ -198,11 +198,8 @@ class EventQueue
 
     /**
      * Result of run(): how many events executed and why the loop
-     * broke.  A stop request used to be indistinguishable from a
-     * normal drain here, so raw-loop callers (bench warmup loops,
-     * golden-model drivers) silently swallowed cancellations that
-     * Runtime::run turns into SimulationStopped; they can now call
-     * throwIfStopped() to propagate consistently.
+     * broke.  Runtime::run calls throwIfStopped() on it, so a stop
+     * request surfaces as SimulationStopped rather than as a drain.
      */
     struct RunOutcome
     {

@@ -204,42 +204,6 @@ class DelayAwaiter
     Ticks delay;
 };
 
-/**
- * Awaitable completed by an external callback.  The issuing code
- * captures completion() and invokes it (typically from an event-queue
- * callback) when the simulated operation finishes; a value of type T
- * is handed to the awaiting coroutine.
- *
- * The shared state lives on the coroutine frame via the awaiter, so
- * the callback must fire before the awaiting coroutine is destroyed.
- */
-template <typename T>
-class ValueAwaiter
-{
-  public:
-    struct State
-    {
-        bool ready = false;
-        T value{};
-        std::coroutine_handle<> waiter;
-    };
-
-    explicit ValueAwaiter(State &state) : state(state) {}
-
-    bool await_ready() const { return state.ready; }
-
-    void
-    await_suspend(std::coroutine_handle<> h)
-    {
-        state.waiter = h;
-    }
-
-    T await_resume() { return std::move(state.value); }
-
-  private:
-    State &state;
-};
-
 } // namespace pei
 
 #endif // PEISIM_SIM_TASK_HH

@@ -168,7 +168,7 @@ TEST(Histogram, ExtremesLandInTheLastBucket)
     EXPECT_EQ(Histogram::bucketHigh(64), ~0ULL);
 }
 
-TEST(Histogram, MeanMinMaxAndReset)
+TEST(Histogram, MeanMinMax)
 {
     Histogram h;
     EXPECT_EQ(h.min(), 0u);
@@ -180,7 +180,7 @@ TEST(Histogram, MeanMinMaxAndReset)
     EXPECT_EQ(h.max(), 30u);
 }
 
-TEST(Stats, HistogramRegistrationAndReset)
+TEST(Stats, HistogramRegistration)
 {
     StatRegistry reg;
     Histogram h;

@@ -195,5 +195,23 @@ TEST(RuntimeSmoke2, HashProbeReturnsMatchAndNext)
     EXPECT_TRUE(done);
 }
 
+TEST(RuntimeDeathTest, UnfinishedTaskWithEmptyQueuePanics)
+{
+    // One arrival at a two-party barrier: after its load the task
+    // waits forever, and the queue drains under it.
+    System sys(tinyConfig(ExecMode::HostOnly));
+    Runtime rt(sys);
+    const Addr word = rt.allocArray<std::uint64_t>(1);
+    Barrier barrier(sys.eventQueue(), 2);
+    const auto kernel = [&barrier, word](Ctx &ctx) -> Task {
+        co_await ctx.load(word);
+        co_await barrier.arrive();
+    };
+    rt.spawn(0, kernel);
+    EXPECT_DEATH(rt.run(),
+                 "simulation deadlock: 1 unfinished task\\(s\\) with an "
+                 "empty event queue");
+}
+
 } // namespace
 } // namespace pei
