@@ -1,8 +1,8 @@
 #include "hierarchy.hh"
 
-#include <algorithm>
 #include <cstdio>
 #include <string>
+#include <utility>
 
 #include "common/logging.hh"
 
@@ -28,7 +28,7 @@ CacheHierarchy::MshrFile::MshrFile(unsigned entries)
         free_slots.push_back(s);
 }
 
-std::vector<CacheHierarchy::Callback> *
+EventQueue::WaitList *
 CacheHierarchy::MshrFile::find(Addr block)
 {
     const std::uint32_t s = index.find(block);
@@ -43,14 +43,14 @@ CacheHierarchy::MshrFile::allocate(Addr block)
     index.insert(block, s);
 }
 
-std::vector<CacheHierarchy::Callback>
+EventQueue::WaitList
 CacheHierarchy::MshrFile::release(Addr block)
 {
     const std::uint32_t s = index.erase(block);
     panic_if(s == SlotIndex::npos, "MSHR vanished for block 0x%llx",
              static_cast<unsigned long long>(block));
     free_slots.push_back(s);
-    return std::move(waiters[s]);
+    return std::exchange(waiters[s], {});
 }
 
 CacheHierarchy::CacheHierarchy(EventQueue &eq, const CacheConfig &cfg,
@@ -157,12 +157,11 @@ CacheHierarchy::access(unsigned core, Addr paddr, bool is_write, Callback cb)
     // same-block requests; stall when out of entries.
     auto &mshrs = core_mshrs[core];
     if (auto *waiters = mshrs.find(block)) {
-        waiters->push_back(Callback([this, req] { retryAccess(req); }));
+        eq.park(*waiters, [this, req] { retryAccess(req); });
         return;
     }
     if (mshrs.full()) {
-        core_stalled[core].push_back(
-            Callback([this, req] { retryAccess(req); }));
+        eq.park(core_stalled[core], [this, req] { retryAccess(req); });
         return;
     }
     mshrs.allocate(block);
@@ -186,12 +185,12 @@ CacheHierarchy::completeCoreMiss(std::uint32_t req)
     // stalled requests, then signal the requester.
     const unsigned core = accesses[req].core;
     const Addr block = accesses[req].paddr >> block_shift;
-    auto waiters = core_mshrs[core].release(block);
+    EventQueue::WaitList waiters = core_mshrs[core].release(block);
     Callback cb = std::move(accesses[req].cb);
     accesses.erase(req);
     cb();
-    for (auto &w : waiters)
-        w();
+    while (!waiters.empty())
+        eq.runParked(waiters);
     drainCoreStalled(core);
 }
 
@@ -238,7 +237,7 @@ CacheHierarchy::accessL3(std::uint32_t req)
     // Serialize against an in-flight DRAM fetch of the same block.
     if (auto *waiters = l3_mshrs.find(block)) {
         ++stat_l3_coalesced;
-        waiters->push_back(Callback([this, req] { accessL3(req); }));
+        eq.park(*waiters, [this, req] { accessL3(req); });
         return;
     }
 
@@ -294,7 +293,7 @@ CacheHierarchy::accessL3(std::uint32_t req)
 
     ++stat_l3_misses;
     if (l3_mshrs.full()) {
-        l3_stalled.push_back(Callback([this, req] { accessL3(req); }));
+        eq.park(l3_stalled, [this, req] { accessL3(req); });
         return;
     }
     l3_mshrs.allocate(block);
@@ -321,9 +320,8 @@ CacheHierarchy::l3FetchDone(std::uint32_t req)
     eq.schedule(cfg.l3_latency + cfg.xbar_latency,
                 [this, req] { completeCoreMiss(req); });
 
-    auto waiters = l3_mshrs.release(block);
-    for (auto &w : waiters)
-        w();
+    for (auto waiters = l3_mshrs.release(block); !waiters.empty();)
+        eq.runParked(waiters);
     drainL3Stalled();
 }
 
@@ -447,7 +445,7 @@ CacheHierarchy::backInvalidate(Addr paddr, Callback cb)
     if (auto *waiters = l3_mshrs.find(block)) {
         const std::uint32_t op =
             back_ops.emplace(BackOp{paddr, true, std::move(cb)});
-        waiters->push_back(Callback([this, op] { retryBackOp(op); }));
+        eq.park(*waiters, [this, op] { retryBackOp(op); });
         return;
     }
 
@@ -489,7 +487,7 @@ CacheHierarchy::backWriteback(Addr paddr, Callback cb)
     if (auto *waiters = l3_mshrs.find(block)) {
         const std::uint32_t op =
             back_ops.emplace(BackOp{paddr, false, std::move(cb)});
-        waiters->push_back(Callback([this, op] { retryBackOp(op); }));
+        eq.park(*waiters, [this, op] { retryBackOp(op); });
         return;
     }
 
@@ -567,11 +565,8 @@ CacheHierarchy::drainCoreStalled(unsigned core)
     // free MSHR — it never re-stalls while capacity remains, so the
     // loop strictly shrinks the queue (no quadratic retry storm).
     auto &queue = core_stalled[core];
-    while (!queue.empty() && !core_mshrs[core].full()) {
-        Callback fn = std::move(queue.front());
-        queue.pop_front();
-        fn();
-    }
+    while (!queue.empty() && !core_mshrs[core].full())
+        eq.runParked(queue);
 }
 
 void
@@ -580,11 +575,8 @@ CacheHierarchy::drainL3Stalled()
     // Same shrinking-queue argument as drainCoreStalled: retried
     // requests hit, coalesce, or claim a free MSHR; none re-stall
     // while capacity remains.
-    while (!l3_stalled.empty() && !l3_mshrs.full()) {
-        Callback fn = std::move(l3_stalled.front());
-        l3_stalled.pop_front();
-        fn();
-    }
+    while (!l3_stalled.empty() && !l3_mshrs.full())
+        eq.runParked(l3_stalled);
 }
 
 std::string

@@ -23,7 +23,6 @@
 #define PEISIM_CACHE_HIERARCHY_HH
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "cache/cache_array.hh"
@@ -154,7 +153,7 @@ class CacheHierarchy
         explicit MshrFile(unsigned entries);
 
         /** Waiters on @p block's miss, or nullptr if none is in flight. */
-        std::vector<Callback> *find(Addr block);
+        EventQueue::WaitList *find(Addr block);
 
         bool full() const { return free_slots.empty(); }
 
@@ -162,14 +161,14 @@ class CacheHierarchy
         void allocate(Addr block);
 
         /**
-         * Free @p block's entry and hand back its waiters in arrival
-         * order.  They leave the entry before they run, because a
-         * waiter may claim an entry itself.
+         * Free @p block's entry and hand back its waiters, detached:
+         * they run after the entry is reset, because a waiter may
+         * claim the entry just freed.
          */
-        std::vector<Callback> release(Addr block);
+        EventQueue::WaitList release(Addr block);
 
       private:
-        std::vector<std::vector<Callback>> waiters; ///< per entry
+        std::vector<EventQueue::WaitList> waiters; ///< per entry
         std::vector<std::uint32_t> free_slots;
         SlotIndex index; ///< block -> entry
     };
@@ -250,10 +249,10 @@ class CacheHierarchy
     MshrFile l3_mshrs;
 
     /** Requests stalled on core-MSHR exhaustion, per core. */
-    std::vector<std::deque<Callback>> core_stalled;
+    std::vector<EventQueue::WaitList> core_stalled;
 
     /** Requests stalled on L3-MSHR exhaustion. */
-    std::deque<Callback> l3_stalled;
+    EventQueue::WaitList l3_stalled;
 
     /** Parked in-flight demand accesses (handle-addressed). */
     SlotPool<PendingAccess> accesses;

@@ -14,7 +14,6 @@
 #ifndef PEISIM_CPU_CORE_HH
 #define PEISIM_CPU_CORE_HH
 
-#include <deque>
 #include <string>
 
 #include "common/stats.hh"
@@ -76,7 +75,7 @@ class Core
             return;
         }
         ++stat_window_stalls;
-        slot_waiters.push_back(std::move(then));
+        eq.park(slot_waiters, std::move(then));
     }
 
     /** Release a window slot; wakes one waiter / drain watchers. */
@@ -89,18 +88,10 @@ class Core
         ++stat_retired;
         if (!slot_waiters.empty()) {
             ++outstanding; // hand the slot straight to the waiter
-            Callback next = std::move(slot_waiters.front());
-            slot_waiters.pop_front();
-            eq.schedule(0, std::move(next));
-        } else if (outstanding == 0 && !drain_waiters.empty()) {
-            // The empty check matters: moving even an empty deque
-            // re-initializes both with a fresh map + node, which
-            // would put two heap allocations on every blocking op's
-            // retire path.
-            auto watchers = std::move(drain_waiters);
-            drain_waiters.clear();
-            for (auto &w : watchers)
-                eq.schedule(0, std::move(w));
+            eq.wake(slot_waiters);
+        } else if (outstanding == 0) {
+            while (!drain_waiters.empty())
+                eq.wake(drain_waiters);
         }
     }
 
@@ -112,7 +103,7 @@ class Core
             then();
             return;
         }
-        drain_waiters.push_back(std::move(then));
+        eq.park(drain_waiters, std::move(then));
     }
 
     /** TLB lookup latency contribution for @p vaddr. */
@@ -131,8 +122,8 @@ class Core
     Tlb tlb;
 
     unsigned outstanding = 0;
-    std::deque<Callback> slot_waiters;
-    std::deque<Callback> drain_waiters;
+    EventQueue::WaitList slot_waiters;
+    EventQueue::WaitList drain_waiters;
 
     Counter stat_loads;
     Counter stat_stores;

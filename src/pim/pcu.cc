@@ -37,23 +37,9 @@ Pcu::Pcu(EventQueue &eq, const std::string &name, unsigned entries,
             if (in_use == 0 && entry_waiters.empty())
                 return std::string();
             return std::to_string(in_use) + " entry(ies) still held, " +
-                   std::to_string(entry_waiters.size()) +
+                   std::to_string(entry_waiters.size) +
                    " waiter(s) still queued";
         });
-}
-
-void
-Pcu::acquireEntry(Callback then)
-{
-    if (in_use < capacity) {
-        ++in_use;
-        ++stat_entry_acquires;
-        hist_buffer_wait.record(0);
-        then();
-        return;
-    }
-    ++stat_buffer_stalls;
-    entry_waiters.emplace_back(eq.now(), std::move(then));
 }
 
 void
@@ -65,10 +51,7 @@ Pcu::releaseEntry()
     if (!entry_waiters.empty()) {
         ++in_use;
         ++stat_entry_acquires;
-        auto [asked, next] = std::move(entry_waiters.front());
-        entry_waiters.pop_front();
-        hist_buffer_wait.record(eq.now() - asked);
-        eq.schedule(0, std::move(next));
+        eq.wake(entry_waiters);
     }
 }
 

@@ -15,7 +15,6 @@
 #ifndef PEISIM_PIM_PCU_HH
 #define PEISIM_PIM_PCU_HH
 
-#include <deque>
 #include <string>
 #include <vector>
 
@@ -57,9 +56,27 @@ class Pcu
 
     /**
      * Allocate an operand-buffer entry; @p then fires once one is
-     * available (PEIs stall on a full buffer, paper §4.2).
+     * available (PEIs stall on a full buffer, paper §4.2).  A waiter
+     * records its buffer wait when it runs, in the tick
+     * releaseEntry() hands it the entry.
      */
-    void acquireEntry(Callback then);
+    template <typename F>
+    void
+    acquireEntry(F then)
+    {
+        if (in_use < capacity) {
+            ++in_use;
+            ++stat_entry_acquires;
+            hist_buffer_wait.record(0);
+            then();
+            return;
+        }
+        ++stat_buffer_stalls;
+        eq.park(entry_waiters, [this, asked = eq.now(), then]() mutable {
+            hist_buffer_wait.record(eq.now() - asked);
+            then();
+        });
+    }
 
     /** Free an operand-buffer entry. */
     void releaseEntry();
@@ -80,9 +97,7 @@ class Pcu
     std::uint64_t mhz;
 
     unsigned in_use = 0;
-    /** Waiters queued for an operand-buffer entry, with the tick the
-     *  wait began (for the buffer-wait histogram). */
-    std::deque<std::pair<Tick, Callback>> entry_waiters;
+    EventQueue::WaitList entry_waiters; ///< queued for an entry
     std::vector<Tick> port_free_at; ///< one per issue-width port
 
     Counter stat_executed;

@@ -16,10 +16,7 @@ PimDirectory::PimDirectory(EventQueue &eq, unsigned num_entries,
         fatal_if(!isPowerOf2(num_entries),
                  "PIM directory entry count must be a power of two");
         index_bits = floorLog2(num_entries);
-        // Sized construction (not resize): Entry holds a deque of
-        // move-only waiters, whose non-noexcept move makes resize's
-        // relocation path demand a (deleted) copy constructor.
-        entries = std::vector<Entry>(num_entries);
+        entries.resize(num_entries);
     }
     stats.add(name + ".acquires", &stat_acquires);
     stats.add(name + ".releases", &stat_releases);
@@ -59,20 +56,6 @@ PimDirectory::entryFor(Addr block)
 }
 
 void
-PimDirectory::grantLocked(Entry &e, Waiter w)
-{
-    if (w.writer)
-        e.active_writer = true;
-    else
-        ++e.active_readers;
-    e.holder_blocks.push_back(w.block);
-    if (access_latency == 0)
-        eq.schedule(0, std::move(w.cb));
-    else
-        eq.schedule(access_latency, std::move(w.cb));
-}
-
-void
 PimDirectory::registerWriter()
 {
     ++writers_in_flight;
@@ -95,40 +78,31 @@ PimDirectory::acquire(Addr block, bool writer, Callback granted,
     // "non-readable" bit) and a queued reader behind a writer keeps
     // its place (the "non-writeable" bit analogue).
     if (compatible && e.queue.empty()) {
-        grantLocked(e, Waiter{writer, block, std::move(granted)});
+        e.members.push_back(Member{block, writer});
+        e.hold(writer);
+        eq.schedule(access_latency, std::move(granted));
         return;
     }
 
     ++stat_conflicts;
-    const bool same_block_held =
-        std::find(e.holder_blocks.begin(), e.holder_blocks.end(), block) !=
-            e.holder_blocks.end() ||
-        std::any_of(e.queue.begin(), e.queue.end(),
-                    [block](const Waiter &w) { return w.block == block; });
-    if (!same_block_held)
+    if (std::none_of(e.members.begin(), e.members.end(),
+                     [block](const Member &m) { return m.block == block; }))
         ++stat_false_conflicts;
-
-    e.queue.push_back(Waiter{writer, block, std::move(granted)});
+    e.members.push_back(Member{block, writer});
+    eq.park(e.queue, std::move(granted));
 }
 
 void
 PimDirectory::drainEntry(Entry &e)
 {
-    while (!e.queue.empty()) {
-        Waiter &front = e.queue.front();
-        if (front.writer) {
-            if (e.active_writer || e.active_readers > 0)
-                break;
-            Waiter w = std::move(front);
-            e.queue.pop_front();
-            grantLocked(e, std::move(w));
-            break; // only one writer may hold the entry
-        }
-        if (e.active_writer)
+    // Grant the front waiter and any readers right behind it; only
+    // one writer may hold the entry.
+    while (!e.queue.empty() && !e.active_writer) {
+        const bool writer = e.members[e.holders()].writer;
+        if (writer && e.active_readers > 0)
             break;
-        Waiter w = std::move(front);
-        e.queue.pop_front();
-        grantLocked(e, std::move(w)); // grant consecutive readers together
+        e.hold(writer);
+        eq.wake(e.queue, access_latency);
     }
 }
 
@@ -141,12 +115,14 @@ PimDirectory::release(Addr block, bool writer)
 
     ++stat_releases;
     Entry &e = entryFor(block);
-    auto holder =
-        std::find(e.holder_blocks.begin(), e.holder_blocks.end(), block);
-    panic_if(holder == e.holder_blocks.end(),
+    const auto holders_end = e.members.begin() + e.holders();
+    const auto holder =
+        std::find_if(e.members.begin(), holders_end,
+                     [block](const Member &m) { return m.block == block; });
+    panic_if(holder == holders_end,
              "PIM directory release without matching acquire (0x%llx)",
              static_cast<unsigned long long>(block));
-    e.holder_blocks.erase(holder);
+    e.members.erase(holder);
 
     if (writer) {
         panic_if(!e.active_writer, "writer release without active writer");
@@ -158,10 +134,8 @@ PimDirectory::release(Addr block, bool writer)
 
     drainEntry(e);
 
-    if (num_entries == 0 && !e.active_writer && e.active_readers == 0 &&
-        e.queue.empty()) {
+    if (num_entries == 0 && e.members.empty())
         ideal_map.erase(block);
-    }
 
     if (writer)
         writerDone();
@@ -172,12 +146,8 @@ PimDirectory::writerDone()
 {
     panic_if(writers_in_flight == 0, "writer completion underflow");
     --writers_in_flight;
-    if (writers_in_flight == 0 && !pfence_waiters.empty()) {
-        auto waiters = std::move(pfence_waiters);
-        pfence_waiters.clear();
-        for (auto &w : waiters)
-            eq.schedule(0, std::move(w));
-    }
+    while (writers_in_flight == 0 && !pfence_waiters.empty())
+        eq.wake(pfence_waiters);
 }
 
 std::string
@@ -189,15 +159,15 @@ PimDirectory::probeViolation() const
                    std::to_string(e.active_readers) +
                    " reader(s) hold the entry together";
         }
-        const std::size_t holders =
-            e.active_readers + (e.active_writer ? 1u : 0u);
-        if (e.holder_blocks.size() != holders) {
-            return which + ": " + std::to_string(e.holder_blocks.size()) +
-                   " holder block(s) recorded for " +
-                   std::to_string(holders) + " grant(s)";
+        const std::size_t holders = e.holders();
+        if (e.members.size() != holders + e.queue.size) {
+            return which + ": " + std::to_string(e.members.size()) +
+                   " member(s) recorded for " + std::to_string(holders) +
+                   " grant(s) and " + std::to_string(e.queue.size) +
+                   " waiter(s)";
         }
         if (!e.queue.empty() && holders == 0) {
-            return which + ": " + std::to_string(e.queue.size()) +
+            return which + ": " + std::to_string(e.queue.size) +
                    " waiter(s) queued behind a free entry";
         }
         return std::string();
@@ -225,7 +195,7 @@ PimDirectory::pfence(Callback done)
         eq.schedule(access_latency, std::move(done));
         return;
     }
-    pfence_waiters.push_back(std::move(done));
+    eq.park(pfence_waiters, std::move(done));
 }
 
 } // namespace pei

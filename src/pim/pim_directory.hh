@@ -20,7 +20,6 @@
 #define PEISIM_PIM_PIM_DIRECTORY_HH
 
 #include <cstdint>
-#include <deque>
 #include <unordered_map>
 #include <vector>
 
@@ -113,32 +112,43 @@ class PimDirectory
     /**
      * Structural self-check for mid-simulation probes: verifies that
      * every entry's holder bookkeeping is consistent (a writer never
-     * coexists with readers, holder_blocks matches the grant counts,
-     * and nobody waits behind a free entry).  Returns an empty string
-     * when consistent, else a description of the first violation.
+     * coexists with readers, the members match the grant and waiter
+     * counts, and nobody waits behind a free entry).  Returns an
+     * empty string when consistent, else a description of the first
+     * violation.
      */
     std::string probeViolation() const;
 
   private:
-    struct Waiter
+    /** A PEI holding or waiting for an entry. */
+    struct Member
     {
-        bool writer;
         Addr block;
-        Callback cb;
+        bool writer;
     };
 
     struct Entry
     {
         unsigned active_readers = 0;
         bool active_writer = false;
-        std::deque<Waiter> queue;
-        /** Target blocks of current holders (stats only). */
-        std::vector<Addr> holder_blocks;
+        /** Holders, then waiters, each in arrival order: grants are
+         *  FIFO, so every holder arrived before every waiter. */
+        std::vector<Member> members;
+        EventQueue::WaitList queue; ///< the waiters' grant callbacks
+
+        std::size_t holders() const { return active_readers + active_writer; }
+
+        /** Count members[holders()] as a holder. */
+        void
+        hold(bool writer)
+        {
+            active_writer |= writer;
+            active_readers += !writer;
+        }
     };
 
     Entry &entryFor(Addr block);
     std::size_t indexOf(Addr block) const;
-    void grantLocked(Entry &e, Waiter w);
     void drainEntry(Entry &e);
     void writerDone();
 
@@ -151,7 +161,7 @@ class PimDirectory
     std::unordered_map<Addr, Entry> ideal_map;  ///< ideal mode
 
     std::uint64_t writers_in_flight = 0;
-    std::deque<Callback> pfence_waiters;
+    EventQueue::WaitList pfence_waiters;
 
     std::uint64_t inject_skip_release = 0; ///< 0 = no fault injection
     std::uint64_t release_calls = 0;       ///< release() invocations

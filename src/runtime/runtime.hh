@@ -8,6 +8,7 @@
 #define PEISIM_RUNTIME_RUNTIME_HH
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "runtime/context.hh"
@@ -89,8 +90,12 @@ class Runtime
         sys.eventQueue().run().throwIfStopped();
         panic_if(!allDone(),
                  "simulation deadlock: %zu unfinished task(s) with an "
-                 "empty event queue",
-                 unfinishedCount());
+                 "empty event queue; core(s)%s; %llu parked "
+                 "continuation(s)",
+                 static_cast<std::size_t>(tasks.size() - finished),
+                 unfinishedCores().c_str(),
+                 static_cast<unsigned long long>(
+                     sys.eventQueue().parkedCount()));
         tasks.clear();
         ctxs.clear();
         finished = 0;
@@ -101,13 +106,16 @@ class Runtime
     bool allDone() const { return finished == tasks.size(); }
 
   private:
-    std::size_t
-    unfinishedCount() const
+    /** " c0 c1 ...": the cores of the unfinished tasks. */
+    std::string
+    unfinishedCores() const
     {
-        std::size_t n = 0;
-        for (const auto &t : tasks)
-            n += !t.done();
-        return n;
+        std::string cores;
+        for (std::size_t i = 0; i < tasks.size(); ++i) {
+            if (!tasks[i].done())
+                cores += " " + std::to_string(ctxs[i]->coreId());
+        }
+        return cores;
     }
 
     System &sys;

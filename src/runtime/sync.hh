@@ -11,7 +11,6 @@
 #define PEISIM_RUNTIME_SYNC_HH
 
 #include <coroutine>
-#include <vector>
 
 #include "common/logging.hh"
 #include "sim/event_queue.hh"
@@ -40,7 +39,7 @@ class Barrier
         void
         await_suspend(std::coroutine_handle<> h)
         {
-            barrier.waiters.push_back(h);
+            barrier.eq.park(barrier.waiters, [h] { resumeLive(h); });
         }
 
         void await_resume() {}
@@ -64,17 +63,15 @@ class Barrier
         if (count < parties)
             return false;
         count = 0;
-        auto released = std::move(waiters);
-        waiters.clear();
-        for (auto h : released)
-            eq.schedule(0, Continuation([h] { resumeLive(h); }));
+        while (!waiters.empty())
+            eq.wake(waiters);
         return true;
     }
 
     EventQueue &eq;
     unsigned parties;
     unsigned count = 0;
-    std::vector<std::coroutine_handle<>> waiters;
+    EventQueue::WaitList waiters;
 };
 
 } // namespace pei

@@ -17,15 +17,20 @@
  *
  * The continuations themselves live in a SlotPool slab arena
  * addressed by slot; each 64-byte arena record also holds the link
- * to the next record in its bucket.  Arena slots are recycled
- * through a freelist and the callables are allocation-free
- * InlineFunctions, so a steady-state schedule/execute cycle touches
- * the heap allocator exactly zero times.  schedule() builds the
- * continuation straight in its arena record, and runOne() invokes it
- * there and frees the slot once it returns or throws, so an event's
- * closure is never moved.  That is safe because arena chunks never
- * move and a live slot is never reused: a callback may schedule, and
- * so grow the arena, while it runs.
+ * to the next record in its bucket or wait list.  The arena holds
+ * both scheduled continuations and parked ones: a WaitList is a FIFO
+ * of events without a time (a core's window-slot waiters, directory
+ * lock waiters, MSHR waiters, a barrier's arrivals), which wake()
+ * later links into the schedule or runParked() runs at once.  Arena
+ * slots are recycled through a freelist and the callables are
+ * allocation-free InlineFunctions, so a steady-state
+ * schedule/park/execute cycle touches the heap allocator exactly
+ * zero times.  schedule() and park() build the continuation straight
+ * in its arena record, and runOne() and runParked() invoke it there
+ * and free the slot once it returns or throws, so a closure is never
+ * moved.  That is safe because arena chunks never move and a live
+ * slot is never reused: a callback may schedule or park, and so grow
+ * the arena, while it runs.
  *
  * Ordering is exactly the (tick, seq) order of a plain heap: a heap
  * event for tick T was scheduled before T entered the window, so
@@ -118,20 +123,55 @@ class EventQueue
                  "scheduling event in the past (%llu < %llu)",
                  static_cast<unsigned long long>(when),
                  static_cast<unsigned long long>(cur_tick));
-        const std::uint32_t slot = arena.emplace(std::forward<F>(fn));
-        if (when - cur_tick < wheel_span) {
-            append(when, slot);
-        } else {
-            far.push_back(FarEvent{when, next_seq++, slot});
-            std::push_heap(far.begin(), far.end(), Later{});
-        }
+        place(when, arena.emplace(std::forward<F>(fn)));
     }
 
-    /** True if no events are pending. */
+    /**
+     * A FIFO of parked continuations, each in the arena slot park()
+     * built it in.  Plain data, so a copy detaches the whole list and
+     * the original may then be reset and reused.
+     */
+    struct WaitList
+    {
+        std::uint32_t head = none;
+        std::uint32_t tail = none;
+        std::uint32_t size = 0;
+
+        bool empty() const { return size == 0; }
+    };
+
+    /** Build @p fn in an arena slot at the tail of @p list. */
+    template <typename F>
+    void
+    park(WaitList &list, F &&fn)
+    {
+        const std::uint32_t slot = arena.emplace(std::forward<F>(fn));
+        if (list.size++ == 0)
+            list.head = slot;
+        else
+            arena[list.tail].next = slot;
+        list.tail = slot;
+    }
+
+    /** Schedule @p list's head @p delay ticks from now, in the
+     *  (tick, seq) place schedule() would give it, without moving it. */
+    void
+    wake(WaitList &list, Ticks delay = 0)
+    {
+        place(cur_tick + delay, unpark(list));
+    }
+
+    /** Run @p list's head now, in its slot, and free the slot. */
+    void runParked(WaitList &list) { invoke(unpark(list)); }
+
+    /** True if no events are pending (parked ones do not count). */
     bool empty() const { return wheel_count == 0 && far.empty(); }
 
-    /** Number of pending events. */
+    /** Number of pending events (parked ones do not count). */
     std::size_t size() const { return wheel_count + far.size(); }
+
+    /** Number of parked continuations (call it between events). */
+    std::uint64_t parkedCount() const { return arena.liveCount() - size(); }
 
     /**
      * Pop and execute the next event, advancing time to it.
@@ -154,19 +194,13 @@ class EventQueue
 
         // The callback may schedule new events, so unlink it first.
         const std::uint32_t slot = head[b];
-        Node &node = arena[slot];
-        if (node.next == none)
+        const std::uint32_t next = arena[slot].next;
+        if (next == none)
             occupied[b >> 6] &= ~(std::uint64_t{1} << (b & 63));
         else
-            head[b] = node.next;
+            head[b] = next;
         --wheel_count;
-        try {
-            node.fn();
-        } catch (...) {
-            arena.erase(slot);
-            throw;
-        }
-        arena.erase(slot);
+        invoke(slot);
         ++executed_count;
         if (probe && executed_count % probe_every == 0)
             probe();
@@ -282,8 +316,8 @@ class EventQueue
     static constexpr std::uint32_t none = ~std::uint32_t{0};
 
     /**
-     * Arena record: a pending continuation plus, while it waits in a
-     * wheel bucket, the slot of the next record in that bucket.
+     * Arena record: a scheduled or parked continuation plus the slot
+     * of the next record in its wheel bucket or wait list.
      */
     struct Node
     {
@@ -314,6 +348,42 @@ class EventQueue
             return a.seq > b.seq;
         }
     };
+
+    /** Link @p slot into the wheel or the far heap at tick @p when. */
+    void
+    place(Tick when, std::uint32_t slot)
+    {
+        if (when - cur_tick < wheel_span) {
+            append(when, slot);
+        } else {
+            far.push_back(FarEvent{when, next_seq++, slot});
+            std::push_heap(far.begin(), far.end(), Later{});
+        }
+    }
+
+    /** Unlink @p list's head (the list must not be empty). */
+    std::uint32_t
+    unpark(WaitList &list)
+    {
+        panic_if(list.size == 0, "waking an empty wait list");
+        const std::uint32_t slot = list.head;
+        list.head = std::exchange(arena[slot].next, none);
+        --list.size;
+        return slot;
+    }
+
+    /** Run the continuation in @p slot there, then free the slot. */
+    void
+    invoke(std::uint32_t slot)
+    {
+        try {
+            arena[slot].fn();
+        } catch (...) {
+            arena.erase(slot);
+            throw;
+        }
+        arena.erase(slot);
+    }
 
     /** Append @p slot to the bucket of tick @p when (in the window). */
     void
@@ -371,7 +441,7 @@ class EventQueue
     std::array<std::uint64_t, wheel_words> occupied{}; ///< bucket bitmap
     std::size_t wheel_count = 0;  ///< events in the wheel
     std::vector<FarEvent> far;    ///< binary heap ordered by Later
-    SlotPool<Node> arena;         ///< pending-event records
+    SlotPool<Node> arena;         ///< scheduled and parked records
     Tick cur_tick = 0;
     std::uint64_t next_seq = 0;   ///< far-heap FIFO tie-break
     std::uint64_t executed_count = 0;

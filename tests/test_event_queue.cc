@@ -2,17 +2,18 @@
  * @file
  * Unit tests for the discrete-event engine: ordering, determinism,
  * and coroutine plumbing — including op-for-op equivalence of the
- * slab-arena queue against a naive std::function reference queue,
- * stop-request cancellation latency, the inline-continuation /
- * slot-pool building blocks, and the move-free event path (memcpy
- * moves of trivially copyable closures, events run in their arena
- * slot).
+ * slab-arena queue and its wait lists against a naive std::function
+ * reference queue, stop-request cancellation latency, the
+ * inline-continuation / slot-pool building blocks, and the move-free
+ * event path (memcpy moves of trivially copyable closures, events
+ * and parked continuations run in their arena slot).
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <deque>
 #include <functional> // stdfunction-allowed: naive reference queue under test
 #include <map>
 #include <stdexcept>
@@ -143,13 +144,16 @@ TEST(EventQueue, RunOutcomeReportsBreakReason)
 
 /**
  * The pre-refactor event queue, reimplemented naively: a binary heap
- * of fat nodes each holding a std::function.  Used as the ordering
- * oracle for the slab-arena queue — both are driven op-for-op below
- * and must execute identical sequences.
+ * of fat nodes each holding a std::function, and a wait list that is
+ * a deque of them.  Used as the ordering oracle for the slab-arena
+ * queue — both are driven op-for-op below and must execute identical
+ * sequences.
  */
 class NaiveReferenceQueue
 {
   public:
+    using WaitList = std::deque<std::function<void()>>;
+
     Tick now() const { return cur_tick; }
 
     void
@@ -158,6 +162,20 @@ class NaiveReferenceQueue
         events.push_back(Ev{cur_tick + delay, next_seq++, std::move(fn)});
         std::push_heap(events.begin(), events.end(), Later{});
     }
+
+    void
+    park(WaitList &list, std::function<void()> fn)
+    {
+        list.push_back(std::move(fn));
+    }
+
+    void
+    wake(WaitList &list, Ticks delay = 0)
+    {
+        schedule(delay, pop(list));
+    }
+
+    void runParked(WaitList &list) { pop(list)(); }
 
     bool
     runOne()
@@ -184,6 +202,14 @@ class NaiveReferenceQueue
     bool empty() const { return events.empty(); }
 
   private:
+    static std::function<void()>
+    pop(WaitList &list)
+    {
+        std::function<void()> fn = std::move(list.front());
+        list.pop_front();
+        return fn;
+    }
+
     struct Ev
     {
         Tick when;
@@ -213,21 +239,57 @@ class NaiveReferenceQueue
  * bursts with short delays so FIFO tie-breaking, nested scheduling,
  * and slab-slot reuse all get exercised.  Delays are (id % 5) *
  * @p stride, so a stride of 64 or more also sends events beyond the
- * queue's 256-tick wheel.
+ * queue's 256-tick wheel.  Events also park children on three wait
+ * lists, wake list heads with delays on both sides of the wheel's
+ * edge, and run list heads inside themselves.
  */
 template <typename Queue>
-void
-spawnCascade(Queue &q, std::vector<std::uint64_t> &log, std::uint64_t id,
-             int depth, Ticks stride)
+struct Cascade
 {
-    q.schedule(id % 5 * stride, [&q, &log, id, depth, stride] {
+    Queue &q;
+    std::vector<std::uint64_t> &log;
+    Ticks stride;
+    typename Queue::WaitList lists[3] = {};
+
+    void
+    spawn(std::uint64_t id, int depth)
+    {
+        q.schedule(id % 5 * stride, [this, id, depth] { fire(id, depth); });
+    }
+
+    void
+    fire(std::uint64_t id, int depth)
+    {
+        static constexpr Ticks wake_delays[] = {0, 7, 255, 256, 300};
         log.push_back(id);
+        auto &list = lists[id % 3];
         if (depth < 3 && id % 3 == 0)
-            spawnCascade(q, log, id * 7 + 1, depth + 1, stride);
+            spawn(id * 7 + 1, depth + 1);
         if (depth < 3 && id % 4 == 1)
-            spawnCascade(q, log, id * 11 + 2, depth + 1, stride);
-    });
-}
+            spawn(id * 11 + 2, depth + 1);
+        if (depth < 3 && id % 6 == 2) {
+            q.park(list, [this, id, depth] { fire(id * 13 + 3, depth + 1); });
+        }
+        if (id % 5 == 3 && !list.empty())
+            q.wake(list, wake_delays[id / 5 % 5]);
+        if (id % 7 == 4 && !list.empty())
+            q.runParked(list);
+    }
+
+    /** Run until the queue drains and every list is empty. */
+    void
+    settle()
+    {
+        for (;;) {
+            while (q.runOne()) {}
+            auto list = std::find_if(std::begin(lists), std::end(lists),
+                                     [](const auto &l) { return !l.empty(); });
+            if (list == std::end(lists))
+                return;
+            q.wake(*list);
+        }
+    }
+};
 
 /** Drive both queues op-for-op with cascades of delay @p stride. */
 void
@@ -236,6 +298,8 @@ expectMatchesNaiveReference(Ticks stride)
     EventQueue arena_q;
     NaiveReferenceQueue naive_q;
     std::vector<std::uint64_t> arena_log, naive_log;
+    Cascade<EventQueue> arena_c{arena_q, arena_log, stride};
+    Cascade<NaiveReferenceQueue> naive_c{naive_q, naive_log, stride};
 
     // Several rounds of wide same-tick bursts with partial drains in
     // between: the arena queue cycles slots through its freelist and
@@ -245,8 +309,8 @@ expectMatchesNaiveReference(Ticks stride)
     for (int round = 0; round < 6; ++round) {
         const int burst = 300 + 100 * round; // up to 800 > one chunk
         for (int i = 0; i < burst; ++i, ++id) {
-            spawnCascade(arena_q, arena_log, id, 0, stride);
-            spawnCascade(naive_q, naive_log, id, 0, stride);
+            arena_c.spawn(id, 0);
+            naive_c.spawn(id, 0);
         }
         // Partial drain so later rounds reuse freed slots mid-queue.
         for (int i = 0; i < burst / 2; ++i) {
@@ -254,12 +318,14 @@ expectMatchesNaiveReference(Ticks stride)
             naive_q.runOne();
         }
         ASSERT_EQ(arena_log, naive_log) << "diverged in round " << round;
+        EXPECT_GT(arena_q.parkedCount(), 0u) << "round " << round;
     }
-    while (arena_q.runOne()) {}
-    naive_q.run();
+    arena_c.settle();
+    naive_c.settle();
 
     EXPECT_EQ(arena_log, naive_log);
     EXPECT_EQ(arena_q.now(), naive_q.now());
+    EXPECT_EQ(arena_q.parkedCount(), 0u);
     // The bursts above outgrow a single 256-slot chunk, so slab
     // growth (not just first-chunk reuse) is covered.
     EXPECT_GT(arena_q.arenaCapacity(), 256u);
@@ -270,6 +336,7 @@ TEST(EventQueue, MatchesNaiveReferenceQueueOpForOp)
     // Stride 1 keeps every delay inside the wheel; stride 130 gives
     // delays 0, 130, 260, 390 and 520, so events also pass through
     // the far heap and tie with later direct inserts at one tick.
+    // Wake delays 255 and 256 straddle the wheel's edge at both.
     for (Ticks stride : {Ticks{1}, Ticks{130}}) {
         SCOPED_TRACE(::testing::Message() << "delay stride " << stride);
         expectMatchesNaiveReference(stride);
@@ -569,6 +636,90 @@ TEST(EventQueue, ThrowingCallbackFreesItsSlot)
         ASSERT_EQ(eq.arenaCapacity(), capacity) << "round " << round;
     }
     EXPECT_TRUE(eq.empty());
+    ASSERT_EQ(order.size(), 1000u);
+    for (int round = 0; round < 1000; ++round)
+        EXPECT_EQ(order[round], round);
+}
+
+TEST(EventQueue, DetachedWaitListRunsApartFromAFreshOne)
+{
+    // An MSHR release copies its list out and resets it; the detached
+    // waiters then run while, as a waiter may, each parks a follow-up
+    // on the fresh list, behind the one parked right after the reset.
+    EventQueue eq;
+    std::vector<int> ran;
+    EventQueue::WaitList list;
+    for (int i = 0; i < 3; ++i) {
+        eq.park(list, [&eq, &ran, &list, i] {
+            ran.push_back(i);
+            eq.park(list, [&ran, i] { ran.push_back(20 + i); });
+        });
+    }
+    EventQueue::WaitList detached = std::exchange(list, {});
+    EXPECT_TRUE(list.empty());
+    eq.park(list, [&ran] { ran.push_back(10); });
+    EXPECT_EQ(detached.size, 3u);
+    EXPECT_EQ(list.size, 1u);
+    EXPECT_EQ(eq.parkedCount(), 4u);
+    while (!detached.empty())
+        eq.runParked(detached);
+    EXPECT_EQ(list.size, 4u);
+    while (!list.empty())
+        eq.runParked(list);
+    EXPECT_EQ(ran, (std::vector<int>{0, 1, 2, 10, 20, 21, 22}));
+    EXPECT_EQ(eq.parkedCount(), 0u);
+    EXPECT_TRUE(eq.empty());
+    EXPECT_EQ(eq.executedCount(), 0u) << "parked runs are not events";
+}
+
+TEST(EventQueue, WakeJoinsAnOccupiedBucketInScheduleOrder)
+{
+    // A woken continuation takes the (tick, seq) place that a new
+    // event scheduled at the wake would get: behind events already
+    // due at its tick and ahead of later ones, in the wheel (delay 5)
+    // and in the far heap (delay 300).
+    EventQueue eq;
+    std::vector<Ran> ran;
+    auto log = [&](int id) {
+        return [&, id] { ran.emplace_back(eq.now(), id); };
+    };
+    EventQueue::WaitList list;
+    eq.park(list, log(1));
+    eq.park(list, log(4));
+    eq.schedule(5, log(0));
+    eq.schedule(300, log(3));
+    eq.wake(list, 5);
+    eq.wake(list, 300);
+    eq.schedule(5, log(2));
+    eq.schedule(300, log(5));
+    EXPECT_EQ(eq.size(), 6u);
+    EXPECT_EQ(eq.parkedCount(), 0u);
+    eq.run();
+    EXPECT_EQ(ran, (std::vector<Ran>{{5, 0},
+                                     {5, 1},
+                                     {5, 2},
+                                     {300, 3},
+                                     {300, 4},
+                                     {300, 5}}));
+}
+
+TEST(EventQueue, ThrowingParkedContinuationFreesItsSlot)
+{
+    EventQueue eq;
+    EventQueue::WaitList list;
+    std::vector<int> order;
+    std::uint32_t capacity = 0;
+    for (int round = 0; round < 1000; ++round) {
+        eq.park(list, [] { throw std::runtime_error("waiter failed"); });
+        eq.park(list, [&order, round] { order.push_back(round); });
+        EXPECT_THROW(eq.runParked(list), std::runtime_error);
+        ASSERT_EQ(list.size, 1u);
+        eq.runParked(list);
+        if (round == 0)
+            capacity = eq.arenaCapacity();
+        ASSERT_EQ(eq.arenaCapacity(), capacity) << "round " << round;
+        ASSERT_EQ(eq.parkedCount(), 0u) << "round " << round;
+    }
     ASSERT_EQ(order.size(), 1000u);
     for (int round = 0; round < 1000; ++round)
         EXPECT_EQ(order[round], round);

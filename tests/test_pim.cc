@@ -252,6 +252,45 @@ TEST_F(DirFixture, AliasedBlocksSerializeButStayCorrect)
     dir.release(198, true);
 }
 
+TEST_F(DirFixture, FalseConflictsCountHoldersAndQueuedWaiters)
+{
+    // Blocks 5 and 198 share entry 5.  A PEI on a block that only a
+    // queued waiter targets is a true conflict, as is one on a block
+    // that only a holder targets; a PEI on a block that neither
+    // targets is a false one.
+    std::vector<Addr> order;
+    auto grant = [&order](Addr b) {
+        return [&order, b] { order.push_back(b); };
+    };
+    dir.acquire(5, true, grant(5));
+    dir.acquire(198, true, grant(198)); // neither: false conflict
+    EXPECT_EQ(dir.conflicts(), 1u);
+    EXPECT_EQ(dir.falseConflicts(), 1u);
+    dir.acquire(198, false, grant(198)); // only the queued waiter's block
+    EXPECT_EQ(dir.conflicts(), 2u);
+    EXPECT_EQ(dir.falseConflicts(), 1u);
+    dir.acquire(5, false, grant(5)); // only the holder's block
+    EXPECT_EQ(dir.conflicts(), 3u);
+    EXPECT_EQ(dir.falseConflicts(), 1u);
+    EXPECT_EQ(dir.probeViolation(), "");
+    eq.run();
+    EXPECT_EQ(order, (std::vector<Addr>{5}));
+
+    dir.release(5, true); // the queued writer goes next
+    EXPECT_EQ(dir.probeViolation(), "");
+    eq.run();
+    dir.release(198, true); // then both readers together
+    eq.run();
+    EXPECT_EQ(order, (std::vector<Addr>{5, 198, 198, 5}));
+    EXPECT_EQ(dir.probeViolation(), "");
+    dir.release(5, false);
+    dir.release(198, false);
+    EXPECT_EQ(dir.probeViolation(), "");
+    EXPECT_EQ(dir.conflicts(), 3u);
+    EXPECT_EQ(dir.falseConflicts(), 1u);
+    EXPECT_TRUE(stats.audit().empty());
+}
+
 TEST_F(DirFixture, PfenceWaitsForAllWriters)
 {
     bool fence_done = false;

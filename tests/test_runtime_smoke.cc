@@ -198,7 +198,8 @@ TEST(RuntimeSmoke2, HashProbeReturnsMatchAndNext)
 TEST(RuntimeDeathTest, UnfinishedTaskWithEmptyQueuePanics)
 {
     // One arrival at a two-party barrier: after its load the task
-    // waits forever, and the queue drains under it.
+    // waits forever, and the queue drains under it.  The panic names
+    // the task's core and the barrier's one parked continuation.
     System sys(tinyConfig(ExecMode::HostOnly));
     Runtime rt(sys);
     const Addr word = rt.allocArray<std::uint64_t>(1);
@@ -210,7 +211,8 @@ TEST(RuntimeDeathTest, UnfinishedTaskWithEmptyQueuePanics)
     rt.spawn(0, kernel);
     EXPECT_DEATH(rt.run(),
                  "simulation deadlock: 1 unfinished task\\(s\\) with an "
-                 "empty event queue");
+                 "empty event queue; core\\(s\\) 0; 1 parked "
+                 "continuation\\(s\\)");
 }
 
 } // namespace
